@@ -15,6 +15,19 @@ interval pools the search therefore runs over canonical gap tuples
 (first coordinate 0) and reports the leftmost placement; explicit pools
 keep positioned sets but share gap evaluations through a memo table.
 
+The evaluation engine scans each distinct pool-span window once.  With W
+the pool span plus one, the pattern a gap tuple shows at shift t depends
+only on the length-W window at t, so only the first occurrence of each
+distinct window needs scanning.  Karp-Miller-Rosenberg naming
+(``language.window_classes``) finds them; for the low-complexity codings
+studied here they are far fewer than the shifts.  The engine reads a
+(W x rows) uint8 table whose rows are the |F| first occurrences when that
+at least halves them, else every shift.  It is a gathered copy of W bytes
+per row (W * |F| bytes for |F| distinct windows) while that fits 64 MB,
+otherwise a zero-copy view of every shift.  All extensions of a parent
+are settled together, by scan epochs and, for pattern spaces up to 64, by
+one packed bit table of m * W bits per row.
+
 All claims are finite-scale: a certificate states the shift count it was
 computed over, and absence of a free set means absence at that horizon.
 """
@@ -22,26 +35,32 @@ computed over, and absence of a free set means absence at that horizon.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 
 from .errors import ArgumentError, CapacityError, DimensionError, WitnessIntegrityError
-from .language import DENSE_CAP, CoordSet, patterns_on
+from .language import DENSE_CAP, CoordSet, patterns_on, window_classes
 from .sources import SeqWindow
 
-# The quick scan covers a multiple of the candidate pattern space
-# (coupon-collection scale); later epochs grow geometrically.
+# The first scan epoch covers a multiple of the candidate pattern space
+# (coupon-collection scale); later epochs grow geometrically, by at most
+# _EPOCH_MAX rows.
 _QUICK_MIN = 1 << 10
 _QUICK_MAX = 1 << 16
-# Below this pattern-space size, candidates the quick scan leaves open are
-# settled per missing pattern with packed-bit intersections, which makes
-# non-coverage proofs over long horizons cheap.
+_EPOCH_MAX = 1 << 14
+# Up to this pattern-space size, candidates the first epoch leaves open are
+# settled with packed-bit intersections, which makes non-coverage proofs
+# over long horizons cheap.
 _BITSET_SPACE_MAX = 64
-# Row-batch size cap for the quick scan, in int32 cells.
-_BATCH_CELLS = 1 << 22
+# Cell cap for one scan batch or block of hit flags, and byte cap for the
+# gathered window table and for the bit table.
+_BATCH_CELLS = 1 << 21
+_TABLE_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -126,6 +145,8 @@ class FreeSearchBudget:
     def __post_init__(self):
         if self.max_size < 1:
             raise ArgumentError("max_size must be >= 1")
+        if self.horizon is not None and self.horizon < 1:
+            raise ArgumentError("horizon must be >= 1")
         if len(self.pool) == 0:
             raise ArgumentError("candidate pool must be nonempty")
 
@@ -148,10 +169,16 @@ class SizeProfile:
 
 @dataclass(frozen=True)
 class FreeSearchResult:
+    """Search outcome.  ``stats`` holds deterministic engine counters: the
+    distinct pool-span windows (None once they exceed half the shifts), the
+    table rows, and per candidate size the candidates evaluated, the rows
+    scanned for them, and how many were settled by scan and by bits."""
+
     best: FreeSetCertificate | None
     profile: tuple[SizeProfile, ...]
     horizon: int
     beam_limited: bool
+    stats: dict = field(default_factory=dict)
 
     @property
     def max_free_size(self) -> int:
@@ -170,7 +197,7 @@ def _shift_sample(win: SeqWindow, A: CoordSet, horizon: int | None):
     if horizon is None:
         return "all"
     if win.rank != 1:
-        return "all"
+        raise ArgumentError("a shift horizon applies to rank-1 windows only")
     lo = win.origin[0] - A.coords[0]
     hi = win.origin[0] + win.extents[0] - 1 - A.coords[-1]
     return range(lo, min(hi, lo + horizon - 1) + 1)
@@ -182,28 +209,58 @@ def _shift_sample(win: SeqWindow, A: CoordSet, horizon: int | None):
 
 
 class _GapEvaluator:
-    """Exact coverage counts for gap tuples over a rank-1 symbol line.
+    """Exact coverage counts for gap tuples inside a pool of span W - 1.
 
-    A gap tuple (0, g2, ..., gs) stands for any placement of the set; its
-    sampled shifts are j = 0 .. T-1 with T = min(L - gs, horizon), and
-    the pattern code at shift j is sum_i line[g_i + j] * m**i.
+    A gap tuple (0, g2, ..., gs) with gs < W stands for any placement of
+    the set.  Its scanned shifts are j < T(gs) = min(L - gs, horizon,
+    period), and its pattern code at j, sum_i line[g_i + j] * m**i,
+    depends only on the length-W window at j.  Every shift shares that
+    window with its first occurrence f <= j, so the tuple's pattern set is
+    the set of its codes at the first occurrences f < T(gs).  The columns
+    ("rows") of the (W x rows) ``table`` are those first occurrences when
+    that at least halves them, else every shift j < T(0).  Within the
+    table budget they are gathered in a spread order, so that scans which
+    stop once every pattern is seen stop early; beyond it the table is the
+    zero-copy sliding view in line order.
+
+    Windows running past the end of the line are padded with the
+    non-symbol m.  Each of them is then distinct, and at a row beyond a
+    gap's last shift (f >= L - g, the only rows below T(0) that are not
+    below T(g)) the gap shows m, whose codes fall outside the pattern
+    space.  So every gap scans every row, with no per-gap masking.
     """
 
     def __init__(self, line: np.ndarray, alphabet: int, horizon: int | None,
-                 period: int | None = None):
-        self.line = np.ascontiguousarray(line, dtype=np.uint8)
+                 period: int | None, width: int):
         self.m = int(alphabet)
         self.L = int(line.size)
         self.cap = int(horizon) if horizon else self.L
         self.period = int(period) if period else None
-        self._eq_packed: dict[int, list[np.ndarray]] = {}
-        self._ext_rows: dict[tuple, np.ndarray] = {}
-        self._codes_cache: dict[tuple, np.ndarray] = {}
-        self.memo: dict[tuple, int] = {}
+        t = self.scan_count(0)
+        padded = np.full(t + width - 1, self.m, dtype=np.uint8)
+        padded[: min(self.L, padded.size)] = line[: padded.size]
+        view = np.lib.stride_tricks.sliding_window_view(padded, t)
+        ids = window_classes(padded, width, limit=t // 2)
+        first = None if ids is None else np.unique(ids, return_index=True)[1]
+        self.windows = None if first is None else int(first.size)
+        rows = np.sort(first) if first is not None and 2 * first.size <= t else np.arange(t)
+        if width * rows.size <= _TABLE_BYTES:
+            # A golden-ratio stride spreads the rows over the line, so a scan
+            # that stops once every pattern is seen stops early.
+            stride = round(rows.size * 0.6180339887) or 1
+            while gcd(stride, rows.size) != 1:
+                stride += 1
+            self.table = view[:, rows[np.arange(rows.size) * stride % rows.size]]
+        else:
+            self.table = view
+        self.levels: dict[int, dict[str, int]] = {}
+        # prefix chain of the current parent: [gap, rows filled] per depth,
+        # the codes of depth i in _bufs[i]
+        self._chain: list[list[int]] = []
+        self._bufs: list[np.ndarray] = []
 
     def shift_count(self, span: int) -> int:
-        t = self.L - span
-        return min(t, self.cap) if t > 0 else 0
+        return max(min(self.L - span, self.cap), 0)
 
     def scan_count(self, span: int) -> int:
         """Shifts actually scanned: a periodic line repeats its codes, so
@@ -211,180 +268,110 @@ class _GapEvaluator:
         t = self.shift_count(span)
         return min(t, self.period) if self.period else t
 
-    def codes_range(self, gaps: tuple, j0: int, j1: int) -> np.ndarray:
-        """Pattern codes of the gap tuple over shifts [j0, j1).
-
-        Results are cached and must not be mutated; sibling parents reuse
-        their common prefix, so per-parent cost is one slice, not len(gaps).
-        """
-        key = (gaps, j0, j1)
-        cached = self._codes_cache.get(key)
-        if cached is not None:
-            return cached
-        if len(gaps) > 1:
-            codes = self.codes_range(gaps[:-1], j0, j1) \
-                + self.line[gaps[-1] + j0: gaps[-1] + j1].astype(np.int32) \
-                * (self.m ** (len(gaps) - 1))
-        else:
-            codes = self.line[gaps[0] + j0: gaps[0] + j1].astype(np.int32)
-        if len(self._codes_cache) > 128:
-            self._codes_cache.clear()
-        self._codes_cache[key] = codes
-        return codes
-
     def singleton_count(self) -> int:
-        t = self.scan_count(0)
-        return int(np.unique(self.line[:t]).size) if t else 0
+        return int(np.unique(self.table[0]).size)
 
-    # -- packed bit helpers ------------------------------------------
+    def _codes(self, parent: tuple, upto: int) -> np.ndarray:
+        """Pattern codes of the parent over rows [0, upto).  The codes of the
+        parent's prefixes, filled as far as a scan has needed them, are the
+        only cache: sibling parents share them."""
+        chain, bufs = self._chain, self._bufs
+        k = 0
+        while k < min(len(chain), len(parent)) and chain[k][0] == parent[k]:
+            k += 1
+        del chain[k:]
+        chain += [[g, 0] for g in parent[k:]]
+        bufs += [np.empty(self.table.shape[1], dtype=np.int32)
+                 for _ in range(len(chain) - len(bufs))]
+        for i, (g, filled) in enumerate(chain):
+            if filled < upto:
+                seg = bufs[i][filled:upto]
+                np.multiply(self.table[g, filled:upto], self.m ** i, out=seg, dtype=np.int32)
+                if i:
+                    seg += bufs[i - 1][filled:upto]
+                chain[i][1] = upto
+        return bufs[len(chain) - 1][:upto]
 
-    def _packed(self, sym: int) -> list[np.ndarray]:
-        if sym not in self._eq_packed:
-            eq = self.line == sym
-            self._eq_packed[sym] = [np.packbits(eq[r:]) for r in range(8)]
-        return self._eq_packed[sym]
+    @cached_property
+    def bits(self) -> np.ndarray | None:
+        """uint64 words whose bit j of [s, g] is table[g, j] == s; None
+        when they would outgrow the table budget."""
+        width, n = self.table.shape
+        nbytes = -(-n // 64) * 8
+        if self.m * width * nbytes > _TABLE_BYTES:
+            return None
+        bits = np.zeros((self.m, width, nbytes), dtype=np.uint8)
+        step = max(1, _BATCH_CELLS // n)
+        for g in range(0, width, step):
+            for s in range(self.m):
+                bits[s, g: g + step, : (n + 7) >> 3] = np.packbits(
+                    self.table[g: g + step] == s, axis=1)
+        return bits.view(np.uint64)
 
-    def ext_row(self, sym: int, gap: int) -> np.ndarray:
-        """Packed bits of (line[gap + j] == sym) for j < shift_count(gap)."""
-        key = (sym, gap)
-        row = self._ext_rows.get(key)
-        if row is not None:
-            return row
-        if len(self._ext_rows) * ((self.L + 7) >> 3) > (256 << 20):
-            self._ext_rows.clear()
-        t_e = self.scan_count(gap)
-        packed = self._packed(sym)[gap & 7]
-        need = (t_e + 7) >> 3
-        row = np.zeros((self.L + 7) >> 3, dtype=np.uint8)
-        avail = packed[gap >> 3: (gap >> 3) + need]
-        row[: avail.size] = avail
-        row[need:] = 0
-        rem = t_e & 7
-        if rem:
-            row[need - 1] &= (0xFF << (8 - rem)) & 0xFF
-        self._ext_rows[key] = row
-        return row
-
-    # -- group evaluation ----------------------------------------------
+    # -- batched evaluation ----------------------------------------------
 
     def evaluate_extensions(self, parent: tuple, exts: list[int]) -> dict[int, int]:
-        """Exact pattern counts of parent + (e,) for each extension gap e."""
-        out: dict[int, int] = {}
-        todo = []
-        for e in exts:
-            key = parent + (e,)
-            if key in self.memo:
-                out[e] = self.memo[key]
-            elif self.shift_count(e) == 0:
-                out[e] = 0
-            else:
-                todo.append(e)
-        if not todo:
-            return out
+        """Exact pattern counts of parent + (e,) for each extension gap e > parent[-1]."""
+        level = self.levels.setdefault(
+            len(parent) + 1, {"candidates": 0, "rows": 0, "by_scan": 0, "by_bits": 0})
+        level["candidates"] += len(exts)
+        todo = np.array(exts, dtype=np.int64)
         space = self.m ** (len(parent) + 1)
-        quick = min(max(16 * space, _QUICK_MIN), _QUICK_MAX)
-        seen, counts = self._quick_scan(parent, todo, quick)
-        open_exts = sorted(seen)
-        if open_exts:
-            if space <= _BITSET_SPACE_MAX:
-                self._resolve_bitset(parent, seen, counts)
-            else:
-                self._resolve_epochs(parent, seen, counts, quick)
-        for e, count in counts.items():
-            self.memo[parent + (e,)] = count
-            out[e] = count
+        block = max(1, _BATCH_CELLS // (2 * space))
+        out = {}
+        for lo in range(0, todo.size, block):
+            gaps = todo[lo: lo + block]
+            out.update(zip(gaps.tolist(), self._settle(parent, gaps, space, level).tolist()))
         return out
 
-    def _quick_scan(self, parent: tuple, exts: list[int], quick: int):
-        """Batched scan of the first shifts; returns open seen-maps and counts."""
-        m = self.m
-        space_par = m ** len(parent)
-        space = space_par * m
-        t_par = self.scan_count(parent[-1])
-        j1 = min(quick, t_par)
-        pcodes = self.codes_range(parent, 0, j1)
-        counts: dict[int, int] = {}
-        seen: dict[int, np.ndarray] = {}
-        batch = max(1, _BATCH_CELLS // j1)
-        col = np.arange(j1, dtype=np.int32)
-        small_space = space <= (1 << 16)
-        for lo in range(0, len(exts), batch):
-            rows = exts[lo: lo + batch]
-            lens = np.array([min(j1, self.scan_count(e)) for e in rows],
-                            dtype=np.int32)
-            arr = np.zeros((len(rows), j1), dtype=np.int32)
-            for i, e in enumerate(rows):
-                arr[i, : lens[i]] = self.line[e: e + lens[i]]
-            arr *= space_par
-            arr += pcodes[None, :]
-            arr[col[None, :] >= lens[:, None]] = space
-            if small_space:
-                arr += (np.arange(len(rows), dtype=np.int32) * (space + 1))[:, None]
-                hits = np.bincount(arr.ravel(), minlength=len(rows) * (space + 1))
-                hits = hits.reshape(len(rows), space + 1)[:, :space] > 0
-            else:
-                hits = np.zeros((len(rows), space + 1), dtype=bool)
-                for i in range(len(rows)):
-                    hits[i, arr[i]] = True
-                hits = hits[:, :space]
-            for i, e in enumerate(rows):
-                n_hit = int(hits[i].sum())
-                if n_hit == space or lens[i] == self.scan_count(e):
-                    counts[e] = n_hit
-                else:
-                    seen[e] = hits[i].copy()
-        return seen, counts
+    def _settle(self, parent: tuple, gaps: np.ndarray, space: int, level: dict) -> np.ndarray:
+        """Scan epochs over all extensions at once; for small pattern spaces
+        the bit table settles what the first epoch leaves open, or settles
+        everything when one bit pass costs less than that epoch."""
+        space_par = space // self.m
+        n = self.table.shape[1]
+        # codes from `space` on hold the padding symbol: rows past a gap's last shift
+        hits = np.zeros((gaps.size, space + 2 * space_par), dtype=bool)
+        flat = hits.reshape(-1)
+        live = np.arange(gaps.size)
+        j0, j1 = 0, min(max(16 * space, _QUICK_MIN), _QUICK_MAX, n)
+        bits = self.bits if space <= _BITSET_SPACE_MAX else None
+        scan = bits is None or space * bits.shape[2] > j1
+        while scan and live.size:
+            pcodes = self._codes(parent, j1)
+            step = max(1, _BATCH_CELLS // (j1 - j0))
+            for b in range(0, live.size, step):
+                idx = live[b: b + step]
+                cells = np.multiply(self.table[gaps[idx], j0:j1], space_par, dtype=np.intp)
+                cells += pcodes[j0:j1]
+                cells += idx[:, None] * (space + 2 * space_par)
+                flat[cells.ravel()] = True
+            level["rows"] += live.size * (j1 - j0)
+            done = hits[live, :space].all(axis=1) | (j1 == n)
+            level["by_scan"] += int(done.sum())
+            live = live[~done]
+            scan = bits is None
+            j0, j1 = j1, min(j1 + min(3 * j1, _EPOCH_MAX), n)
+        if live.size:
+            self._settle_bits(bits, parent, gaps, live, hits)
+            level["by_bits"] += int(live.size)
+        return hits[:, :space].sum(axis=1)
 
-    def _resolve_bitset(self, parent: tuple, seen: dict, counts: dict) -> None:
-        """Settle each still-missing pattern by one packed-bit intersection."""
-        m = self.m
-        space_par = m ** len(parent)
-        t_par = self.scan_count(parent[-1])
-        nbytes = (t_par + 7) >> 3
-        pcodes = None
-        packed: dict[int, np.ndarray] = {}
-        for e, hit in seen.items():
-            count = int(hit.sum())
-            for code in np.nonzero(~hit)[0]:
-                c_par, sym = int(code) % space_par, int(code) // space_par
-                mask = packed.get(c_par)
-                if mask is None:
-                    if pcodes is None:
-                        pcodes = self.codes_range(parent, 0, t_par)
-                    mask = np.packbits(pcodes == c_par)
-                    packed[c_par] = mask
-                row = self.ext_row(sym, e)
-                if (row[:nbytes] & mask).any():
-                    count += 1
-            counts[e] = count
-
-    def _resolve_epochs(self, parent: tuple, seen: dict, counts: dict,
-                        j_start: int) -> None:
-        """Geometric early-exit epochs over the remaining shift range."""
-        space_par = self.m ** len(parent)
-        space = space_par * self.m
-        t_par = self.scan_count(parent[-1])
-        live = dict(seen)
-        j0 = min(j_start, t_par)
-        j1 = min(j0 * 4, t_par)
-        while live and j0 < t_par:
-            pcodes = self.codes_range(parent, j0, j1)
-            for e in list(live):
-                je = min(j1, self.scan_count(e))
-                if je <= j0:
-                    counts[e] = int(live.pop(e).sum())
-                    continue
-                seg = self.line[e + j0: e + je].astype(np.int32)
-                seg *= space_par
-                seg += pcodes[: je - j0]
-                hit = live[e]
-                hit[seg] = True
-                if hit.all():
-                    counts[e] = space
-                    del live[e]
-            j0, j1 = j1, min(j1 * 4, t_par)
-        for e, hit in live.items():
-            counts[e] = int(hit.sum())
+    def _settle_bits(self, bits, parent, gaps, live, hits) -> None:
+        """Settle the codes still missing after the scan: one gathered
+        AND/any per open (extension, parent code) pair."""
+        masks = bits[:, parent[0]]
+        for g in parent[1:]:
+            masks = (bits[:, g, None, :] & masks).reshape(-1, bits.shape[2])
+        # bit j of masks[c] is set iff the parent shows code c at row j
+        space_par = masks.shape[0]
+        cols = np.arange(space_par)[:, None] + np.arange(self.m) * space_par
+        ext, code = np.nonzero(~hits[live[:, None, None], cols].all(axis=2))
+        step = max(1, _BATCH_CELLS // (self.m * bits.shape[2]))
+        for b in range(0, code.size, step):
+            i, c = live[ext[b: b + step]], code[b: b + step]
+            seen = (bits[:, gaps[i]] & masks[c]).any(axis=2)
+            hits[i[:, None], cols[c]] |= seen.T
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +400,13 @@ def max_free_set(win: SeqWindow, budget: FreeSearchBudget) -> FreeSearchResult:
     origin, length = win.origin[0], win.extents[0]
     if pool[0] < origin or pool[-1] >= origin + length:
         raise ArgumentError("pool extends outside the window")
-    interval = pool[-1] - pool[0] + 1 == len(pool)
-    ev = _GapEvaluator(win.line(), m, horizon, win.meta.get("period"))
+    width = pool[-1] - pool[0] + 1
+    ev = _GapEvaluator(win.line(), m, horizon, win.meta.get("period"), width)
     if m ** budget.max_size > ev.shift_count(0):
         warnings.warn("shift horizon below m**max_size: top sizes cannot reach "
                       "coverage 1", stacklevel=2)
 
-    if interval:
+    if width == len(pool):
         levels = _search_canonical(ev, pool, budget)
     else:
         levels = _search_positioned(ev, pool, budget)
@@ -432,8 +419,10 @@ def max_free_set(win: SeqWindow, budget: FreeSearchBudget) -> FreeSearchResult:
         if not best.is_free or not best.verify(win):
             raise WitnessIntegrityError(
                 "search result failed re-verification against the window")
-    used = ev.shift_count(0)
-    return FreeSearchResult(best, profile, used, levels["beam_limited"])
+    stats = {"windows": ev.windows, "table_rows": int(ev.table.shape[1]),
+             "levels": dict(sorted(ev.levels.items()))}
+    return FreeSearchResult(best, profile, ev.shift_count(0), levels["beam_limited"],
+                            stats)
 
 
 def _profile_entry(size: int, stats: dict, m: int) -> SizeProfile:
@@ -485,22 +474,21 @@ def _search_canonical(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget) 
         if budget.beam is not None and len(free) > budget.beam:
             free = sorted(free)[: budget.beam]
             beam_limited = True
-        # the full subset prune is sound only while the free list is complete
-        free_set = set(free) if not beam_limited else None
         groups: dict[tuple, list[int]] = {}
         if size == 1:
-            gaps = [g for g in range(1, span + 1) if ev.shift_count(g) > 0]
-            if gaps:
-                groups[(0,)] = gaps
+            if span:
+                groups[(0,)] = list(range(1, span + 1))
         else:
             by_prefix: dict[tuple, list[int]] = {}
             for f in sorted(free):
                 by_prefix.setdefault(f[:-1], []).append(f[-1])
+            # the full subset prune is sound only while the free list is complete
+            lasts_of = None if beam_limited else {p: set(v) for p, v in by_prefix.items()}
             for prefix, lasts in by_prefix.items():
                 for i, x in enumerate(lasts):
-                    exts = [y for y in lasts[i + 1:]
-                            if (free_set is None or _subsets_free(prefix + (x, y), free_set))
-                            and ev.shift_count(y) > 0]
+                    exts = lasts[i + 1:]
+                    if lasts_of is not None:
+                        exts = _closed_exts(prefix + (x,), exts, lasts_of)
                     if exts:
                         groups[prefix + (x,)] = exts
         if not groups:
@@ -524,20 +512,27 @@ def _search_canonical(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget) 
     return {"best": best, "profile": profile, "beam_limited": beam_limited}
 
 
-def _subsets_free(cand: tuple, free_set: set) -> bool:
-    """All size-(s-1) subsets of a canonical candidate must be free."""
-    for i in range(len(cand)):
-        sub = cand[:i] + cand[i + 1:]
-        if sub[0] != 0:
-            sub = tuple(g - sub[0] for g in sub)
-        if sub not in free_set:
-            return False
-    return True
+def _closed_exts(parent: tuple, exts: list[int], lasts_of: dict) -> list[int]:
+    """Extensions y whose candidate parent + (y,) has only free subsets.
+
+    Dropping y or the parent's last gap leaves a free set by construction;
+    dropping parent[i] leaves sub + (y,), which is free exactly when y,
+    shifted with sub to its canonical form, is a free last of that prefix.
+    """
+    for i in range(len(parent) - 1):
+        sub = parent[:i] + parent[i + 1:]
+        d = sub[0]
+        lasts = lasts_of.get(tuple(g - d for g in sub) if d else sub, ())
+        exts = [y for y in exts if y - d in lasts]
+        if not exts:
+            break
+    return exts
 
 
 def _search_positioned(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget) -> dict:
     """Level-wise search over positioned sets for an explicit pool."""
     m = ev.m
+    memo: dict[tuple, int] = {}  # one gap tuple recurs at several placements
     profile = []
     beam_limited = False
     best = None
@@ -572,19 +567,19 @@ def _search_positioned(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget)
             for i, x in enumerate(lasts):
                 parent = prefix + (x,)
                 exts = [y for y in lasts[i + 1:]
-                        if (free_set is None or all(
-                            c in free_set
-                            for c in combinations(parent + (y,), size - 1)))
-                        and ev.shift_count(y - min(parent + (y,))) > 0]
+                        if free_set is None or all(
+                            c in free_set for c in combinations(parent + (y,), size - 1))]
                 if not exts:
                     continue
                 any_candidate = True
-                gaps_parent = tuple(g - parent[0] for g in parent)
-                counts = ev.evaluate_extensions(gaps_parent,
-                                                [y - parent[0] for y in exts])
+                gaps = tuple(g - parent[0] for g in parent)
+                todo = [y - parent[0] for y in exts if gaps + (y - parent[0],) not in memo]
+                if todo:
+                    memo.update((gaps + (e,), c)
+                                for e, c in ev.evaluate_extensions(gaps, todo).items())
                 for y in sorted(exts):
                     cand = parent + (y,)
-                    count = counts[y - parent[0]]
+                    count = memo[gaps + (y - parent[0],)]
                     _track(stats, cand, count, space)
                     if count == space:
                         next_free.append(cand)

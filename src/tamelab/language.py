@@ -300,6 +300,41 @@ def _contiguous_counts_rankk(sym: np.ndarray, m: int, n_max: int) -> tuple[list[
     return counts, methods
 
 
+def window_classes(symbols: np.ndarray, width: int,
+                   limit: int | None = None) -> np.ndarray | None:
+    """Class ids of the length-``width`` windows of a symbol row.
+
+    Entry j names ``symbols[j:j + width]``: two entries are equal exactly
+    when their windows are.  Karp-Miller-Rosenberg doubling names the
+    windows of length k + d as pairs of length-k names d apart (d <= k),
+    ranked densely in pair order at each step; once every window is
+    distinct, longer windows are too and the names stop being refined.
+    With a ``limit``, returns None as soon as more than ``limit`` distinct
+    length-``width`` windows are certain: refining only splits classes, so
+    the windows of length k already give width - k fewer than that count.
+    """
+    if not 1 <= width <= symbols.size:
+        raise ArgumentError("window width must lie in 1..len(symbols)")
+    ids = np.unique(symbols, return_inverse=True)[1].reshape(-1)
+    k = 1
+    while k < width:
+        n_cls = int(ids.max()) + 1
+        if limit is not None and n_cls - (width - k) > limit:
+            return None
+        if n_cls == ids.size:
+            return ids[: symbols.size - width + 1]
+        d = min(k, width - k)
+        keys = ids[:-d].astype(np.int64) * n_cls + ids[d:]
+        if n_cls * n_cls <= 2 * keys.size:  # small key space: rank without sorting
+            seen = np.zeros(n_cls * n_cls, dtype=bool)
+            seen[keys] = True
+            ids = (np.cumsum(seen, dtype=np.int32) - 1)[keys]
+        else:
+            ids = np.unique(keys, return_inverse=True)[1]
+        k += d
+    return ids
+
+
 def count_contiguous(win: SeqWindow, n: int) -> int:
     """Distinct contiguous length-n patterns, counted exactly (rank 1).
 

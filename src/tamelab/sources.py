@@ -61,6 +61,9 @@ NEAR_SPHERE_MARGIN = 1 << 8
 
 Box = tuple[tuple[int, int], ...]
 
+# ``SeqWindow.meta`` keys that count events per cell
+_META_COUNTERS = frozenset({"near_cut_hits", "near_sphere_hits"})
+
 
 def normalize_box(window, rank: int) -> Box:
     """Accept (lo, hi) for rank 1 or a tuple of per-axis (lo, hi) pairs."""
@@ -318,10 +321,10 @@ def materialize(source: SeqSource, window, threads: int = 1) -> SeqWindow:
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(lambda b: _materialize_dispatch(source, b), chunks))
     symbols = np.concatenate([p.symbols for p in parts], axis=0)
-    meta: dict = {}
-    for p in parts:
-        for key, value in p.meta.items():
-            meta[key] = meta.get(key, 0) + value
+    # counters add up over chunks; other keys (a period) hold for every chunk
+    meta = dict(parts[0].meta)
+    for key in _META_COUNTERS & meta.keys():
+        meta[key] = sum(p.meta[key] for p in parts)
     return SeqWindow(tuple(lo for lo, _ in box), symbols, source.alphabet_size,
                      source.digest, meta)
 
