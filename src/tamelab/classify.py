@@ -23,7 +23,7 @@ import numpy as np
 from .entropy import EntropySeries, entropy_estimate
 from .errors import ArgumentError
 from .freeset import FreeSearchBudget, max_free_set
-from .language import CoordSet, count_contiguous, patterns_on
+from .language import extend_classes
 from .sources import SeqSource, SeqWindow, materialize
 
 
@@ -114,22 +114,18 @@ class EvidenceReport:
 
 
 def _entropy_probe(win: SeqWindow, n_max: int) -> EntropySeries:
-    """Dense series up to the 64-bit packing limit, then a sparse tail."""
-    length = win.extents[0] if win.rank == 1 else min(win.extents)
-    n_max = min(n_max, length - 1)
-    m = win.alphabet_size
+    """Contiguous-window series: p(n) at every n with m**n < 2**62, then at
+    eight evenly spaced lengths up to n_max, all from one ``entropy_estimate``.
+    """
+    n_max = min(n_max, min(win.extents) - 1)
     wide = 1
-    while m ** (wide + 1) < (1 << 62):
+    while win.alphabet_size ** (wide + 1) < (1 << 62):
         wide += 1
-    dense_max = min(n_max, wide)
-    series = entropy_estimate(win, dense_max)
-    points = list(series.points)
-    if n_max > dense_max:
-        tail = sorted({int(v) for v in np.linspace(dense_max, n_max, 9)[1:]})
-        for n in tail:
-            count = count_contiguous(win, n)
-            points.append((n, count, float(np.log2(count)) / n))
-    return EntropySeries("contiguous", tuple(points))
+    ns = list(range(1, min(n_max, wide) + 1))
+    if n_max > wide:
+        ns += sorted({int(v) for v in np.linspace(wide, n_max, 9)[1:]})
+    points = entropy_estimate(win, n_max).points
+    return EntropySeries("contiguous", tuple(points[n - 1] for n in ns))
 
 
 def default_projection_families(win: SeqWindow, prefix: int) -> dict[str, list[int]]:
@@ -160,19 +156,17 @@ def probe_projection_growth(win: SeqWindow, L, max_prefix: int,
         raise ArgumentError("projection family must be strictly increasing")
     kept: list[int] = []
     counts: list[int] = []
-    count = 0
+    classes = None
     for l in coords:
-        if len(kept) >= max_prefix:
+        offset = l - kept[0] if kept else 0
+        if len(kept) >= max_prefix or offset >= win.extents[0]:
             break
-        trial = CoordSet.of(kept + [l])
-        if trial.diameter >= win.extents[0]:
-            break
-        trial_count = patterns_on(win, trial).count
-        if kept and trial_count > 2 * count:
+        trial = extend_classes(win, offset, classes)
+        if kept and trial[1] > 2 * classes[1]:
             continue
         kept.append(l)
-        count = trial_count
-        counts.append(count)
+        classes = trial
+        counts.append(trial[1])
     if len(counts) >= 2:
         slope = float(np.polyfit(np.log(np.arange(1, len(counts) + 1)),
                                  np.log(counts), 1)[0])

@@ -41,7 +41,7 @@ from .families import (
 from .freeset import FreeSearchBudget, brute_force_free_oracle, is_free, max_free_set
 from .language import CoordSet, complexity, patterns_on, project
 from .presets import PRESETS
-from .sources import SeqSource, materialize, read_window, write_window
+from .sources import SeqSource, SeqWindow, materialize, read_window, write_window
 from .torus import BallRegion, CutPartition, RotationSpec, TorusPoint, parse_fraction
 
 COMMANDS = ("generate", "complexity", "freeset", "entropy", "seqentropy",
@@ -107,11 +107,15 @@ class ExperimentConfig:
     def get(self, section: str, key: str, default: str | None = None) -> str | None:
         return self.section(section).get(key, default)
 
-    def require(self, section: str, key: str) -> str:
-        value = self.get(section, key)
+    def typed(self, section: str, key: str, conv=str, default: str | None = None):
+        """``conv`` of [section] key (required without a default); ValueError -> ConfigError."""
+        value = self.get(section, key, default)
         if value is None:
             raise ConfigError(f"missing [{section}] {key}")
-        return value
+        try:
+            return conv(value)
+        except ValueError as exc:
+            raise ConfigError(f"malformed [{section}] {key} = {value!r}") from exc
 
     # -- typed views ---------------------------------------------------
 
@@ -121,23 +125,23 @@ class ExperimentConfig:
             raise ConfigError("missing [source] section")
         kind = sec.get("kind")
         if kind == "sturmian":
-            alphas = _fraction_list(self.require("source", "alphas"))
-            cuts = _fraction_list(self.require("source", "cuts"))
-            base = _fraction_list(self.get("source", "base", "0"))
+            alphas = self.typed("source", "alphas", _fraction_list)
+            cuts = self.typed("source", "cuts", _fraction_list)
+            base = self.typed("source", "base", _fraction_list, "0")
             return SeqSource.sturmian(RotationSpec.circle(*alphas),
                                       CutPartition(tuple(cuts)),
                                       TorusPoint(tuple(base)))
         if kind == "sphere":
-            alphas = _fraction_list(self.require("source", "alphas"))
-            center = _fraction_list(self.require("source", "center"))
-            base = _fraction_list(self.require("source", "base"))
-            radius = parse_fraction(self.require("source", "radius"))
+            alphas = self.typed("source", "alphas", _fraction_list)
+            center = self.typed("source", "center", _fraction_list)
+            base = self.typed("source", "base", _fraction_list)
+            radius = self.typed("source", "radius", parse_fraction)
             return SeqSource.sphere(BallRegion(TorusPoint(tuple(center)), radius),
                                     RotationSpec((TorusPoint(tuple(alphas)),)),
                                     TorusPoint(tuple(base)))
         if kind == "ip_indicator":
-            return SeqSource.ip_indicator(int(self.require("source", "base")),
-                                          int(self.require("source", "exponent_cap")))
+            return SeqSource.ip_indicator(self.typed("source", "base", int),
+                                          self.typed("source", "exponent_cap", int))
         if kind == "morse":
             return SeqSource.morse()
         if kind == "concat_nonnull":
@@ -145,22 +149,16 @@ class ExperimentConfig:
         if kind == "char_halfline":
             return SeqSource.char_halfline()
         if kind == "de_bruijn":
-            return SeqSource.de_bruijn(int(self.require("source", "order")))
+            return SeqSource.de_bruijn(self.typed("source", "order", int))
         if kind == "random":
-            return SeqSource.random(int(self.require("source", "seed")),
-                                    int(self.get("source", "alphabet", "2")))
+            return SeqSource.random(self.typed("source", "seed", int),
+                                    self.typed("source", "alphabet", int, "2"))
         if kind == "explicit":
-            return SeqSource.explicit(read_window(self.require("source", "path")))
+            return SeqSource.explicit(read_window(self.typed("source", "path")))
         raise ConfigError(f"unknown source kind {kind!r}")
 
     def window_box(self):
-        box = self.get("window", "box")
-        if box is None:
-            raise ConfigError("missing [window] box")
-        axes = []
-        for axis in box.split(";"):
-            lo, hi = axis.split(":")
-            axes.append((int(lo), int(hi)))
+        axes = self.typed("window", "box", lambda box: [_span(a) for a in box.split(";")])
         return axes[0] if len(axes) == 1 else tuple(axes)
 
 
@@ -168,22 +166,26 @@ def _fraction_list(text: str) -> list[int]:
     return [parse_fraction(tok) for tok in text.split(",")]
 
 
+# Converters for ExperimentConfig.typed; each raises ValueError on a malformed value.
+
 def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
 
-def _pool_spec(text: str) -> tuple[int, ...]:
-    if ":" in text:
-        lo, hi = text.split(":")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(_int_list(text))
+def _span(text: str) -> tuple[int, int]:
+    lo, hi = text.split(":")
+    return int(lo), int(hi)
 
 
 def _range_spec(text: str) -> list[int]:
     if ":" in text:
-        lo, hi = text.split(":")
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = _span(text)
+        return list(range(lo, hi + 1))
     return _int_list(text)
+
+
+def _opt_int(value: str) -> int | None:
+    return None if value in ("", "none") else int(value)
 
 
 class _Runner:
@@ -222,22 +224,22 @@ class _Runner:
         self.write("generate.txt", "\n".join(lines) + "\n")
 
     def cmd_complexity(self):
+        n_max = self.config.typed("complexity", "n_max", int, "24")
         win = self.materialized()
-        n_max = int(self.config.get("complexity", "n_max", "24"))
         lang = complexity(win, n_max)
         self.write("complexity.csv", "\n".join(lang.csv_rows()) + "\n")
 
     def cmd_entropy(self):
+        n_max = self.config.typed("entropy", "n_max", int, "24")
         win = self.materialized()
-        n_max = int(self.config.get("entropy", "n_max", "24"))
         series = entropy_estimate(win, n_max)
         rows = series.csv_rows()
         rows.append(f"headline,,{series.headline:.9f}")
         self.write("entropy.csv", "\n".join(rows) + "\n")
 
     def cmd_seqentropy(self):
+        coords = self.config.typed("seqentropy", "coords", _int_list)
         win = self.materialized()
-        coords = _int_list(self.config.require("seqentropy", "coords"))
         series = sequence_entropy_estimate(win, coords)
         rows = series.csv_rows()
         rows.append(f"headline,,{series.headline:.9f}")
@@ -247,20 +249,20 @@ class _Runner:
         win = self.materialized()
         sec = self.config.section("freeset")
         if sec.get("oracle_check", "false").lower() == "true":
-            return self._freeset_oracle_check(sec)
+            return self._freeset_oracle_check()
+        horizon = self.config.typed("freeset", "horizon", _opt_int, "none")
         if "set" in sec:
-            cert = is_free(win, CoordSet.of(_int_list(sec["set"])),
-                           horizon=_opt_int(sec.get("horizon")))
+            cert = is_free(win, CoordSet.of(self.config.typed("freeset", "set", _int_list)),
+                           horizon=horizon)
             if not cert.verify(win):
                 raise ArgumentError("certificate failed re-verification")
             self.write("certificate.txt", cert.dump())
             return
-        pool = _pool_spec(sec.get("pool", "0:15"))
         budget = FreeSearchBudget(
-            max_size=int(sec.get("max_size", "12")),
-            pool=pool,
-            horizon=_opt_int(sec.get("horizon")),
-            beam=_opt_int(sec.get("beam")),
+            max_size=self.config.typed("freeset", "max_size", int, "12"),
+            pool=tuple(self.config.typed("freeset", "pool", _range_spec, "0:15")),
+            horizon=horizon,
+            beam=self.config.typed("freeset", "beam", _opt_int, "none"),
         )
         result = max_free_set(win, budget)
         rows = ["size,best_coverage,free_count,min_free_diameter,best_set"]
@@ -274,13 +276,12 @@ class _Runner:
         if result.best is not None:
             self.write("certificate.txt", result.best.dump())
 
-    def _freeset_oracle_check(self, sec: dict[str, str]):
-        instances = int(sec.get("oracle_instances", "100"))
-        seed = int(self.config.get("source", "seed", "1"))
+    def _freeset_oracle_check(self):
+        instances = self.config.typed("freeset", "oracle_instances", int, "100")
+        seed = self.config.typed("source", "seed", int, "1")
         rng = np.random.default_rng(seed)
         agree = 0
         rows = ["instance,length,pool,oracle_max,search_max,agree"]
-        from .sources import SeqWindow
         for i in range(instances):
             length = int(rng.integers(16, 65))
             line = rng.integers(0, 2, length).astype(np.uint8)
@@ -302,9 +303,9 @@ class _Runner:
             raise ArgumentError("searcher disagreed with the brute-force oracle")
 
     def cmd_project(self):
+        coords = CoordSet.of(self.config.typed("project", "coords", _int_list))
+        subset = CoordSet.of(self.config.typed("project", "subset", _int_list))
         win = self.materialized()
-        coords = CoordSet.of(_int_list(self.config.require("project", "coords")))
-        subset = CoordSet.of(_int_list(self.config.require("project", "subset")))
         full = patterns_on(win, coords, want_witness=True)
         projected = project(full, subset)
         self.write("patterns.txt", full.dump())
@@ -312,23 +313,26 @@ class _Runner:
 
     def cmd_family(self):
         sec = self.config.section("family")
+        typed = self.config.typed
+        a = typed("family", "a", float, "0.25")
+        b = typed("family", "b", float, "0.75")
+        max_len = typed("family", "max_len", int, "6")
         mode = sec.get("mode", "orbit")
         if mode == "cube":
-            dim = int(sec.get("dim", "3"))
+            dim = typed("family", "dim", int, "3")
+            if dim < 1:
+                raise ArgumentError("[family] dim must be >= 1")
             cols = list(product([0, 1], repeat=dim))
             values = np.array([[c[i] for c in cols] for i in range(dim)],
                               dtype=float)
             fs = FunctionSample(values, labels=tuple(str(c) for c in cols))
         elif mode == "orbit":
             fs = orbit_family_sample(self.config.source(),
-                                     _range_spec(sec.get("shifts", "0:63")),
-                                     _range_spec(sec.get("points", "0:999")))
+                                     typed("family", "shifts", _range_spec, "0:63"),
+                                     typed("family", "points", _range_spec, "0:999"))
         else:
             raise ConfigError(f"unknown family mode {mode!r}")
         self.write("family.csv", "\n".join(fs.csv_rows()) + "\n")
-        a = float(sec.get("a", "0.25"))
-        b = float(sec.get("b", "0.75"))
-        max_len = int(sec.get("max_len", "6"))
         witness = find_independent_subfamily(fs, a, b, max_len)
         lines = [f"rows = {fs.n_members}", f"columns = {fs.n_points}",
                  f"a = {a}", f"b = {b}", f"max_len = {max_len}"]
@@ -341,8 +345,8 @@ class _Runner:
             lines.append(f"l1_certified = {certified}")
             lines.append(f"l1_empirical = {empirical}")
         if "cell_width" in sec and fs.labels is not None and mode == "orbit":
-            cover = GridCover.from_labels(fs.labels, float(sec["cell_width"]))
-            eps = float(sec.get("epsilon", "0.5"))
+            cover = GridCover.from_labels(fs.labels, typed("family", "cell_width", float))
+            eps = typed("family", "epsilon", float, "0.5")
             hit, cell = epsilon_ns(fs, cover, eps)
             lines.append(f"epsilon_ns eps={eps} -> {hit}"
                          + (f" cell={cell}" if hit else ""))
@@ -359,22 +363,19 @@ class _Runner:
     def cmd_classify(self):
         sec = self.config.section("classify")
         kwargs = {}
-        if "window" in sec:
-            lo, hi = sec["window"].split(":")
-            kwargs["window"] = (int(lo), int(hi))
-        else:
-            kwargs["window"] = self.config.window_box()
-        for key, name, conv in (("entropy_n_max", "entropy_n_max", int),
+        for key, name, conv in (("window", "window", _span),
+                                ("entropy_n_max", "entropy_n_max", int),
                                 ("max_size", "free_max_size", int),
                                 ("beam", "beam", int),
                                 ("prefix", "projection_prefix", int),
                                 ("density_threshold", "density_threshold", float),
                                 ("entropy_threshold", "entropy_threshold", float),
-                                ("free_slack", "free_slack", float)):
+                                ("free_slack", "free_slack", float),
+                                ("brackets", "free_brackets", lambda v: tuple(_int_list(v)))):
             if key in sec:
-                kwargs[name] = conv(sec[key])
-        if "brackets" in sec:
-            kwargs["free_brackets"] = tuple(_int_list(sec["brackets"]))
+                kwargs[name] = self.config.typed("classify", key, conv)
+        if "window" not in kwargs:
+            kwargs["window"] = self.config.window_box()
         params = ClassifyParams(**kwargs)
         report = classify(self.config.source(), params, threads=self.threads)
         if self.fmt == "csv":
@@ -416,10 +417,6 @@ def run(command: str, config: ExperimentConfig, out_dir, threads: int = 1,
         lines.append(f"sha256 {digest}  {path.name}")
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
     return 0
-
-
-def _opt_int(value: str | None) -> int | None:
-    return None if value in (None, "", "none") else int(value)
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .language import CoordSet, complexity, patterns_on
+from .language import complexity, extend_classes
 from .sources import SeqWindow
 
 
@@ -82,7 +82,8 @@ def sequence_entropy_estimate(win: SeqWindow, A, n_max: int | None = None) -> En
     if n_max < 1 or n_max > len(coords):
         raise ArgumentError("n_max outside the coordinate sequence length")
     points = []
-    for n in range(1, n_max + 1):
-        ps = patterns_on(win, CoordSet.of(coords[:n]))
-        points.append((n, ps.count, float(np.log2(ps.count)) / n))
+    classes = None
+    for n, a in enumerate(coords[:n_max], start=1):
+        classes = extend_classes(win, a - coords[0], classes)
+        points.append((n, classes[1], float(np.log2(classes[1])) / n))
     return EntropySeries("along_sequence", tuple(points), tuple(coords[:n_max]))

@@ -1,20 +1,19 @@
 """Window languages: patterns on coordinate sets, complexity, projections.
 
 A pattern on a coordinate set A is the tuple of symbols a window shows on
-A + t for some shift t; it is encoded as one integer in mixed radix with
-the first coordinate least significant.  ``patterns_on`` collects the set
-of codes observed over a shift range, ``complexity`` counts patterns on
-contiguous windows (boxes for rank > 1), and ``project`` pushes a pattern
-set down to a subset of its coordinates.
-
-Exact counting never hashes: code spaces up to 2**24 use integer codes
-directly; contiguous counting beyond that packs each window into a single
-64-bit code while the alphabet allows, and otherwise deduplicates the raw
-symbol rows.  Both fallbacks are exact.
+A + t for some shift t.  ``patterns_on`` collects them as mixed-radix codes
+(first coordinate least significant, at most 2**24 of them), which
+certificates, dumps and ``project`` need.  Counting needs no codes: every
+count names patterns by int32 class ids, the dense ranks of the pairs
+(id of a smaller pattern, id of the part it adds) -- Karp-Miller-Rosenberg
+naming.  ``complexity`` grows windows by one symbol and n-boxes by one
+face per axis at each step, ``extend_classes`` grows a pattern along a
+coordinate sequence, and ``window_classes`` doubles window lengths.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -247,17 +246,9 @@ class WindowLanguage:
     alphabet_size: int
     rank: int
     counts: tuple[int, ...]
-    methods: tuple[str, ...]
-
-    @property
-    def n_max(self) -> int:
-        return len(self.counts)
 
     def p(self, n: int) -> int:
         return self.counts[n - 1]
-
-    def rates(self) -> list[float]:
-        return [float(np.log2(c)) / n for n, c in enumerate(self.counts, start=1)]
 
     def csv_rows(self) -> list[str]:
         rows = ["n,count,rate"]
@@ -266,38 +257,25 @@ class WindowLanguage:
         return rows
 
 
-def _contiguous_counts_rank1(line: np.ndarray, m: int, n_max: int) -> tuple[list[int], list[str]]:
-    length = line.size
-    counts: list[int] = []
-    methods: list[str] = []
-    wide_max = 1
-    while m ** (wide_max + 1) < (1 << 63):
-        wide_max += 1
-    vals = line.astype(np.int64)
-    codes = np.zeros(length, dtype=np.int64)
-    weight = 1
-    for n in range(1, min(n_max, wide_max) + 1):
-        codes = codes[: length - n + 1]
-        codes += vals[n - 1: length] * weight
-        weight *= m
-        counts.append(int(np.unique(codes).size))
-        methods.append("dense" if m ** n <= DENSE_CAP else "wide")
-    for n in range(wide_max + 1, n_max + 1):
-        view = np.lib.stride_tricks.sliding_window_view(line, n)
-        counts.append(int(np.unique(view, axis=0).shape[0]))
-        methods.append("rows")
-    return counts, methods
+def _pair_classes(left: np.ndarray, n_left: int, right: np.ndarray,
+                  n_right: int) -> tuple[np.ndarray, int]:
+    """Dense int32 ranks of the pairs (left[j], right[j]), and their count.
 
-
-def _contiguous_counts_rankk(sym: np.ndarray, m: int, n_max: int) -> tuple[list[int], list[str]]:
-    counts: list[int] = []
-    methods: list[str] = []
-    for n in range(1, n_max + 1):
-        view = np.lib.stride_tricks.sliding_window_view(sym, (n,) * sym.ndim)
-        rows = view.reshape(-1, n ** sym.ndim)
-        counts.append(int(np.unique(rows, axis=0).shape[0]))
-        methods.append("rows")
-    return counts, methods
+    ``left`` and ``right`` share a shape and hold ids below ``n_left`` and
+    ``n_right``; the empty pattern is one class, ``np.zeros``, of count 1.
+    """
+    space = n_left * n_right
+    keys = left.astype(np.int32 if space <= np.iinfo(np.int32).max else np.int64)
+    keys *= n_right
+    keys += right
+    if space <= 2 * keys.size:  # small pair space: rank without sorting
+        seen = np.zeros(space, dtype=bool)
+        seen[keys] = True
+        rank = np.cumsum(seen, dtype=np.int32)
+        rank -= 1
+        return rank[keys], int(rank[-1]) + 1
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return inverse.reshape(keys.shape).astype(np.int32), int(uniq.size)
 
 
 def window_classes(symbols: np.ndarray, width: int,
@@ -315,64 +293,91 @@ def window_classes(symbols: np.ndarray, width: int,
     """
     if not 1 <= width <= symbols.size:
         raise ArgumentError("window width must lie in 1..len(symbols)")
-    ids = np.unique(symbols, return_inverse=True)[1].reshape(-1)
+    ids, n_cls = _pair_classes(np.zeros(symbols.size, np.int32), 1, symbols,
+                               int(symbols.max()) + 1)
     k = 1
     while k < width:
-        n_cls = int(ids.max()) + 1
         if limit is not None and n_cls - (width - k) > limit:
             return None
         if n_cls == ids.size:
             return ids[: symbols.size - width + 1]
         d = min(k, width - k)
-        keys = ids[:-d].astype(np.int64) * n_cls + ids[d:]
-        if n_cls * n_cls <= 2 * keys.size:  # small key space: rank without sorting
-            seen = np.zeros(n_cls * n_cls, dtype=bool)
-            seen[keys] = True
-            ids = (np.cumsum(seen, dtype=np.int32) - 1)[keys]
-        else:
-            ids = np.unique(keys, return_inverse=True)[1]
+        ids, n_cls = _pair_classes(ids[:-d], n_cls, ids[d:], n_cls)
         k += d
     return ids
 
 
-def count_contiguous(win: SeqWindow, n: int) -> int:
-    """Distinct contiguous length-n patterns, counted exactly (rank 1).
+def extend_classes(win: SeqWindow, offset: int,
+                   classes: tuple[np.ndarray, int] | None = None
+                   ) -> tuple[np.ndarray, int]:
+    """Classes of the patterns on A + {a0 + offset} from those on A (rank 1).
 
-    Packs each window into one 64-bit code while the alphabet allows and
-    falls back to deduplicating raw symbol rows beyond that.
+    ``classes`` is ``(ids, count)`` for A, or None for the empty set; A's
+    coordinates lie in [a0, a0 + offset).  ``ids[j]`` names the pattern on
+    A + t with a0 + t the j-th cell of the window, for every shift keeping
+    the coordinates inside it; ``count`` is the number of patterns.
     """
+    line = win.line()
+    size = line.size - offset
+    if size < 1:
+        raise ShiftRangeError("coordinate set spans more than the window")
+    ids, count = classes if classes is not None else (np.zeros(size, np.int32), 1)
+    if count == ids.size:  # every pattern is distinct, so every extension is
+        return np.arange(size, dtype=np.int32), size
+    return _pair_classes(ids[:size], count, line[offset:], win.alphabet_size)
+
+
+def _box_counts(symbols: np.ndarray, alphabet: int, n_max: int) -> list[int]:
+    """p(1..n_max) on the n x ... x n boxes of a symbol array.
+
+    A box pairs the box one shorter along its first longest axis with the
+    one-thick face it adds there, itself a box.  Step n keeps only the
+    shapes it read, so two steps of classes are held at once.
+    """
+    def classes(shape):  # (ids of the boxes of this shape at every position, count)
+        if shape in before:
+            step[shape] = before[shape]
+        if shape not in step:
+            axis = shape.index(max(shape))
+            side = shape[axis]
+            shorter, count = classes(shape[:axis] + (side - 1,) + shape[axis + 1:])
+            out = tuple(e - s + 1 for e, s in zip(symbols.shape, shape))
+            if count == shorter.size:  # every shorter box is distinct, so every box is
+                size = math.prod(out)
+                step[shape] = np.arange(size, dtype=np.int32).reshape(out), size
+            else:
+                face, face_count = classes(shape[:axis] + (1,) + shape[axis + 1:])
+                at = (slice(None),) * axis + (slice(side - 1, None),)
+                step[shape] = _pair_classes(shorter[tuple(slice(o) for o in out)], count,
+                                            face[at], face_count)
+        return step[shape]
+
+    step = {(1,) * symbols.ndim: _pair_classes(np.zeros(symbols.shape, np.int32), 1,
+                                               symbols, alphabet)}
+    counts = []
+    for n in range(1, n_max + 1):
+        before, step = step, {}
+        counts.append(classes((n,) * symbols.ndim)[1])
+    return counts
+
+
+def count_contiguous(win: SeqWindow, n: int) -> int:
+    """Distinct contiguous length-n patterns, counted exactly (rank 1)."""
     if win.rank != 1:
         raise ArgumentError("count_contiguous requires a rank-1 window")
-    line = win.line()
-    if not 1 <= n <= line.size - 1:
+    if not 1 <= n <= win.extents[0] - 1:
         raise ArgumentError("window length must exceed n")
-    m = win.alphabet_size
-    view = np.lib.stride_tricks.sliding_window_view(line, n)
-    if m ** n < (1 << 62):
-        weights = (m ** np.arange(n, dtype=np.int64))
-        codes = view.astype(np.int64) @ weights
-        return int(np.unique(codes).size)
-    if m == 2:
-        packed = np.packbits(view, axis=1)
-        rows = np.ascontiguousarray(packed).view(
-            np.dtype((np.void, packed.shape[1])))
-        return int(np.unique(rows).size)
-    return int(np.unique(view, axis=0).shape[0])
+    return _box_counts(win.line(), win.alphabet_size, n)[-1]
 
 
 def complexity(win: SeqWindow, n_max: int) -> WindowLanguage:
     """p(n) for n = 1..n_max on contiguous windows, counted exactly."""
     if n_max < 1:
         raise ArgumentError("n_max must be >= 1")
-    if win.rank == 1:
-        if n_max > win.extents[0] - 1:
-            raise CapacityError("n_max must stay below the window length")
-        counts, methods = _contiguous_counts_rank1(win.line(), win.alphabet_size, n_max)
-    else:
-        if any(n_max > e - 1 for e in win.extents):
-            raise CapacityError("n_max must stay below every window extent")
-        counts, methods = _contiguous_counts_rankk(win.symbols, win.alphabet_size, n_max)
-    return WindowLanguage(win.alphabet_size, win.rank, tuple(counts), tuple(methods))
+    if n_max > min(win.extents) - 1:
+        raise CapacityError("n_max must stay below every window extent")
+    counts = _box_counts(win.symbols, win.alphabet_size, n_max)
+    return WindowLanguage(win.alphabet_size, win.rank, tuple(counts))
 
 
 def project(ps: PatternSet, A_sub: CoordSet) -> PatternSet:

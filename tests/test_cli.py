@@ -3,6 +3,8 @@
 import hashlib
 from pathlib import Path
 
+import pytest
+
 from tamelab.cli import ExperimentConfig, main, run
 from tamelab.presets import PRESETS
 
@@ -130,3 +132,72 @@ def test_run_api_returns_exit_status(tmp_path):
     cfg = ExperimentConfig.from_preset("fib64")
     assert run("generate", cfg, tmp_path / "x") == 0
     assert run("bogus", cfg, tmp_path / "y") == 2
+
+
+_BASE = {
+    "source": {"kind": "sturmian", "alphas": "golden", "cuts": "0,one_minus_golden",
+               "base": "0"},
+    "window": {"box": "0:64"},
+    "seqentropy": {"coords": "0,1,3"},
+    "project": {"coords": "0,1,2", "subset": "0,2"},
+    "family": {"mode": "orbit", "shifts": "0:3", "points": "0:20", "max_len": "2",
+               "cell_width": "0.25"},
+    "classify": {"brackets": "4", "max_size": "2", "entropy_n_max": "4"},
+}
+_IP = {"source": {"kind": "ip_indicator", "base": "10", "exponent_cap": "3"}}
+_RANDOM = {"source": {"kind": "random", "seed": "1", "alphabet": "2"}}
+_ORACLE = {"freeset": {"oracle_check": "true"}}
+
+
+@pytest.mark.parametrize("command,section,key,value,extra", [
+    ("generate", "source", "base", "x", _IP),
+    ("generate", "source", "exponent_cap", "3.5", _IP),
+    ("generate", "source", "order", "x8", {"source": {"kind": "de_bruijn", "order": "4"}}),
+    ("generate", "source", "seed", "one", _RANDOM),
+    ("generate", "source", "alphabet", "two", _RANDOM),
+    ("generate", "window", "box", "0-4096", None),
+    ("generate", "window", "box", "0:8;0", None),
+    ("complexity", "complexity", "n_max", "abc", None),
+    ("entropy", "entropy", "n_max", "1.5", None),
+    ("seqentropy", "seqentropy", "coords", "0,,3", None),
+    ("freeset", "freeset", "set", "1;2", None),
+    ("freeset", "freeset", "horizon", "many", None),
+    ("freeset", "freeset", "pool", "0:x", None),
+    ("freeset", "freeset", "max_size", "big", None),
+    ("freeset", "freeset", "beam", "wide", None),
+    ("freeset", "freeset", "oracle_instances", "x", _ORACLE),
+    ("freeset", "source", "seed", "x", _ORACLE),
+    ("project", "project", "coords", "0 1", None),
+    ("project", "project", "subset", "", None),
+    ("family", "family", "dim", "three", {"family": {"mode": "cube"}}),
+    ("family", "family", "shifts", "0:", None),
+    ("family", "family", "points", "a:b", None),
+    ("family", "family", "a", "quarter", None),
+    ("family", "family", "b", "", None),
+    ("family", "family", "max_len", "6.0", None),
+    ("family", "family", "cell_width", "wide", None),
+    ("family", "family", "epsilon", "half", None),
+    ("classify", "classify", "window", "0-64", None),
+    ("classify", "classify", "entropy_n_max", "x", None),
+    ("classify", "classify", "max_size", "x", None),
+    ("classify", "classify", "beam", "x", None),
+    ("classify", "classify", "prefix", "x", None),
+    ("classify", "classify", "density_threshold", "x", None),
+    ("classify", "classify", "entropy_threshold", "x", None),
+    ("classify", "classify", "free_slack", "x", None),
+    ("classify", "classify", "brackets", "4,x", None),
+])
+def test_malformed_config_value_exits_2(tmp_path, capsys, command, section, key, value,
+                                        extra):
+    """Each parse site turns a malformed value into a config error (exit 2)."""
+    sections = {name: dict(items) for name, items in {**_BASE, **(extra or {})}.items()}
+    sections.setdefault(section, {})[key] = value
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+                   for name, items in sections.items())
+    assert run(command, ExperimentConfig.from_text(text), tmp_path / "out") == 2
+    assert f"malformed [{section}] {key} = " in capsys.readouterr().err
+
+
+def test_negative_cube_dimension_is_a_range_error(tmp_path):
+    text = "[source]\nkind = morse\n\n[family]\nmode = cube\ndim = -2\n"
+    assert run("family", ExperimentConfig.from_text(text), tmp_path / "out") == 5

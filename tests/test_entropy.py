@@ -81,3 +81,20 @@ def test_sequence_entropy_validation():
         sequence_entropy_estimate(win, [3, 3, 5])
     with pytest.raises(ArgumentError):
         sequence_entropy_estimate(win, [0, 1], n_max=5)
+
+
+@pytest.mark.parametrize("source", [SeqSource.random(17), SeqSource.fibonacci()],
+                         ids=["noise", "fibonacci"])
+def test_sequence_entropy_beyond_24_binary_coordinates(source):
+    # 2**32 patterns exceed the 2**24 code cap of patterns_on; counting by
+    # class ids needs no codes
+    win = materialize(source, (0, 4000))
+    coords = sorted(np.random.default_rng(8).choice(300, size=32, replace=False).tolist())
+    series = sequence_entropy_estimate(win, coords)
+    line = win.line()
+    offsets = np.array(coords) - coords[0]
+    for n, count, _ in series.points:
+        shifts = line.size - offsets[n - 1]
+        brute = {line[j + offsets[:n]].tobytes() for j in range(shifts)}
+        assert count == len(brute)
+    assert series.n_max == 32

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from tamelab import language
 from tamelab.errors import ArgumentError, CapacityError, ShiftRangeError
 from tamelab.language import (
     CoordSet,
@@ -92,11 +95,14 @@ def test_count_contiguous_row_path_matches_wide_path():
         assert count_contiguous(win, n) == len(brute)
 
 
-def test_rank2_box_complexity():
+def golden_sqrt2_coding():
     from tamelab.torus import GOLDEN, SQRT2_FRAC, SCALE, TorusPoint, RotationSpec, CutPartition
-    src = SeqSource.sturmian(RotationSpec.circle(GOLDEN, SQRT2_FRAC),
-                             CutPartition((0, SCALE - GOLDEN)), TorusPoint.zero())
-    win = materialize(src, ((0, 30), (0, 30)))
+    return SeqSource.sturmian(RotationSpec.circle(GOLDEN, SQRT2_FRAC),
+                              CutPartition((0, SCALE - GOLDEN)), TorusPoint.zero())
+
+
+def test_rank2_box_complexity():
+    win = materialize(golden_sqrt2_coding(), ((0, 30), (0, 30)))
     lang = complexity(win, 2)
     # brute force 2x2 boxes
     sym = win.symbols
@@ -168,3 +174,74 @@ def test_capacity_and_range_errors():
         project(patterns_on(win, CoordSet.of([0, 1])), CoordSet.of([5]))
     with pytest.raises(ArgumentError):
         CoordSet.of([3, 3])
+
+
+def test_rank2_box_complexity_on_a_million_cells():
+    # p(n) = n(n+1) for the golden x sqrt2 coding of Z^2, on 1000 x 1000
+    win = materialize(golden_sqrt2_coding(), ((0, 1000), (0, 1000)))
+    assert complexity(win, 8).counts == (2, 6, 12, 20, 30, 42, 56, 72)
+
+
+def brute_box_counts(symbols, n_max):
+    """Distinct n x ... x n boxes, n = 1..n_max, by a set of symbol tuples."""
+    counts = []
+    for n in range(1, n_max + 1):
+        starts = np.ndindex(*(e - n + 1 for e in symbols.shape))
+        counts.append(len({symbols[tuple(slice(i, i + n) for i in start)].tobytes()
+                           for start in starts}))
+    return counts
+
+
+def kernel_window(symbols, alphabet):
+    return SeqWindow((0,) * symbols.ndim, symbols, alphabet, "kernel")
+
+
+# Low-complexity rows rank pairs without sorting; noise needs the sort and
+# soon makes every window distinct, which stops the refinement.
+PERIODIC = (np.tile(np.array([0, 1, 1, 0, 2], dtype=np.uint8), 12), 3)
+NOISE = (np.random.default_rng(5).integers(0, 5, 60).astype(np.uint8), 5)
+NOISE_2D = (np.random.default_rng(6).integers(0, 2, (9, 12)).astype(np.uint8), 2)
+
+
+@st.composite
+def kernel_cases(draw):
+    alphabet = draw(st.integers(2, 5))
+    rank = draw(st.integers(1, 2))
+    shape = ((draw(st.integers(2, 60)),) if rank == 1
+             else (draw(st.integers(2, 12)), draw(st.integers(2, 12))))
+    return draw(arrays(np.uint8, shape, elements=st.integers(0, alphabet - 1))), alphabet
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases(), st.data())
+@example(PERIODIC, None)
+@example(NOISE, None)
+@example(NOISE_2D, None)
+def test_kernel_matches_brute_force_window_sets(case, data):
+    symbols, alphabet = case
+    win = kernel_window(symbols, alphabet)
+    n_max = min(symbols.shape) - 1
+    brute = brute_box_counts(symbols, n_max)
+    assert list(complexity(win, n_max).counts) == brute
+    if symbols.ndim == 1:
+        n = data.draw(st.integers(1, n_max)) if data is not None else n_max
+        assert count_contiguous(win, n) == brute[n - 1]
+
+
+def test_kernel_examples_take_every_branch(monkeypatch):
+    taken = []
+    pair_classes = language._pair_classes
+
+    def spy(left, n_left, right, n_right):
+        taken.append("sort-free" if n_left * n_right <= 2 * left.size else "sort")
+        return pair_classes(left, n_left, right, n_right)
+
+    monkeypatch.setattr(language, "_pair_classes", spy)
+    for symbols, alphabet in (NOISE, NOISE_2D):
+        taken.clear()
+        n_max = min(symbols.shape) - 1
+        counts = complexity(kernel_window(symbols, alphabet), n_max).counts
+        assert set(taken) == {"sort-free", "sort"}
+        if symbols.ndim == 1:
+            # once every window is distinct, longer ones cost no ranking
+            assert counts[-1] == 2 and len(taken) < n_max
