@@ -181,10 +181,9 @@ def probe_projection_growth(win: SeqWindow, L, max_prefix: int,
     return ProjectionProbe(name, tuple(kept), tuple(counts), growth, slope)
 
 
-def classify(source: SeqSource, params: ClassifyParams = ClassifyParams(),
-             threads: int = 1) -> EvidenceReport:
+def classify(source: SeqSource, params: ClassifyParams = ClassifyParams()) -> EvidenceReport:
     """Run the full probe battery on a source and assemble the report."""
-    win = materialize(source, params.window_box(), threads=threads)
+    win = materialize(source, params.window_box())
     entropy = _entropy_probe(win, params.entropy_n_max)
 
     max_free_by_bracket: list[tuple[int, int]] = []
@@ -201,12 +200,9 @@ def classify(source: SeqSource, params: ClassifyParams = ClassifyParams(),
             horizon=params.free_horizon, beam=params.beam)
         result = max_free_set(win, budget)
         max_free_by_bracket.append((bracket, result.max_free_size))
-        for entry in result.profile:
-            if entry.free_count and entry.min_free_diameter is not None:
-                diam = entry.min_free_diameter
-                old = density.get(entry.size)
-                if old is None or diam < old[0]:
-                    density[entry.size] = (diam, entry.size / (diam + 1))
+        for size, diam, rate in result.density_rows():
+            if size not in density or diam < density[size][0]:
+                density[size] = (diam, rate)
     density_rows = tuple((s, d, r) for s, (d, r) in sorted(density.items()))
 
     projections = tuple(

@@ -3,8 +3,9 @@
 Configuration is sectioned ``key = value`` text (INI).  Every run writes
 its artifacts plus a manifest listing the config digest, versions, wall
 time, and a content digest per output file.  Outputs are byte-identical
-for identical configs regardless of thread count; wall time lives only
-in the manifest.
+for identical configs; wall time lives only in the manifest.  Every run
+is single-threaded: ``run(threads=)`` and ``--threads`` are accepted for
+compatibility and ignored.
 
 Exit codes: 0 success, 2 configuration error, 3 capacity error,
 4 I/O error, 5 invalid argument or range, 6 unexpected failure.
@@ -39,7 +40,7 @@ from .families import (
     total_variation,
 )
 from .freeset import FreeSearchBudget, brute_force_free_oracle, is_free, max_free_set
-from .language import CoordSet, complexity, patterns_on, project
+from .language import CoordSet, patterns_on, project
 from .presets import PRESETS
 from .sources import SeqSource, SeqWindow, materialize, read_window, write_window
 from .torus import BallRegion, CutPartition, RotationSpec, TorusPoint, parse_fraction
@@ -61,11 +62,12 @@ class ExperimentConfig:
         parser = configparser.ConfigParser()
         try:
             parser.read_string(text)
+            # items() expands %-interpolation, which can fail too
+            sections = tuple(
+                (name, tuple(sorted(parser.items(name))))
+                for name in sorted(parser.sections()))
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config: {exc}") from exc
-        sections = tuple(
-            (name, tuple(sorted(parser.items(name))))
-            for name in sorted(parser.sections()))
         return cls(sections)
 
     @classmethod
@@ -191,11 +193,9 @@ def _opt_int(value: str) -> int | None:
 class _Runner:
     """Executes one command, collecting artifact files and the manifest."""
 
-    def __init__(self, config: ExperimentConfig, out_dir: Path, threads: int,
-                 fmt: str):
+    def __init__(self, config: ExperimentConfig, out_dir: Path, fmt: str):
         self.config = config
         self.out = out_dir
-        self.threads = threads
         self.fmt = fmt
         self.artifacts: list[Path] = []
 
@@ -208,8 +208,7 @@ class _Runner:
         self.artifacts.append(path)
 
     def materialized(self):
-        return materialize(self.config.source(), self.config.window_box(),
-                           threads=self.threads)
+        return materialize(self.config.source(), self.config.window_box())
 
     # -- commands --------------------------------------------------------
 
@@ -226,8 +225,8 @@ class _Runner:
     def cmd_complexity(self):
         n_max = self.config.typed("complexity", "n_max", int, "24")
         win = self.materialized()
-        lang = complexity(win, n_max)
-        self.write("complexity.csv", "\n".join(lang.csv_rows()) + "\n")
+        series = entropy_estimate(win, n_max)
+        self.write("complexity.csv", "\n".join(series.csv_rows()) + "\n")
 
     def cmd_entropy(self):
         n_max = self.config.typed("entropy", "n_max", int, "24")
@@ -377,7 +376,7 @@ class _Runner:
         if "window" not in kwargs:
             kwargs["window"] = self.config.window_box()
         params = ClassifyParams(**kwargs)
-        report = classify(self.config.source(), params, threads=self.threads)
+        report = classify(self.config.source(), params)
         if self.fmt == "csv":
             self.write("report.csv",
                        report.csv_row_header() + "\n" + report.to_csv_row() + "\n")
@@ -387,12 +386,15 @@ class _Runner:
 
 def run(command: str, config: ExperimentConfig, out_dir, threads: int = 1,
         fmt: str = "text") -> int:
-    """Execute one analysis command; returns the process exit code."""
+    """Execute one analysis command; returns the process exit code.
+
+    ``threads`` is accepted and ignored: every run is single-threaded.
+    """
     started = time.monotonic()
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        runner = _Runner(config, out, threads, fmt)
+        runner = _Runner(config, out, fmt)
         if command not in COMMANDS:
             raise ConfigError(f"unknown command {command!r}")
         getattr(runner, f"cmd_{command}")()
@@ -434,7 +436,8 @@ def main(argv=None) -> int:
                        help="bundled preset: " + ", ".join(sorted(PRESETS)))
     parser.add_argument("--out", metavar="DIR",
                         help=f"output directory (default ${OUT_ENV} or ./tamelab-out)")
-    parser.add_argument("--threads", type=int, default=1, metavar="N")
+    parser.add_argument("--threads", type=int, default=1, metavar="N",
+                        help="accepted and ignored: every run is single-threaded")
     parser.add_argument("--format", choices=("csv", "text"), default="text",
                         help="format for summary reports")
     args = parser.parse_args(argv)

@@ -159,7 +159,7 @@ class GridCover:
     @classmethod
     def from_labels(cls, labels, width: float) -> "GridCover":
         """Partition columns into axis-aligned cells of the given width."""
-        if width <= 0:
+        if not width > 0:  # NaN too
             raise ArgumentError("cell width must be positive")
         buckets: dict[tuple, list[int]] = {}
         for j, label in enumerate(labels):
@@ -263,7 +263,7 @@ def epsilon_ns(fs: FunctionSample, cover: GridCover, eps: float):
     Returns (True, cell_name) for the first such cell in deterministic
     cell order, else (False, None).
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise ArgumentError("epsilon must be positive")
     covered = sorted(j for cell in cover.cells for j in cell)
     if covered != list(range(fs.n_points)):

@@ -10,10 +10,12 @@ the window.
 
 Coverage over the full valid shift range of a window depends only on the
 gap vector of A, not its placement: translating A by c translates its
-valid shift range by -c and reproduces the same pattern multiset.  For
-interval pools the search therefore runs over canonical gap tuples
-(first coordinate 0) and reports the leftmost placement; explicit pools
-keep positioned sets but share gap evaluations through a memo table.
+valid shift range by -c and reproduces the same pattern multiset.  One
+level-wise loop serves both kinds of pool and stores positioned sets.
+An interval pool holds every translate of a set that fits in it, so it
+keeps only the sets containing its first point and reports that leftmost
+placement; an explicit pool keeps every placement.  Parents sharing a gap
+tuple are evaluated once, on the union of their extensions.
 
 The evaluation engine scans each distinct pool-span window once.  With W
 the pool span plus one, the pattern a gap tuple shows at shift t depends
@@ -35,6 +37,7 @@ computed over, and absence of a free set means absence at that horizon.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -147,6 +150,8 @@ class FreeSearchBudget:
             raise ArgumentError("max_size must be >= 1")
         if self.horizon is not None and self.horizon < 1:
             raise ArgumentError("horizon must be >= 1")
+        if self.beam is not None and self.beam < 1:
+            raise ArgumentError("beam must be >= 1")
         if len(self.pool) == 0:
             raise ArgumentError("candidate pool must be nonempty")
 
@@ -183,6 +188,16 @@ class FreeSearchResult:
     @property
     def max_free_size(self) -> int:
         return self.best.size if self.best is not None else 0
+
+    def density_rows(self) -> list[tuple[int, int, float]]:
+        """(size, minimal diameter of a free set found, size/span density)
+        for each level holding a free set.
+
+        The density proxy divides the size by the occupied span (diameter
+        + 1), so a free set of s contiguous coordinates scores exactly 1.
+        """
+        return [(e.size, e.min_free_diameter, e.size / (e.min_free_diameter + 1))
+                for e in self.profile if e.free_count]
 
 
 def is_free(win: SeqWindow, A: CoordSet, horizon: int | None = None) -> FreeSetCertificate:
@@ -406,10 +421,7 @@ def max_free_set(win: SeqWindow, budget: FreeSearchBudget) -> FreeSearchResult:
         warnings.warn("shift horizon below m**max_size: top sizes cannot reach "
                       "coverage 1", stacklevel=2)
 
-    if width == len(pool):
-        levels = _search_canonical(ev, pool, budget)
-    else:
-        levels = _search_positioned(ev, pool, budget)
+    levels = _search(ev, pool, budget)
 
     profile = tuple(levels["profile"])
     best_coords = levels["best"]
@@ -451,140 +463,70 @@ def _new_stats() -> dict:
     return {"best_count": -1, "best_set": None, "free_count": 0, "min_diam": None}
 
 
-def _search_canonical(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget) -> dict:
-    """Level-wise search over canonical gap tuples for an interval pool."""
+def _search(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget) -> dict:
+    """Level-wise search over positioned sets.
+
+    An interval pool holds every translate of a set that fits in it, so it
+    keeps only the sets containing pool[0]: its singleton (pool[0],) has
+    every pool point as a sibling, and a subset is looked up translated to
+    pool[0].  An explicit pool keeps every placement.  Parents sharing a
+    gap tuple are evaluated together, on the union of their extensions.
+    """
     m = ev.m
     base = pool[0]
-    span = pool[-1] - pool[0]
+    interval = pool[-1] - base + 1 == len(pool)
+    anchor = base if interval else None
     profile = []
     beam_limited = False
     best = None
 
     stats = _new_stats()
     count1 = ev.singleton_count()
-    _track(stats, (base,), count1, m)
+    singletons = [(base,)] if interval else [(a,) for a in pool]
+    for single in singletons:
+        _track(stats, single, count1, m)
     profile.append(_profile_entry(1, stats, m))
-    if count1 < m:
-        return {"best": None, "profile": profile, "beam_limited": False}
-    best = (base,)
-    free: list[tuple] = [(0,)]
-
-    size = 1
-    while size < budget.max_size and free:
-        if budget.beam is not None and len(free) > budget.beam:
-            free = sorted(free)[: budget.beam]
-            beam_limited = True
-        groups: dict[tuple, list[int]] = {}
-        if size == 1:
-            if span:
-                groups[(0,)] = list(range(1, span + 1))
-        else:
-            by_prefix: dict[tuple, list[int]] = {}
-            for f in sorted(free):
-                by_prefix.setdefault(f[:-1], []).append(f[-1])
-            # the full subset prune is sound only while the free list is complete
-            lasts_of = None if beam_limited else {p: set(v) for p, v in by_prefix.items()}
-            for prefix, lasts in by_prefix.items():
-                for i, x in enumerate(lasts):
-                    exts = lasts[i + 1:]
-                    if lasts_of is not None:
-                        exts = _closed_exts(prefix + (x,), exts, lasts_of)
-                    if exts:
-                        groups[prefix + (x,)] = exts
-        if not groups:
-            break
-        size += 1
-        space = m ** size
-        stats = _new_stats()
-        next_free: list[tuple] = []
-        for parent in sorted(groups):
-            counts = ev.evaluate_extensions(parent, groups[parent])
-            for e in sorted(counts):
-                cand = parent + (e,)
-                _track(stats, tuple(base + g for g in cand), counts[e], space)
-                if counts[e] == space:
-                    next_free.append(cand)
-        profile.append(_profile_entry(size, stats, m))
-        if next_free:
-            next_free.sort()
-            best = tuple(base + g for g in next_free[0])
-        free = next_free
-    return {"best": best, "profile": profile, "beam_limited": beam_limited}
-
-
-def _closed_exts(parent: tuple, exts: list[int], lasts_of: dict) -> list[int]:
-    """Extensions y whose candidate parent + (y,) has only free subsets.
-
-    Dropping y or the parent's last gap leaves a free set by construction;
-    dropping parent[i] leaves sub + (y,), which is free exactly when y,
-    shifted with sub to its canonical form, is a free last of that prefix.
-    """
-    for i in range(len(parent) - 1):
-        sub = parent[:i] + parent[i + 1:]
-        d = sub[0]
-        lasts = lasts_of.get(tuple(g - d for g in sub) if d else sub, ())
-        exts = [y for y in exts if y - d in lasts]
-        if not exts:
-            break
-    return exts
-
-
-def _search_positioned(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget) -> dict:
-    """Level-wise search over positioned sets for an explicit pool."""
-    m = ev.m
-    memo: dict[tuple, int] = {}  # one gap tuple recurs at several placements
-    profile = []
-    beam_limited = False
-    best = None
-
-    stats = _new_stats()
-    free: list[tuple] = []
-    count1 = ev.singleton_count()
-    for a in pool:
-        _track(stats, (a,), count1, m)
-        if count1 == m:
-            free.append((a,))
-    profile.append(_profile_entry(1, stats, m))
+    free = singletons if count1 == m else []
     if free:
         best = free[0]
 
     size = 1
     while size < budget.max_size and free:
         if budget.beam is not None and len(free) > budget.beam:
-            free = sorted(free)[: budget.beam]
+            free = free[: budget.beam]
             beam_limited = True
-        # the full subset prune is sound only while the free list is complete
-        free_set = set(free) if not beam_limited else None
         by_prefix: dict[tuple, list[int]] = {}
-        for f in sorted(free):
+        for f in free:
             by_prefix.setdefault(f[:-1], []).append(f[-1])
+        if interval and size == 1:
+            by_prefix[()] = list(pool)
+        # the full subset prune is sound only while the free list is complete
+        lasts_of = None if beam_limited else {p: set(v) for p, v in by_prefix.items()}
+        groups: dict[tuple, list[tuple]] = {}
+        for parent in free:
+            lasts = by_prefix[parent[:-1]]
+            exts = lasts[bisect_right(lasts, parent[-1]):]
+            if lasts_of is not None:
+                exts = _closed_exts(parent, exts, lasts_of, anchor)
+            if exts:
+                gaps = tuple(g - parent[0] for g in parent)
+                groups.setdefault(gaps, []).append((parent, exts))
+        if not groups:
+            break
         size += 1
         space = m ** size
         stats = _new_stats()
         next_free: list[tuple] = []
-        any_candidate = False
-        for prefix, lasts in sorted(by_prefix.items()):
-            for i, x in enumerate(lasts):
-                parent = prefix + (x,)
-                exts = [y for y in lasts[i + 1:]
-                        if free_set is None or all(
-                            c in free_set for c in combinations(parent + (y,), size - 1))]
-                if not exts:
-                    continue
-                any_candidate = True
-                gaps = tuple(g - parent[0] for g in parent)
-                todo = [y - parent[0] for y in exts if gaps + (y - parent[0],) not in memo]
-                if todo:
-                    memo.update((gaps + (e,), c)
-                                for e, c in ev.evaluate_extensions(gaps, todo).items())
-                for y in sorted(exts):
-                    cand = parent + (y,)
-                    count = memo[gaps + (y - parent[0],)]
+        for gaps in sorted(groups):
+            members = groups[gaps]
+            union = sorted({y - parent[0] for parent, exts in members for y in exts})
+            counts = ev.evaluate_extensions(gaps, union)
+            for parent, exts in members:
+                for y in exts:
+                    cand, count = parent + (y,), counts[y - parent[0]]
                     _track(stats, cand, count, space)
                     if count == space:
                         next_free.append(cand)
-        if not any_candidate:
-            break
         profile.append(_profile_entry(size, stats, m))
         if next_free:
             next_free.sort()
@@ -593,19 +535,30 @@ def _search_positioned(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget)
     return {"best": best, "profile": profile, "beam_limited": beam_limited}
 
 
-def free_density_profile(win: SeqWindow, budget: FreeSearchBudget) -> list[tuple[int, int, float]]:
-    """(size, minimal diameter of a free set found, size/span density) rows.
+def _closed_exts(parent: tuple, exts: list[int], lasts_of: dict,
+                 anchor: int | None) -> list[int]:
+    """Extensions y whose candidate parent + (y,) has only free subsets.
 
-    The density proxy divides the size by the occupied span (diameter + 1),
-    so a free set of s contiguous coordinates scores exactly 1.
+    Dropping y or the parent's last coordinate leaves a free set by
+    construction; dropping parent[i] leaves sub + (y,), which is free
+    exactly when y, translated with sub by d, is a free last of that
+    prefix.  d moves sub[0] to ``anchor``, an interval pool's first point,
+    and is 0 in an explicit pool (``anchor`` None).
     """
-    result = max_free_set(win, budget)
-    rows = []
-    for entry in result.profile:
-        if entry.free_count and entry.min_free_diameter is not None:
-            diam = entry.min_free_diameter
-            rows.append((entry.size, diam, entry.size / (diam + 1)))
-    return rows
+    for i in range(len(parent) - 1):
+        sub = parent[:i] + parent[i + 1:]
+        d = 0 if anchor is None else sub[0] - anchor
+        lasts = lasts_of.get(tuple(g - d for g in sub) if d else sub, ())
+        exts = [y for y in exts if y - d in lasts]
+        if not exts:
+            break
+    return exts
+
+
+def free_density_profile(win: SeqWindow, budget: FreeSearchBudget) -> list[tuple[int, int, float]]:
+    """(size, minimal free diameter, size/span density) rows of one search;
+    see ``FreeSearchResult.density_rows``."""
+    return max_free_set(win, budget).density_rows()
 
 
 def brute_force_free_oracle(win: SeqWindow, pool, max_size: int = 4,

@@ -250,12 +250,6 @@ class WindowLanguage:
     def p(self, n: int) -> int:
         return self.counts[n - 1]
 
-    def csv_rows(self) -> list[str]:
-        rows = ["n,count,rate"]
-        for n, c in enumerate(self.counts, start=1):
-            rows.append(f"{n},{c},{float(np.log2(c)) / n:.9f}")
-        return rows
-
 
 def _pair_classes(left: np.ndarray, n_left: int, right: np.ndarray,
                   n_right: int) -> tuple[np.ndarray, int]:

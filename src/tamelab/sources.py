@@ -4,7 +4,7 @@ Every concrete family lives behind one abstraction: a ``SeqSource`` is an
 immutable recipe, ``materialize`` turns it into a ``SeqWindow`` holding the
 symbols over a requested box of coordinates.  Evaluation at a coordinate is
 deterministic and stateless, so identical parameters produce bit-identical
-windows on every run, platform, and thread count.
+windows on every run and platform.
 
 Families
 --------
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -61,13 +60,10 @@ NEAR_SPHERE_MARGIN = 1 << 8
 
 Box = tuple[tuple[int, int], ...]
 
-# ``SeqWindow.meta`` keys that count events per cell
-_META_COUNTERS = frozenset({"near_cut_hits", "near_sphere_hits"})
-
 
 def normalize_box(window, rank: int) -> Box:
-    """Accept (lo, hi) for rank 1 or a tuple of per-axis (lo, hi) pairs."""
-    if rank == 1 and len(window) == 2 and all(isinstance(v, int) for v in window):
+    """Accept (lo, hi) for one axis or a tuple of per-axis (lo, hi) pairs."""
+    if len(window) == 2 and all(isinstance(v, int) for v in window):
         window = (tuple(window),)
     box = tuple((int(lo), int(hi)) for lo, hi in window)
     if len(box) != rank:
@@ -304,29 +300,12 @@ def de_bruijn(order: int, window) -> SeqWindow:
     return _materialize_dispatch(source, normalize_box(window, 1))
 
 
-def materialize(source: SeqSource, window, threads: int = 1) -> SeqWindow:
-    """Evaluate a source over a box; bit-identical for identical parameters.
-
-    ``threads`` splits the leading axis across a thread pool; chunks are
-    reassembled by position, so the result does not depend on it.
-    """
+def materialize(source: SeqSource, window) -> SeqWindow:
+    """Evaluate a source over a box; bit-identical for identical parameters."""
     box = normalize_box(window, source.group_rank)
     if source.kind == "ip_indicator" and source.base ** source.exponent_cap < box[0][1]:
         raise ArgumentError("exponent cap too small: base**cap must reach past the window")
-    lo, hi = box[0]
-    if threads <= 1 or hi - lo < 4 * threads:
-        return _materialize_dispatch(source, box)
-    bounds = np.linspace(lo, hi, threads + 1, dtype=np.int64)
-    chunks = [((int(a), int(b)),) + box[1:] for a, b in zip(bounds, bounds[1:]) if a < b]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda b: _materialize_dispatch(source, b), chunks))
-    symbols = np.concatenate([p.symbols for p in parts], axis=0)
-    # counters add up over chunks; other keys (a period) hold for every chunk
-    meta = dict(parts[0].meta)
-    for key in _META_COUNTERS & meta.keys():
-        meta[key] = sum(p.meta[key] for p in parts)
-    return SeqWindow(tuple(lo for lo, _ in box), symbols, source.alphabet_size,
-                     source.digest, meta)
+    return _materialize_dispatch(source, box)
 
 
 def _materialize_dispatch(source: SeqSource, box: Box) -> SeqWindow:

@@ -1,11 +1,14 @@
 """Command-line harness: configs, artifacts, exit codes, golden file."""
 
 import hashlib
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tamelab.cli import ExperimentConfig, main, run
+from tamelab.cli import COMMANDS, ExperimentConfig, main, run
 from tamelab.presets import PRESETS
 
 DATA = Path(__file__).parent / "data"
@@ -201,3 +204,82 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, section, key,
 def test_negative_cube_dimension_is_a_range_error(tmp_path):
     text = "[source]\nkind = morse\n\n[family]\nmode = cube\ndim = -2\n"
     assert run("family", ExperimentConfig.from_text(text), tmp_path / "out") == 5
+
+
+def test_rank_one_box_for_a_rank_two_source_is_a_dimension_error(tmp_path):
+    text = ("[source]\nkind = sturmian\nalphas = golden,sqrt2_frac\n"
+            "cuts = 0,one_minus_golden\n\n[window]\nbox = 0:100\n")
+    for command in ("generate", "complexity", "freeset"):
+        assert run(command, ExperimentConfig.from_text(text), tmp_path / command) == 5
+
+
+# A small valid config per source kind, the keys of every section the
+# commands read, and values for them: valid, out of range and malformed.
+# Windows stay small so that every command is cheap.
+_FUZZ_SOURCES = {
+    "sturmian": {"alphas": "golden", "cuts": "0,one_minus_golden"},
+    "sphere": {"alphas": "golden,sqrt2_frac", "center": "0.5,0.5", "radius": "0.25",
+               "base": "0,0"},
+    "ip_indicator": {"base": "3", "exponent_cap": "6"},
+    "morse": {}, "concat_nonnull": {}, "char_halfline": {},
+    "de_bruijn": {"order": "4"},
+    "random": {"seed": "1", "alphabet": "3"},
+    "explicit": {"path": "missing.seq"},
+}
+_FUZZ_BASE = {
+    "window": {"box": "0:40"},
+    "complexity": {"n_max": "6"},
+    "entropy": {"n_max": "6"},
+    "seqentropy": {"coords": "0,1,3"},
+    "freeset": {"pool": "0:7", "max_size": "3"},
+    "project": {"coords": "0,1,2", "subset": "0,2"},
+    "family": {"shifts": "0:3", "points": "0:20", "max_len": "2"},
+    "classify": {"brackets": "4,8", "max_size": "3", "entropy_n_max": "6", "prefix": "4"},
+}
+_FUZZ_KEYS = [
+    (section, key) for section, keys in {
+        "source": ("kind", "alphas", "cuts", "base", "center", "radius", "exponent_cap",
+                   "order", "seed", "alphabet", "path"),
+        "window": ("box",),
+        "complexity": ("n_max",),
+        "entropy": ("n_max",),
+        "seqentropy": ("coords",),
+        "freeset": ("set", "pool", "max_size", "horizon", "beam", "oracle_check",
+                    "oracle_instances"),
+        "project": ("coords", "subset"),
+        "family": ("mode", "a", "b", "max_len", "dim", "shifts", "points", "cell_width",
+                   "epsilon", "variation"),
+        "classify": ("window", "entropy_n_max", "max_size", "beam", "prefix",
+                     "density_threshold", "entropy_threshold", "free_slack", "brackets"),
+    }.items() for key in keys]
+_FUZZ_VALUES = ("0", "1", "2", "3", "5", "-1", "0.5", "1.5", "1e3", "x", "", "none", "true",
+                "cube", "orbit", "morse", "warp", "golden", "sqrt2_frac", "1/3", "0,1",
+                "0,1,3", "golden,sqrt2_frac", "0,0.25,0.5", "0:4", "2:9", "-3:12", "3:1",
+                "0:8;0:8", "0:4;0:4;0:4", "0,,1", "1:2:3", "%", "%(x)s", "nan", "inf")
+
+
+@st.composite
+def _config_texts(draw):
+    kind = draw(st.sampled_from(sorted(_FUZZ_SOURCES)))
+    sections = {"source": {"kind": kind, **_FUZZ_SOURCES[kind]},
+                **{name: dict(items) for name, items in _FUZZ_BASE.items()}}
+    for section, key in draw(st.lists(st.sampled_from(_FUZZ_KEYS), max_size=4, unique=True)):
+        value = draw(st.sampled_from(_FUZZ_VALUES + (None,)))
+        if value is None:
+            sections[section].pop(key, None)
+        else:
+            sections[section][key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+                   for name, items in sections.items())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(text=_config_texts())
+def test_config_fuzz_never_exits_unexpectedly(text):
+    """Every command on any config built from real keys ends in a documented exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text)
+        for command in COMMANDS:
+            rc = main([command, "--config", str(cfg), "--out", tmp])
+            assert rc in (0, 2, 3, 4, 5), (command, text, rc)

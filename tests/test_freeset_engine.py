@@ -44,13 +44,16 @@ def recount(win, coords, horizon):
     return patterns_on(win, A, shifts=shifts).count
 
 
-def reference_profile(win, pool, max_size, horizon):
+def reference_profile(win, pool, max_size, horizon, beam=None):
     """(size, best coverage, free count, min free diameter, best set) per level.
 
     An interval pool is searched up to translation, so its candidates are
     the subsets holding pool[0]; an explicit pool keeps every subset.  A
     candidate of size s joins when all its (s-1)-subsets, translated alike,
-    were free.
+    were free.  Once a level holds more free sets than ``beam``, only the
+    first ``beam`` in sorted order are kept, and from then on the
+    candidates are the unions of kept sets sharing all but their last
+    coordinate, with no subset check.
     """
     m = win.alphabet_size
     pool = tuple(sorted(pool))
@@ -60,13 +63,18 @@ def reference_profile(win, pool, max_size, horizon):
     def placed(sub):
         return tuple(a - sub[0] + base for a in sub) if interval else sub
 
-    profile, free = [], None
+    profile, free, truncated = [], None, False
     for s in range(1, max_size + 1):
-        if interval:
+        if beam is not None and free is not None and len(free) > beam:
+            free = set(sorted(free)[:beam])
+            truncated = True
+        if truncated:
+            cands = [a + b[-1:] for a, b in combinations(sorted(free), 2) if a[:-1] == b[:-1]]
+        elif interval:
             cands = [(base,) + rest for rest in combinations(pool[1:], s - 1)]
         else:
             cands = list(combinations(pool, s))
-        if free is not None:
+        if free is not None and not truncated:
             cands = [c for c in cands
                      if all(placed(sub) in free for sub in combinations(c, s - 1))]
         if not cands:
@@ -150,6 +158,28 @@ def test_profile_matches_direct_recount(name, make, pool, max_size, horizon, tab
         assert stats["table_rows"] == scanned
 
 
+# (name, window, pool, max_size, horizon, beam): each beam truncates a level
+BEAM_CASES = [
+    ("noise-interval-beam", lambda: materialize(SeqSource.random(3), (0, 2000)),
+     tuple(range(0, 12)), 5, None, 3),
+    ("noise-explicit-pool-beam", lambda: materialize(SeqSource.random(13), (0, 1500)),
+     (0, 2, 3, 7, 11, 12, 20), 4, None, 4),
+]
+
+
+@pytest.mark.parametrize("name,make,pool,max_size,horizon,beam", BEAM_CASES,
+                         ids=[c[0] for c in BEAM_CASES])
+def test_beam_limited_profile_matches_direct_recount(name, make, pool, max_size, horizon,
+                                                     beam):
+    win = make()
+    result = search(win, FreeSearchBudget(max_size, pool, horizon, beam))
+    assert result.beam_limited
+    assert engine_profile(result) == reference_profile(win, pool, max_size, horizon, beam)
+    assert engine_profile(result) != reference_profile(win, pool, max_size, horizon)
+    if result.best is not None:
+        assert result.best.is_free and result.best.verify(win)
+
+
 @pytest.mark.parametrize("name", ["sturmian-offset-horizon", "sturmian-explicit-pool",
                                   "rare-symbol-at-end", "noise-ternary", "de-bruijn-horizon"])
 def test_zero_copy_view_without_bit_table(monkeypatch, name):
@@ -229,3 +259,8 @@ def test_horizon_on_rank_two_window_is_rejected():
 def test_budget_rejects_a_nonpositive_horizon():
     with pytest.raises(ArgumentError):
         FreeSearchBudget(2, (0, 1), horizon=0)
+
+
+def test_budget_rejects_a_beam_below_one():
+    with pytest.raises(ArgumentError):
+        FreeSearchBudget(2, (0, 1), beam=0)
