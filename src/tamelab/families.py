@@ -183,8 +183,9 @@ def find_independent_subfamily(fs: FunctionSample, a: float, b: float,
     """
     if not a < b:
         raise ArgumentError("thresholds require a < b")
-    if max_len > MAX_WITNESS_LEN:
-        raise ArgumentError(f"witness depth capped at {MAX_WITNESS_LEN}")
+    if not 2 <= max_len <= MAX_WITNESS_LEN:
+        raise ArgumentError(f"witness depth must lie in 2..{MAX_WITNESS_LEN}: "
+                            "a witness needs 2 members")
     if fs.n_members > MAX_FAMILY_ROWS:
         raise ArgumentError(f"independence search capped at {MAX_FAMILY_ROWS} rows")
     low = np.packbits(fs.values < a, axis=1)

@@ -46,8 +46,21 @@ from math import gcd
 
 import numpy as np
 
-from .errors import ArgumentError, CapacityError, DimensionError, WitnessIntegrityError
-from .language import DENSE_CAP, CoordSet, patterns_on, window_classes
+from .errors import (
+    ArgumentError,
+    CapacityError,
+    DimensionError,
+    ShiftRangeError,
+    WitnessIntegrityError,
+)
+from .language import (
+    DENSE_CAP,
+    CoordSet,
+    pattern_codes,
+    patterns_on,
+    valid_shift_bounds,
+    window_classes,
+)
 from .sources import SeqWindow
 
 # The first scan epoch covers a multiple of the candidate pattern space
@@ -89,31 +102,17 @@ class FreeSetCertificate:
         return self.coordset.size
 
     def verify(self, win: SeqWindow) -> bool:
-        """Re-evaluate every stored witness against the window."""
-        if self.witnesses is None:
+        """Re-evaluate every stored witness against the window: False when
+        a witness shift leaves the window or shows another pattern."""
+        if not self.witnesses:
             return True
-        m = self.alphabet_size
-        if self.coordset.rank == 1 and self.witnesses:
-            codes = np.fromiter(self.witnesses.keys(), dtype=np.int64,
-                                count=len(self.witnesses))
-            shifts = np.fromiter(self.witnesses.values(), dtype=np.int64,
-                                 count=len(self.witnesses))
-            line, origin = win.line(), win.origin[0]
-            for i, a in enumerate(self.coordset.coords):
-                idx = shifts + (a - origin)
-                if idx.min() < 0 or idx.max() >= line.size:
-                    return False
-                if not np.array_equal(line[idx], (codes // m ** i) % m):
-                    return False
-            return True
-        for code, shift in self.witnesses.items():
-            c = int(code)
-            for a in self.coordset.coords:
-                coord = tuple(ai + si for ai, si in zip(a, shift))
-                if win.value_at(coord) != c % m:
-                    return False
-                c //= m
-        return True
+        codes = np.fromiter(self.witnesses, dtype=np.int64, count=len(self.witnesses))
+        shifts = np.array(list(self.witnesses.values()), dtype=np.int64)
+        try:
+            found = pattern_codes(win, self.coordset, shifts.reshape(codes.size, -1))
+        except ShiftRangeError:
+            return False
+        return bool(np.array_equal(found, codes))
 
     def dump(self) -> str:
         lines = [
@@ -213,8 +212,7 @@ def _shift_sample(win: SeqWindow, A: CoordSet, horizon: int | None):
         return "all"
     if win.rank != 1:
         raise ArgumentError("a shift horizon applies to rank-1 windows only")
-    lo = win.origin[0] - A.coords[0]
-    hi = win.origin[0] + win.extents[0] - 1 - A.coords[-1]
+    (lo, hi), = valid_shift_bounds(win, A)
     return range(lo, min(hi, lo + horizon - 1) + 1)
 
 

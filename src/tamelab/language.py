@@ -3,7 +3,11 @@
 A pattern on a coordinate set A is the tuple of symbols a window shows on
 A + t for some shift t.  ``patterns_on`` collects them as mixed-radix codes
 (first coordinate least significant, at most 2**24 of them), which
-certificates, dumps and ``project`` need.  Counting needs no codes: every
+certificates, dumps and ``project`` need.  One path serves every rank, a
+rank-1 window being the case k = 1: shifts are rows of an (N, k) array,
+and ``pattern_codes`` reads each coordinate a of A from the flattened
+symbols at (t - origin + a) . strides.  A coordinate set whose rank differs
+from the window's raises DimensionError.  Counting needs no codes: every
 count names patterns by int32 class ids, the dense ranks of the pairs
 (id of a smaller pattern, id of the part it adds) -- Karp-Miller-Rosenberg
 naming.  ``complexity`` grows windows by one symbol and n-boxes by one
@@ -19,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ArgumentError, CapacityError, ShiftRangeError
+from .errors import ArgumentError, CapacityError, DimensionError, ShiftRangeError
 from .sources import SeqWindow
 
 DENSE_CAP = 1 << 24
@@ -139,8 +143,10 @@ def _check_capacity(alphabet: int, size: int) -> None:
             f"pattern space {alphabet}**{size} exceeds the 2**24 exact-code cap")
 
 
-def _valid_shift_bounds(win: SeqWindow, A: CoordSet) -> list[tuple[int, int]]:
+def valid_shift_bounds(win: SeqWindow, A: CoordSet) -> list[tuple[int, int]]:
     """Per-axis inclusive bounds of shifts keeping A + t inside the window."""
+    if A.rank != win.rank:
+        raise DimensionError(f"coordinate set has rank {A.rank}, window has rank {win.rank}")
     bounds = []
     for axis in range(win.rank):
         values = A.axis_values(axis)
@@ -153,30 +159,27 @@ def _valid_shift_bounds(win: SeqWindow, A: CoordSet) -> list[tuple[int, int]]:
     return bounds
 
 
-def _codes_rank1(win: SeqWindow, A: CoordSet, shifts: np.ndarray) -> np.ndarray:
-    line = win.line()
-    origin = win.origin[0]
-    m = win.alphabet_size
-    codes = np.zeros(shifts.size, dtype=np.int64)
-    weight = 1
-    for a in A.coords:
-        codes += line[shifts + (a - origin)].astype(np.int64) * weight
-        weight *= m
-    return codes
-
-
-def _codes_rankk(win: SeqWindow, A: CoordSet, shifts: np.ndarray) -> np.ndarray:
-    flat = win.symbols.reshape(-1)
-    strides = np.array([int(s) // win.symbols.itemsize for s in win.symbols.strides],
+def pattern_codes(win: SeqWindow, A: CoordSet, shifts: np.ndarray) -> np.ndarray:
+    """Mixed-radix codes of the patterns on A + t, one per row t of an
+    (N, k) int64 shift array; raises ShiftRangeError when some A + t
+    leaves the window."""
+    bounds = np.array(valid_shift_bounds(win, A), dtype=np.int64)
+    if shifts.ndim != 2 or shifts.shape[1] != win.rank:
+        raise DimensionError(f"shifts must be rank-{win.rank} vectors")
+    if (shifts.min(axis=0) < bounds[:, 0]).any() or (shifts.max(axis=0) > bounds[:, 1]).any():
+        raise ShiftRangeError("shift places the coordinate set outside the window")
+    flat = np.ascontiguousarray(win.symbols).reshape(-1)
+    strides = np.array([math.prod(win.extents[axis + 1:]) for axis in range(win.rank)],
                        dtype=np.int64)
-    origin = np.array(win.origin, dtype=np.int64)
-    m = win.alphabet_size
+    index = (shifts - np.array(win.origin, dtype=np.int64)) @ strides
+    offsets = np.array(A.coords, dtype=np.int64).reshape(A.size, win.rank) @ strides
     codes = np.zeros(shifts.shape[0], dtype=np.int64)
-    weight = 1
-    for a in A.coords:
-        offs = (shifts + (np.array(a, dtype=np.int64) - origin)) @ strides
-        codes += flat[offs].astype(np.int64) * weight
-        weight *= m
+    at = 0
+    for off in reversed(offsets.tolist()):  # Horner's rule, in place: last digit first
+        index += off - at
+        at = off
+        codes *= win.alphabet_size
+        codes += flat[index]
     return codes
 
 
@@ -187,47 +190,27 @@ def patterns_on(win: SeqWindow, A: CoordSet, shifts="all",
     ``shifts`` is either "all" (every shift keeping A + t inside the
     window) or an explicit iterable of shifts (ints for rank 1, tuples
     otherwise).  Shifts are processed in ascending order, so the optional
-    witness per code is the smallest shift showing it.
+    witness per code is the smallest shift showing it.  A coordinate set
+    whose rank differs from the window's raises DimensionError.
     """
     _check_capacity(win.alphabet_size, A.size)
-    bounds = _valid_shift_bounds(win, A)
-    if win.rank == 1:
-        (lo, hi), = bounds
-        if isinstance(shifts, str) and shifts == "all":
-            tarr = np.arange(lo, hi + 1, dtype=np.int64)
-            desc = f"{lo}:{hi}"
-        else:
-            tarr = np.array(sorted(int(t) for t in shifts), dtype=np.int64)
-            if tarr.size == 0:
-                raise ArgumentError("empty shift set")
-            if tarr[0] < lo or tarr[-1] > hi:
-                raise ShiftRangeError("shift places the coordinate set outside the window")
-            desc = "explicit"
-        codes = _codes_rank1(win, A, tarr)
+    bounds = valid_shift_bounds(win, A)
+    if isinstance(shifts, str) and shifts == "all":
+        axes = (np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in bounds)
+        tarr = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        desc = " ".join(f"{lo}:{hi}" for lo, hi in bounds)
     else:
-        if isinstance(shifts, str) and shifts == "all":
-            axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in bounds]
-            grid = np.meshgrid(*axes, indexing="ij")
-            tarr = np.stack([g.reshape(-1) for g in grid], axis=1)
-            desc = " ".join(f"{lo}:{hi}" for lo, hi in bounds)
-        else:
-            rows = sorted(tuple(int(v) for v in t) for t in shifts)
-            if not rows:
-                raise ArgumentError("empty shift set")
-            tarr = np.array(rows, dtype=np.int64)
-            for axis, (lo, hi) in enumerate(bounds):
-                if tarr[:, axis].min() < lo or tarr[:, axis].max() > hi:
-                    raise ShiftRangeError(
-                        "shift places the coordinate set outside the window")
-            desc = "explicit"
-        codes = _codes_rankk(win, A, tarr)
+        tarr = np.array(list(shifts), dtype=np.int64)
+        if tarr.size == 0:
+            raise ArgumentError("empty shift set")
+        if tarr.ndim == 1:
+            tarr = tarr[:, None]
+        tarr = tarr[np.lexsort(tarr.T[::-1])]
+        desc = "explicit"
+    codes = pattern_codes(win, A, tarr)
     if want_witness:
         uniq, first = np.unique(codes, return_index=True)
-        if win.rank == 1:
-            witness = {int(c): int(tarr[i]) for c, i in zip(uniq, first)}
-        else:
-            witness = {int(c): tuple(int(v) for v in tarr[i])
-                       for c, i in zip(uniq, first)}
+        witness = {int(c): _as_coord(tarr[i], win.rank) for c, i in zip(uniq, first)}
     else:
         uniq = np.unique(codes)
         witness = None

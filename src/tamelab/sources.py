@@ -44,8 +44,7 @@ from .torus import (
     CutPartition,
     RotationSpec,
     TorusPoint,
-    ball_boundary_margin,
-    ball_contains,
+    ball_distance_sq,
     rotate_add,
 )
 
@@ -234,85 +233,15 @@ class SeqSource:
 # ---------------------------------------------------------------------------
 
 
-def sturmian_code(spec: RotationSpec, part: CutPartition, z: TorusPoint,
-                  window) -> SeqWindow:
-    """Rotation coding over a box: symbol at n is the cell of z + n.alpha.
-
-    With k=1, cuts (0, 1-golden) and z=0 this is the golden-angle
-    bisequence (the Fibonacci bisequence) restricted to the window.
-    ``meta['near_cut_hits']`` counts orbit points within 2**-88 of a cut,
-    where the truncated coding may disagree with the true irrational one.
-    """
-    source = SeqSource.sturmian(spec, part, z)
-    box = normalize_box(window, spec.rank)
-    return _materialize_dispatch(source, box)
-
-
-def sphere_code(region: BallRegion, spec: RotationSpec, z: TorusPoint,
-                window) -> SeqWindow:
-    """Binary coding: symbol 1 exactly when z + n*alpha lies in the ball."""
-    source = SeqSource.sphere(region, spec, z)
-    box = normalize_box(window, 1)
-    return _materialize_dispatch(source, box)
-
-
-def ip_indicator(base: int, exponent_cap: int, window) -> SeqWindow:
-    """Indicator of sums of distinct powers base**a, 1 <= a <= exponent_cap.
-
-    For base 10 these are the positive integers whose decimal digits are
-    all 0/1 with a zero units digit.  Coordinates n <= 0 carry symbol 0.
-    """
-    source = SeqSource.ip_indicator(base, exponent_cap)
-    box = normalize_box(window, 1)
-    if base ** exponent_cap < box[0][1]:
-        raise ArgumentError("exponent cap too small: base**cap must reach past the window")
-    return _materialize_dispatch(source, box)
-
-
-def morse(window) -> SeqWindow:
-    """Digit-sum parity sequence with the mirror extension x(-n-1) = x(n)."""
-    return _materialize_dispatch(SeqSource.morse(), normalize_box(window, 1))
-
-
-def concat_nonnull(window) -> SeqWindow:
-    """Block concatenation w = w1 w2 w3 ... on the positive half-line.
-
-    Block n is u_n v_n where u_n concatenates, over all 2**n binary words
-    a of length n in ascending binary order, the word a followed by n
-    zeros, and v_n is a zero run of the same length as u_n.  Coordinates
-    n <= 0 carry symbol 0.
-    """
-    return _materialize_dispatch(SeqSource.concat_nonnull(), normalize_box(window, 1))
-
-
-def char_halfline(window) -> SeqWindow:
-    """Indicator of the nonnegative half-line."""
-    return _materialize_dispatch(SeqSource.char_halfline(), normalize_box(window, 1))
-
-
-def de_bruijn(order: int, window) -> SeqWindow:
-    """Cyclic repetition of the greedy (prefer-one) binary de Bruijn word.
-
-    Every binary word of length <= order occurs in any window of length
-    >= 2**order + order.
-    """
-    source = SeqSource.de_bruijn(order)
-    return _materialize_dispatch(source, normalize_box(window, 1))
-
-
 def materialize(source: SeqSource, window) -> SeqWindow:
     """Evaluate a source over a box; bit-identical for identical parameters."""
     box = normalize_box(window, source.group_rank)
-    if source.kind == "ip_indicator" and source.base ** source.exponent_cap < box[0][1]:
-        raise ArgumentError("exponent cap too small: base**cap must reach past the window")
-    return _materialize_dispatch(source, box)
-
-
-def _materialize_dispatch(source: SeqSource, box: Box) -> SeqWindow:
     try:
         builder = _BUILDERS[source.kind]
     except KeyError:
         raise ConfigError(f"unknown source kind {source.kind!r}") from None
+    if source.kind == "ip_indicator" and source.base ** source.exponent_cap < box[0][1]:
+        raise ArgumentError("exponent cap too small: base**cap must reach past the window")
     return builder(source, box)
 
 
@@ -320,6 +249,11 @@ def _materialize_dispatch(source: SeqSource, box: Box) -> SeqWindow:
 
 
 def _build_sturmian(source: SeqSource, box: Box) -> SeqWindow:
+    """Rotation coding over a box: symbol at n is the cell of z + n.alpha.
+
+    ``meta['near_cut_hits']`` counts orbit points within 2**-88 of a cut,
+    where the truncated coding may disagree with the true irrational one.
+    """
     spec, part, z = source.rotation, source.partition, source.base_point
     extents = tuple(hi - lo for lo, hi in box)
     origin = tuple(lo for lo, _ in box)
@@ -351,6 +285,7 @@ def _build_sturmian(source: SeqSource, box: Box) -> SeqWindow:
 
 
 def _build_sphere(source: SeqSource, box: Box) -> SeqWindow:
+    """Binary coding: symbol 1 exactly when z + n*alpha lies in the ball."""
     region, spec, z = source.region, source.rotation, source.base_point
     (lo, hi), = box
     length = hi - lo
@@ -358,11 +293,12 @@ def _build_sphere(source: SeqSource, box: Box) -> SeqWindow:
     point = rotate_add(z, spec, (lo,))
     alpha = spec.alphas[0].coords
     coords = list(point.coords)
+    r_sq = region.radius_sq
     near = 0
     for i in range(length):
-        p = TorusPoint(tuple(coords))
-        out[i] = 1 if ball_contains(region, p) else 0
-        if ball_boundary_margin(region, p) < NEAR_SPHERE_MARGIN:
+        d_sq = ball_distance_sq(region, TorusPoint(tuple(coords)))
+        out[i] = d_sq <= r_sq
+        if abs(d_sq - r_sq) < NEAR_SPHERE_MARGIN:
             near += 1
         for j, a in enumerate(alpha):
             coords[j] = (coords[j] + a) & MASK
@@ -373,6 +309,11 @@ def _build_sphere(source: SeqSource, box: Box) -> SeqWindow:
 
 
 def _build_ip(source: SeqSource, box: Box) -> SeqWindow:
+    """Indicator of sums of distinct powers base**a, 1 <= a <= exponent_cap.
+
+    For base 10 these are the positive integers whose decimal digits are
+    all 0/1 with a zero units digit.  Coordinates n <= 0 carry symbol 0.
+    """
     (lo, hi), = box
     base, cap = source.base, source.exponent_cap
     n = np.arange(lo, hi, dtype=np.int64)
@@ -389,6 +330,7 @@ def _build_ip(source: SeqSource, box: Box) -> SeqWindow:
 
 
 def _build_morse(source: SeqSource, box: Box) -> SeqWindow:
+    """Digit-sum parity sequence with the mirror extension x(-n-1) = x(n)."""
     (lo, hi), = box
     n = np.arange(lo, hi, dtype=np.int64)
     mirrored = np.where(n >= 0, n, -n - 1).astype(np.uint64)
@@ -438,6 +380,13 @@ def concat_slot_coordinates(n: int) -> list[int]:
 
 
 def _build_concat(source: SeqSource, box: Box) -> SeqWindow:
+    """Block concatenation w = w1 w2 w3 ... on the positive half-line.
+
+    Block n is u_n v_n where u_n concatenates, over all 2**n binary words
+    a of length n in ascending binary order, the word a followed by n
+    zeros, and v_n is a zero run of the same length as u_n.  Coordinates
+    n <= 0 carry symbol 0.
+    """
     (lo, hi), = box
     out = np.zeros(hi - lo, dtype=np.uint8)
     if hi > 1:
@@ -471,6 +420,9 @@ def de_bruijn_period(order: int) -> np.ndarray:
 
 
 def _build_de_bruijn(source: SeqSource, box: Box) -> SeqWindow:
+    """Cyclic repetition of the greedy (prefer-one) binary de Bruijn word:
+    every binary word of length <= order occurs in any window of length
+    >= 2**order + order."""
     (lo, hi), = box
     period = de_bruijn_period(source.order)
     n = np.arange(lo, hi, dtype=np.int64)
@@ -520,7 +472,13 @@ _BUILDERS = {
 # TAMELAB-SEQ v1 text format
 # ---------------------------------------------------------------------------
 
-_HEX = "0123456789abcdef"
+_HEX = b"0123456789abcdef"
+# Body byte -> symbol: a hex digit in either case gives its value, ASCII
+# whitespace gives _SKIP and every other byte gives _BAD.
+_SKIP, _BAD = 16, 17
+_SYMBOL_OF = np.full(256, _BAD, dtype=np.uint8)
+_SYMBOL_OF[list(_HEX)] = _SYMBOL_OF[list(_HEX.upper())] = np.arange(16)
+_SYMBOL_OF[list(b" \t\n\r\v\f")] = _SKIP
 
 
 def write_window(win: SeqWindow, path) -> None:
@@ -530,14 +488,13 @@ def write_window(win: SeqWindow, path) -> None:
         k=win.rank, m=win.alphabet_size,
         o=",".join(str(v) for v in win.origin),
         e=",".join(str(v) for v in win.extents)))
-    flat = win.symbols.reshape(-1)
-    digits = "".join(_HEX[v] for v in flat)
+    digits = np.frombuffer(_HEX, dtype=np.uint8)[win.symbols.reshape(-1)].tobytes()
     lines = [digits[i:i + 64] for i in range(0, len(digits), 64)]
     try:
-        with open(path, "w") as fh:
-            fh.write(header)
-            fh.write("\n".join(lines))
-            fh.write("\n")
+        with open(path, "wb") as fh:
+            fh.write(header.encode())
+            fh.write(b"\n".join(lines))
+            fh.write(b"\n")
     except OSError as exc:
         raise DataIOError(f"cannot write {path}: {exc}") from exc
 
@@ -545,11 +502,15 @@ def write_window(win: SeqWindow, path) -> None:
 def read_window(path) -> SeqWindow:
     """Read a TAMELAB-SEQ v1 file back into a SeqWindow."""
     try:
-        with open(path) as fh:
-            header = fh.readline().strip()
+        with open(path, "rb") as fh:
+            header = fh.readline()
             body = fh.read()
     except OSError as exc:
         raise DataIOError(f"cannot read {path}: {exc}") from exc
+    try:
+        header = header.decode("ascii")
+    except UnicodeDecodeError:
+        raise DataIOError(f"{path}: not a TAMELAB-SEQ v1 file") from None
     fields = header.split()
     if len(fields) != 6 or fields[0] != "TAMELAB-SEQ" or fields[1] != "v1":
         raise DataIOError(f"{path}: not a TAMELAB-SEQ v1 file")
@@ -561,8 +522,13 @@ def read_window(path) -> SeqWindow:
         extents = tuple(int(v) for v in kv["extents"].split(","))
     except (KeyError, ValueError) as exc:
         raise DataIOError(f"{path}: malformed header") from exc
-    digits = "".join(body.split())
-    symbols = np.fromiter((int(c, 16) for c in digits), dtype=np.uint8, count=len(digits))
+    if len(origin) != rank or len(extents) != rank or min(extents) < 1:
+        raise DataIOError(f"{path}: header rank, origin and extents disagree")
+    codes = _SYMBOL_OF[np.frombuffer(body, dtype=np.uint8)]
+    if (codes == _BAD).any():
+        raise DataIOError(f"{path}: body holds a byte that is neither a hex digit "
+                          "nor whitespace")
+    symbols = codes[codes != _SKIP]
     expected = int(np.prod(extents))
     if symbols.size != expected:
         raise DataIOError(f"{path}: expected {expected} symbols, found {symbols.size}")

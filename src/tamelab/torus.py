@@ -91,10 +91,6 @@ def format_fraction(value: int, digits: int | None = None) -> str:
     return ("0." + str(scaled).rjust(digits, "0")).rstrip("0")
 
 
-def fraction_to_float(value: int) -> float:
-    return value / SCALE
-
-
 @dataclass(frozen=True)
 class TorusPoint:
     """A point of T^k as k exact 128-bit fractions, 1 <= k <= 3."""
@@ -112,15 +108,8 @@ class TorusPoint:
         return len(self.coords)
 
     @classmethod
-    def from_fractions(cls, *values: int) -> "TorusPoint":
-        return cls(tuple(v & MASK for v in values))
-
-    @classmethod
     def zero(cls, dim: int = 1) -> "TorusPoint":
         return cls((0,) * dim)
-
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(c / SCALE for c in self.coords)
 
 
 @dataclass(frozen=True)
@@ -184,12 +173,6 @@ class CutPartition:
         """Index i with cuts[i] <= t < cuts[i+1]; total on [0, 1)."""
         return bisect_right(self.cuts, t) - 1
 
-    def near_cut(self, t: int, eps: int = NEAR_CUT_EPS) -> bool:
-        """True when t lies within eps of some cut in the wrap metric."""
-        i = bisect_right(self.cuts, t) - 1
-        above = (self.cuts[i + 1] - t) if i + 1 < len(self.cuts) else (SCALE - t)
-        return t - self.cuts[i] < eps or above < eps
-
 
 @dataclass(frozen=True)
 class BallRegion:
@@ -207,6 +190,11 @@ class BallRegion:
     @property
     def dim(self) -> int:
         return self.center.dim
+
+    @property
+    def radius_sq(self) -> int:
+        """Squared radius on the grid of ``ball_distance_sq``."""
+        return (self.radius >> BALL_SHIFT) ** 2
 
 
 def rotate_add(p: TorusPoint, spec: RotationSpec, n: tuple[int, ...] | list[int]) -> TorusPoint:
@@ -236,25 +224,19 @@ def evaluate_partition(t: int, part: CutPartition) -> int:
     return part.cell_of(t)
 
 
+def ball_distance_sq(region: BallRegion, p: TorusPoint) -> int:
+    """Minimal-image squared distance from the center, at 2**-96 squared
+    resolution (coordinates reduced to the 48-bit grid)."""
+    total = 0
+    for a, b in zip(p.coords, region.center.coords):
+        d = abs((a >> BALL_SHIFT) - (b >> BALL_SHIFT))
+        d = min(d, BALL_SCALE - d)
+        total += d * d
+    return total
+
+
 def ball_contains(region: BallRegion, p: TorusPoint) -> bool:
     """Closed-ball membership by exact minimal-image distance on the grid."""
     if p.dim != region.dim:
         raise DimensionError(f"point dimension {p.dim} != ball dimension {region.dim}")
-    r_q = region.radius >> BALL_SHIFT
-    total = 0
-    for a, b in zip(p.coords, region.center.coords):
-        d = abs((a >> BALL_SHIFT) - (b >> BALL_SHIFT))
-        d = min(d, BALL_SCALE - d)
-        total += d * d
-    return total <= r_q * r_q
-
-
-def ball_boundary_margin(region: BallRegion, p: TorusPoint) -> int:
-    """|dist^2 - r^2| at 2**-96 squared resolution; 0 means exactly on the grid sphere."""
-    r_q = region.radius >> BALL_SHIFT
-    total = 0
-    for a, b in zip(p.coords, region.center.coords):
-        d = abs((a >> BALL_SHIFT) - (b >> BALL_SHIFT))
-        d = min(d, BALL_SCALE - d)
-        total += d * d
-    return abs(total - r_q * r_q)
+    return ball_distance_sq(region, p) <= region.radius_sq

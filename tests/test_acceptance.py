@@ -243,7 +243,7 @@ def test_criterion_9_invariant_suites():
 PRESET_COMMANDS = {
     "fib64": ("generate",),
     "fib100k": ("complexity", "freeset", "classify", "family"),
-    "debruijn16": ("entropy", "freeset", "classify"),
+    "debruijn16": ("generate", "entropy", "freeset", "classify"),
     "ip10": ("freeset",),
     "concat12": ("freeset", "seqentropy", "complexity", "entropy"),
     "concat10": ("classify",),

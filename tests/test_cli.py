@@ -211,6 +211,12 @@ def test_rank_one_box_for_a_rank_two_source_is_a_dimension_error(tmp_path):
             "cuts = 0,one_minus_golden\n\n[window]\nbox = 0:100\n")
     for command in ("generate", "complexity", "freeset"):
         assert run(command, ExperimentConfig.from_text(text), tmp_path / command) == 5
+    # rank-1 coordinates on a rank-2 window: no TypeError, no diagonal read
+    square = text.replace("box = 0:100", "box = 0:50;0:50")
+    for command, section in (("freeset", "[freeset]\nset = 0,1\n"),
+                             ("project", "[project]\ncoords = 0,1,3\nsubset = 0,1\n")):
+        config = ExperimentConfig.from_text(square + "\n" + section)
+        assert run(command, config, tmp_path / f"{command}-coords") == 5
 
 
 # A small valid config per source kind, the keys of every section the

@@ -67,6 +67,9 @@ def test_witness_requires_two_members_and_valid_thresholds():
         IndependenceWitness(0.2, 0.7, (0,), {0: 0, 1: 0})
     with pytest.raises(ArgumentError):
         find_independent_subfamily(cube_family(), 0.75, 0.25)
+    for max_len in (-1, 0, 1, 13):  # a witness needs 2 members; depth is capped
+        with pytest.raises(ArgumentError):
+            find_independent_subfamily(cube_family(), 0.25, 0.75, max_len=max_len)
 
 
 def test_l1_bound_certified_and_empirical():

@@ -78,6 +78,24 @@ def test_witnesses_reproduce_patterns():
     assert not bad.verify(win)
 
 
+def test_rank_two_certificate_verifies_and_catches_tampering():
+    symbols = np.random.default_rng(8).integers(0, 2, (20, 25)).astype(np.uint8)
+    win = SeqWindow((4, -6), symbols, 2, "rank2")
+    A = CoordSet.of([(0, 0), (0, 1), (2, 3)], rank=2)
+    cert = is_free(win, A)
+    assert cert.is_free and len(cert.witnesses) == 8 and cert.verify(win)
+
+    def with_witness(code, shift):
+        return FreeSetCertificate(A, 2, cert.horizon, cert.coverage,
+                                  {**cert.witnesses, code: shift})
+
+    assert not with_witness(0, cert.witnesses[1]).verify(win)  # shows pattern 1
+    assert not with_witness(0, (4 + 20, -6)).verify(win)  # A + t leaves the window
+    assert not with_witness(0, (3, -6)).verify(win)
+    with pytest.raises(DimensionError):  # rank-2 coordinates on a rank-1 window
+        is_free(explicit([0, 1] * 8), A, horizon=4)
+
+
 def test_downward_closure_of_found_sets():
     win = materialize(SeqSource.de_bruijn(6), (0, 200))
     result = search(win, FreeSearchBudget.interval(0, 7, 5))

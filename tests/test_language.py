@@ -1,12 +1,14 @@
 """Window languages: pattern sets, complexity, projections."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tamelab import language
-from tamelab.errors import ArgumentError, CapacityError, ShiftRangeError
+from tamelab.errors import ArgumentError, CapacityError, DimensionError, ShiftRangeError
 from tamelab.language import (
     CoordSet,
     complexity,
@@ -245,3 +247,44 @@ def test_kernel_examples_take_every_branch(monkeypatch):
         if symbols.ndim == 1:
             # once every window is distinct, longer ones cost no ranking
             assert counts[-1] == 2 and len(taken) < n_max
+
+
+def brute_first_shifts(win, A, shifts):
+    """{symbol tuple on A + t: smallest t}, reading each cell with value_at."""
+    first = {}
+    for t in shifts:
+        cells = [a + t if win.rank == 1 else tuple(ai + ti for ai, ti in zip(a, t))
+                 for a in A.coords]
+        pattern = tuple(win.value_at(c) for c in cells)
+        first[pattern] = min(first.get(pattern, t), t)
+    return first
+
+
+# (origin, shape, alphabet, coordinates) of one window per rank
+RANK_CASES = [
+    ((-7,), (90,), 3, [0, 2, 5, 11]),
+    ((3, -4), (14, 11), 2, [(0, 0), (0, 3), (2, 1), (5, 0)]),
+    ((-1, 2, 0), (6, 7, 8), 2, [(0, 0, 0), (0, 2, 1), (1, 0, 3), (3, 1, 0)]),
+]
+
+
+@pytest.mark.parametrize("origin, shape, alphabet, coords", RANK_CASES)
+def test_patterns_on_every_rank_matches_brute_force(origin, shape, alphabet, coords):
+    rng = np.random.default_rng(len(shape))
+    symbols = rng.integers(0, alphabet, shape).astype(np.uint8)
+    win = SeqWindow(origin, symbols, alphabet, "ranks")
+    A = CoordSet.of(coords, rank=len(shape))
+    diam = (A.diameter,) if win.rank == 1 else A.diameter
+    lows = [o - min(A.axis_values(axis)) for axis, o in enumerate(origin)]
+    every = list(itertools.product(*(range(lo, lo + e - d)
+                                     for lo, e, d in zip(lows, shape, diam))))
+    every = [t[0] for t in every] if win.rank == 1 else every
+    picked = [every[i] for i in rng.permutation(len(every))[: len(every) // 3]]
+    for shifts, expected_count in (("all", len(every)), (picked, len(picked))):
+        ps = patterns_on(win, A, shifts=shifts, want_witness=True)
+        brute = brute_first_shifts(win, A, every if shifts == "all" else picked)
+        assert ps.shift_count == expected_count
+        assert {ps.decode(int(c)): ps.witness[int(c)] for c in ps.codes} == brute
+    with pytest.raises(DimensionError):
+        patterns_on(win, CoordSet.of([0, 1]) if win.rank > 1
+                    else CoordSet.of([(0, 0), (0, 1)], rank=2))

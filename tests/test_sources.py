@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from tamelab.errors import ArgumentError, CapacityError, ConfigError
+from tamelab.errors import ArgumentError, CapacityError, ConfigError, DataIOError
 from tamelab.sources import (
     SeqSource,
     concat_block_bounds,
@@ -208,14 +208,42 @@ def test_seq_file_round_trip(tmp_path):
     assert np.array_equal(sub.symbols, win.symbols[5:30])
 
 
+HEADER = b"TAMELAB-SEQ v1 k=1 alphabet=2 origin=0 extents=4\n"
+
+
+@pytest.mark.parametrize("content", [
+    HEADER + b"01g1\n",                    # not a hex digit
+    HEADER + b"01\xff1\n",                 # not UTF-8
+    HEADER.replace(b"v1", b"v\xe91") + b"0101\n",
+    HEADER.replace(b"k=1", b"k=2") + b"0101\n",  # rank disagrees with origin
+    HEADER.replace(b"extents=4", b"extents=-4") + b"0101\n",
+])
+def test_malformed_seq_file_is_a_data_error(tmp_path, content):
+    path = tmp_path / "bad.seq"
+    path.write_bytes(content)
+    with pytest.raises(DataIOError):
+        read_window(path)
+
+
+def test_seq_body_accepts_either_case_and_ascii_whitespace(tmp_path):
+    path = tmp_path / "w.seq"
+    path.write_bytes(b"TAMELAB-SEQ v1 k=2 alphabet=16 origin=1,2 extents=2,3\r\n"
+                     b"0aF\t\x0b9 E\x0c\r\n1\n")
+    win = read_window(path)
+    assert win.origin == (1, 2)
+    assert win.symbols.tolist() == [[0, 10, 15], [9, 14, 1]]
+    write_window(win, tmp_path / "out.seq")
+    assert (tmp_path / "out.seq").read_bytes() == (
+        b"TAMELAB-SEQ v1 k=2 alphabet=16 origin=1,2 extents=2,3\n0af9e1\n")
+
+
 def test_capacity_and_unknown_kind_errors():
     with pytest.raises(CapacityError):
         materialize(SeqSource.fibonacci(), (0, (1 << 28) + 1))
     with pytest.raises(ConfigError):
-        from tamelab.sources import _materialize_dispatch
         bogus = SeqSource("morse", 2, 1)
         object.__setattr__(bogus, "kind", "nope")
-        _materialize_dispatch(bogus, ((0, 4),))
+        materialize(bogus, (0, 4))
 
 
 def test_near_cut_hits_reported():
