@@ -174,6 +174,20 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
 
+def _coords(text: str) -> CoordSet:
+    """The inverse of ``CoordSet.__str__``: ``0,1,3`` is a rank-1 set,
+    ``(0,0);(0,1)`` a rank-k set, k being the length of every point."""
+    if "(" not in text:
+        return CoordSet.of(_int_list(text))
+    toks = [tok.strip() for tok in text.split(";")]
+    if any(tok[:1] != "(" or tok[-1:] != ")" for tok in toks):
+        raise ValueError("a rank-k point is written (a,b,...)")
+    points = [_int_list(tok[1:-1]) for tok in toks]
+    if len({len(p) for p in points}) != 1:
+        raise ValueError("points of different ranks")
+    return CoordSet.of(points, rank=len(points[0]))
+
+
 def _span(text: str) -> tuple[int, int]:
     lo, hi = text.split(":")
     return int(lo), int(hi)
@@ -251,8 +265,7 @@ class _Runner:
             return self._freeset_oracle_check()
         horizon = self.config.typed("freeset", "horizon", _opt_int, "none")
         if "set" in sec:
-            cert = is_free(win, CoordSet.of(self.config.typed("freeset", "set", _int_list)),
-                           horizon=horizon)
+            cert = is_free(win, self.config.typed("freeset", "set", _coords), horizon=horizon)
             if not cert.verify(win):
                 raise ArgumentError("certificate failed re-verification")
             self.write("certificate.txt", cert.dump())
@@ -302,8 +315,8 @@ class _Runner:
             raise ArgumentError("searcher disagreed with the brute-force oracle")
 
     def cmd_project(self):
-        coords = CoordSet.of(self.config.typed("project", "coords", _int_list))
-        subset = CoordSet.of(self.config.typed("project", "subset", _int_list))
+        coords = self.config.typed("project", "coords", _coords)
+        subset = self.config.typed("project", "subset", _coords)
         win = self.materialized()
         full = patterns_on(win, coords, want_witness=True)
         projected = project(full, subset)

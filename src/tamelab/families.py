@@ -4,7 +4,8 @@ A family is sampled as a matrix: one row per member, one column per
 sample point.  The tools here decide, at sample scale only:
 
 * independence -- thresholds a < b such that every low/high constraint
-  pattern over a subsequence of rows is met by some column;
+  pattern over a subsequence of rows is met by some column, counted by
+  the free-set engine;
 * the l1 lower bound such a witness certifies, (b - a) / 2, next to an
   exhaustive empirical estimate over sign vectors;
 * epsilon-non-sensitivity over an explicit grid cover (a necessary-
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, WitnessIntegrityError
+from .freeset import _GapEvaluator
 from .sources import SeqSource, materialize
 
 MAX_FAMILY_ROWS = 64
@@ -63,12 +65,13 @@ class FunctionSample:
         return float(np.abs(self.values).max())
 
     def csv_rows(self) -> list[str]:
-        header = ",".join(str(l) for l in self.labels) if self.labels else \
-            ",".join(str(j) for j in range(self.n_points))
-        rows = [header]
-        for row in self.values:
-            rows.append(",".join(format(v, ".12g") for v in row))
-        return rows
+        header = ",".join(map(str, self.labels or range(self.n_points)))
+        # each distinct value is formatted once, keyed by its bit pattern:
+        # 0.0 and -0.0 are equal but format differently
+        keys, inverse = np.unique(np.ascontiguousarray(self.values).view(np.uint64),
+                                  return_inverse=True)
+        text = np.array([format(v, ".12g") for v in keys.view(float).tolist()], dtype=object)
+        return [header] + [",".join(row) for row in text[inverse.reshape(self.values.shape)]]
 
     @classmethod
     def from_csv_rows(cls, rows: list[str]) -> "FunctionSample":
@@ -117,15 +120,10 @@ class IndependenceWitness:
 
     def verify(self, fs: FunctionSample) -> bool:
         """Re-check every stored inequality against the sample."""
-        for mask, col in self.columns.items():
-            for i, row in enumerate(self.indices):
-                v = fs.values[row, col]
-                if mask >> i & 1:
-                    if not v > self.b:
-                        return False
-                elif not v < self.a:
-                    return False
-        return True
+        masks = np.array(list(self.columns))
+        values = fs.values[np.ix_(self.indices, list(self.columns.values()))]
+        high = masks >> np.arange(self.length)[:, None] & 1 == 1
+        return bool(np.where(high, values > self.b, values < self.a).all())
 
     def dump(self) -> str:
         lines = [
@@ -175,11 +173,13 @@ def find_independent_subfamily(fs: FunctionSample, a: float, b: float,
                                max_len: int = 6) -> IndependenceWitness | None:
     """Longest independent subsequence of rows at thresholds a < b, up to max_len.
 
-    Depth-first over increasing row indices: a subsequence qualifies when
-    every complementary low/high split is met by some column, which the
-    search maintains as packed column sets intersected per extension.
-    Returns the lexicographically first witness of maximal length, or
-    None when no subsequence of length >= 2 qualifies over this sample.
+    Thresholded, the distinct columns form a table for
+    ``freeset._GapEvaluator``: 0 below a, 1 above b, and the non-symbol 2
+    between.  Depth-first over increasing row indices, each node counts
+    its extensions in one call; a subsequence qualifies when it shows all
+    its low/high splits.  Returns the lexicographically first witness of
+    maximal length, with the first column of each split, or None when no
+    subsequence of length >= 2 qualifies over this sample.
     """
     if not a < b:
         raise ArgumentError("thresholds require a < b")
@@ -188,53 +188,38 @@ def find_independent_subfamily(fs: FunctionSample, a: float, b: float,
                             "a witness needs 2 members")
     if fs.n_members > MAX_FAMILY_ROWS:
         raise ArgumentError(f"independence search capped at {MAX_FAMILY_ROWS} rows")
-    low = np.packbits(fs.values < a, axis=1)
-    high = np.packbits(fs.values > b, axis=1)
+    symbols = np.where(fs.values < a, 0, np.where(fs.values > b, 1, 2)).astype(np.uint8)
+    first: dict[bytes, int] = {}
+    for j, column in enumerate(symbols.T):
+        first.setdefault(column.tobytes(), j)
+    keep = list(first.values())
+    table = np.take(symbols, keep, axis=1)
+    ev = _GapEvaluator(table, 2)
     n = fs.n_members
-    best: tuple[tuple[int, ...], list[np.ndarray]] | None = None
+    best: tuple[int, ...] = ()
 
-    def extend(indices: tuple[int, ...], splits: list[np.ndarray], start: int):
+    def extend(indices: tuple[int, ...], rows: list[int]):
         nonlocal best
-        if len(indices) == max_len:
-            return
-        for row in range(start, n):
-            new_splits = []
-            ok = True
-            for s in splits:
-                lo_set = s & low[row]
-                hi_set = s & high[row]
-                if not (lo_set.any() and hi_set.any()):
-                    ok = False
-                    break
-                new_splits.append(lo_set)
-                new_splits.append(hi_set)
-            if not ok:
-                continue
+        for row in rows:
             cand = indices + (row,)
-            if len(cand) >= 2 and (best is None or len(cand) > len(best[0])):
-                best = (cand, new_splits)
-            extend(cand, new_splits, row + 1)
-            if best is not None and len(best[0]) == max_len:
+            if len(cand) > max(len(best), 1):
+                best = cand
+            if len(cand) < max_len and row + 1 < n:
+                exts = list(range(row + 1, n))
+                counts = ev.evaluate_extensions(cand, exts)
+                extend(cand, [e for e in exts if counts[e] == 2 << len(cand)])
+            if len(best) == max_len:
                 return
 
-    full = np.packbits(np.ones(fs.n_points, dtype=bool))
-    extend((), [full], 0)
-    if best is None:
+    extend((), [g for g in range(n) if ev.singleton_count(g) == 2])
+    if not best:
         return None
-    indices, splits = best
-    columns = {}
-    for pos, s in enumerate(splits):
-        # splits are ordered by successive low/high branching: position bit
-        # i holds the side chosen for indices[i], low=0 appended first
-        mask = 0
-        p = pos
-        for i in range(len(indices)):
-            shift = len(indices) - 1 - i
-            if p >> shift & 1:
-                mask |= 1 << i
-        col = int(np.flatnonzero(np.unpackbits(s, count=fs.n_points))[0])
-        columns[mask] = col
-    witness = IndependenceWitness(a, b, indices, columns)
+    # bit i of a code is "member i high", the witness's split mask
+    members = table[list(best)]
+    codes = np.where((members < 2).all(axis=0), (1 << np.arange(len(best))) @ members, -1)
+    splits, at = np.unique(codes, return_index=True)
+    columns = {int(c): keep[j] for c, j in zip(splits, at) if c >= 0}
+    witness = IndependenceWitness(a, b, best, columns)
     if not witness.verify(fs):
         raise WitnessIntegrityError("independence witness failed re-verification")
     return witness
@@ -304,13 +289,8 @@ def orbit_family_sample(source: SeqSource, shifts, points) -> FunctionSample:
     points = [int(p) for p in points]
     if not shifts or not points:
         raise ArgumentError("shifts and points must be nonempty")
-    lo = min(s + p for s in shifts for p in points)
-    hi = max(s + p for s in shifts for p in points)
-    win = materialize(source, (lo, hi + 1))
-    line, origin = win.line(), win.origin[0]
-    values = np.empty((len(shifts), len(points)), dtype=float)
-    for i, s in enumerate(shifts):
-        values[i] = line[[s + p - origin for p in points]]
+    win = materialize(source, (min(shifts) + min(points), max(shifts) + max(points) + 1))
+    values = win.line()[np.add.outer(shifts, points) - win.origin[0]]
     labels: tuple | None = tuple(points)
     if source.kind == "sturmian" and source.group_rank == 1:
         from .torus import SCALE, rotate_add

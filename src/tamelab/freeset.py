@@ -17,18 +17,14 @@ keeps only the sets containing its first point and reports that leftmost
 placement; an explicit pool keeps every placement.  Parents sharing a gap
 tuple are evaluated once, on the union of their extensions.
 
-The evaluation engine scans each distinct pool-span window once.  With W
-the pool span plus one, the pattern a gap tuple shows at shift t depends
-only on the length-W window at t, so only the first occurrence of each
-distinct window needs scanning.  Karp-Miller-Rosenberg naming
-(``language.window_classes``) finds them; for the low-complexity codings
-studied here they are far fewer than the shifts.  The engine reads a
-(W x rows) uint8 table whose rows are the |F| first occurrences when that
-at least halves them, else every shift.  It is a gathered copy of W bytes
-per row (W * |F| bytes for |F| distinct windows) while that fits 64 MB,
-otherwise a zero-copy view of every shift.  All extensions of a parent
-are settled together, by scan epochs and, for pattern spaces up to 64, by
-one packed bit table of m * W bits per row.
+The evaluation engine, ``_GapEvaluator``, counts the patterns that tuples
+of rows show in a (rows x samples) uint8 table, where the non-symbol m
+marks a sample at which a row shows no symbol; the independence search of
+``families`` counts through it too.  The free-set search's table
+(``_line_table``) holds the first occurrence of each distinct pool-span
+window, found by Karp-Miller-Rosenberg naming (``language.window_classes``);
+for the low-complexity codings studied here they are far fewer than the
+shifts.
 
 All claims are finite-scale: a certificate states the shift count it was
 computed over, and absence of a free set means absence at that horizon.
@@ -77,6 +73,9 @@ _BITSET_SPACE_MAX = 64
 # gathered window table and for the bit table.
 _BATCH_CELLS = 1 << 21
 _TABLE_BYTES = 1 << 26
+# Parent codes from here on hold the non-symbol at some digit.  Adding the
+# digits of a code below 2**24 keeps them there and within int32.
+_NON_PATTERN = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -175,8 +174,9 @@ class SizeProfile:
 class FreeSearchResult:
     """Search outcome.  ``stats`` holds deterministic engine counters: the
     distinct pool-span windows (None once they exceed half the shifts), the
-    table rows, and per candidate size the candidates evaluated, the rows
-    scanned for them, and how many were settled by scan and by bits."""
+    table's samples (``table_rows``), and per candidate size the candidates
+    evaluated, the samples scanned for them (``rows``), and how many were
+    settled by scan and by bits."""
 
     best: FreeSetCertificate | None
     profile: tuple[SizeProfile, ...]
@@ -222,70 +222,31 @@ def _shift_sample(win: SeqWindow, A: CoordSet, horizon: int | None):
 
 
 class _GapEvaluator:
-    """Exact coverage counts for gap tuples inside a pool of span W - 1.
+    """Exact pattern counts of row tuples of a (rows x samples) table.
 
-    A gap tuple (0, g2, ..., gs) with gs < W stands for any placement of
-    the set.  Its scanned shifts are j < T(gs) = min(L - gs, horizon,
-    period), and its pattern code at j, sum_i line[g_i + j] * m**i,
-    depends only on the length-W window at j.  Every shift shares that
-    window with its first occurrence f <= j, so the tuple's pattern set is
-    the set of its codes at the first occurrences f < T(gs).  The columns
-    ("rows") of the (W x rows) ``table`` are those first occurrences when
-    that at least halves them, else every shift j < T(0).  Within the
-    table budget they are gathered in a spread order, so that scans which
-    stop once every pattern is seen stop early; beyond it the table is the
-    zero-copy sliding view in line order.
-
-    Windows running past the end of the line are padded with the
-    non-symbol m.  Each of them is then distinct, and at a row beyond a
-    gap's last shift (f >= L - g, the only rows below T(0) that are not
-    below T(g)) the gap shows m, whose codes fall outside the pattern
-    space.  So every gap scans every row, with no per-gap masking.
+    A tuple (g1 < ... < gs) of rows shows at sample j the code
+    sum_i table[g_i, j] * m**i, or no pattern when a digit is the
+    non-symbol m.  All extensions of a parent are settled together, by scan
+    epochs over the samples in table order and, for pattern spaces up to
+    64, by a packed bit table.  Rows are read whole: keep them contiguous.
     """
 
-    def __init__(self, line: np.ndarray, alphabet: int, horizon: int | None,
-                 period: int | None, width: int):
+    def __init__(self, table: np.ndarray, alphabet: int):
         self.m = int(alphabet)
-        self.L = int(line.size)
-        self.cap = int(horizon) if horizon else self.L
-        self.period = int(period) if period else None
-        t = self.scan_count(0)
-        padded = np.full(t + width - 1, self.m, dtype=np.uint8)
-        padded[: min(self.L, padded.size)] = line[: padded.size]
-        view = np.lib.stride_tricks.sliding_window_view(padded, t)
-        ids = window_classes(padded, width, limit=t // 2)
-        first = None if ids is None else np.unique(ids, return_index=True)[1]
-        self.windows = None if first is None else int(first.size)
-        rows = np.sort(first) if first is not None and 2 * first.size <= t else np.arange(t)
-        if width * rows.size <= _TABLE_BYTES:
-            # A golden-ratio stride spreads the rows over the line, so a scan
-            # that stops once every pattern is seen stops early.
-            stride = round(rows.size * 0.6180339887) or 1
-            while gcd(stride, rows.size) != 1:
-                stride += 1
-            self.table = view[:, rows[np.arange(rows.size) * stride % rows.size]]
-        else:
-            self.table = view
+        self.table = table
         self.levels: dict[int, dict[str, int]] = {}
-        # prefix chain of the current parent: [gap, rows filled] per depth,
+        # prefix chain of the current parent: [row, samples filled] per depth,
         # the codes of depth i in _bufs[i]
         self._chain: list[list[int]] = []
         self._bufs: list[np.ndarray] = []
 
-    def shift_count(self, span: int) -> int:
-        return max(min(self.L - span, self.cap), 0)
-
-    def scan_count(self, span: int) -> int:
-        """Shifts actually scanned: a periodic line repeats its codes, so
-        counts over one period equal counts over the full range."""
-        t = self.shift_count(span)
-        return min(t, self.period) if self.period else t
-
-    def singleton_count(self) -> int:
-        return int(np.unique(self.table[0]).size)
+    def singleton_count(self, g: int) -> int:
+        """Distinct symbols in row g."""
+        return int(np.setdiff1d(self.table[g], (self.m,)).size)
 
     def _codes(self, parent: tuple, upto: int) -> np.ndarray:
-        """Pattern codes of the parent over rows [0, upto).  The codes of the
+        """Pattern codes of the parent over samples [0, upto), at least
+        _NON_PATTERN where a digit is the non-symbol.  The codes of the
         parent's prefixes, filled as far as a scan has needed them, are the
         only cache: sibling parents share them."""
         chain, bufs = self._chain, self._bufs
@@ -298,10 +259,12 @@ class _GapEvaluator:
                  for _ in range(len(chain) - len(bufs))]
         for i, (g, filled) in enumerate(chain):
             if filled < upto:
+                digits = self.table[g, filled:upto]
                 seg = bufs[i][filled:upto]
-                np.multiply(self.table[g, filled:upto], self.m ** i, out=seg, dtype=np.int32)
+                np.multiply(digits, self.m ** i, out=seg, dtype=np.int32)
                 if i:
                     seg += bufs[i - 1][filled:upto]
+                seg[digits == self.m] = _NON_PATTERN
                 chain[i][1] = upto
         return bufs[len(chain) - 1][:upto]
 
@@ -324,13 +287,13 @@ class _GapEvaluator:
     # -- batched evaluation ----------------------------------------------
 
     def evaluate_extensions(self, parent: tuple, exts: list[int]) -> dict[int, int]:
-        """Exact pattern counts of parent + (e,) for each extension gap e > parent[-1]."""
+        """Exact pattern counts of parent + (e,) for each extension row e > parent[-1]."""
         level = self.levels.setdefault(
             len(parent) + 1, {"candidates": 0, "rows": 0, "by_scan": 0, "by_bits": 0})
         level["candidates"] += len(exts)
         todo = np.array(exts, dtype=np.int64)
         space = self.m ** (len(parent) + 1)
-        block = max(1, _BATCH_CELLS // (2 * space))
+        block = max(1, _BATCH_CELLS // (2 * space + 1))
         out = {}
         for lo in range(0, todo.size, block):
             gaps = todo[lo: lo + block]
@@ -343,21 +306,23 @@ class _GapEvaluator:
         everything when one bit pass costs less than that epoch."""
         space_par = space // self.m
         n = self.table.shape[1]
-        # codes from `space` on hold the padding symbol: rows past a gap's last shift
-        hits = np.zeros((gaps.size, space + 2 * space_par), dtype=bool)
+        # cells from `space` on are no patterns: a parent code holding the non-symbol
+        # is clamped to `space`, and an extension digit m lands at `space` or beyond
+        width = 2 * space + 1
+        hits = np.zeros((gaps.size, width), dtype=bool)
         flat = hits.reshape(-1)
         live = np.arange(gaps.size)
         j0, j1 = 0, min(max(16 * space, _QUICK_MIN), _QUICK_MAX, n)
         bits = self.bits if space <= _BITSET_SPACE_MAX else None
         scan = bits is None or space * bits.shape[2] > j1
         while scan and live.size:
-            pcodes = self._codes(parent, j1)
+            pcodes = np.minimum(self._codes(parent, j1)[j0:j1], space)
             step = max(1, _BATCH_CELLS // (j1 - j0))
             for b in range(0, live.size, step):
                 idx = live[b: b + step]
                 cells = np.multiply(self.table[gaps[idx], j0:j1], space_par, dtype=np.intp)
-                cells += pcodes[j0:j1]
-                cells += idx[:, None] * (space + 2 * space_par)
+                cells += pcodes
+                cells += idx[:, None] * width
                 flat[cells.ravel()] = True
             level["rows"] += live.size * (j1 - j0)
             done = hits[live, :space].all(axis=1) | (j1 == n)
@@ -414,8 +379,10 @@ def max_free_set(win: SeqWindow, budget: FreeSearchBudget) -> FreeSearchResult:
     if pool[0] < origin or pool[-1] >= origin + length:
         raise ArgumentError("pool extends outside the window")
     width = pool[-1] - pool[0] + 1
-    ev = _GapEvaluator(win.line(), m, horizon, win.meta.get("period"), width)
-    if m ** budget.max_size > ev.shift_count(0):
+    shifts = min(length, horizon) if horizon else length
+    table, windows = _line_table(win.line(), m, shifts, win.meta.get("period"), width)
+    ev = _GapEvaluator(table, m)
+    if m ** budget.max_size > shifts:
         warnings.warn("shift horizon below m**max_size: top sizes cannot reach "
                       "coverage 1", stacklevel=2)
 
@@ -429,10 +396,49 @@ def max_free_set(win: SeqWindow, budget: FreeSearchBudget) -> FreeSearchResult:
         if not best.is_free or not best.verify(win):
             raise WitnessIntegrityError(
                 "search result failed re-verification against the window")
-    stats = {"windows": ev.windows, "table_rows": int(ev.table.shape[1]),
+    stats = {"windows": windows, "table_rows": int(table.shape[1]),
              "levels": dict(sorted(ev.levels.items()))}
-    return FreeSearchResult(best, profile, ev.shift_count(0), levels["beam_limited"],
-                            stats)
+    return FreeSearchResult(best, profile, shifts, levels["beam_limited"], stats)
+
+
+def _line_table(line: np.ndarray, m: int, shifts: int, period: int | None,
+                width: int) -> tuple[np.ndarray, int | None]:
+    """The (width x samples) table of a line's windows of that width, and
+    the number of distinct windows (None once they exceed half the shifts
+    scanned).
+
+    A gap tuple (0, g2, ..., gs) with gs < width stands for any placement
+    of the set.  It scans the shifts j < T(gs) = min(L - gs, horizon,
+    period), and its code at j depends only on the window at j, which it
+    shares with that window's first occurrence f <= j.  So the samples are
+    the first occurrences when that at least halves them, else every shift
+    j < T(0); past the table budget the table is the zero-copy view of
+    every shift.  Windows running past the line's end are padded with the
+    non-symbol m.  At a sample beyond a gap's last shift (f >= L - g, the
+    only samples below T(0) that are not below T(g)) the gap shows m, so
+    every gap scans every sample, with no per-gap masking.
+    """
+    t = min(shifts, period) if period else shifts
+    padded = np.full(t + width - 1, m, dtype=np.uint8)
+    padded[: min(line.size, padded.size)] = line[: padded.size]
+    ids = window_classes(padded, width, limit=t // 2)
+    first = None if ids is None else np.unique(ids, return_index=True)[1]
+    windows = None if first is None else int(first.size)
+    samples = np.sort(first) if first is not None and 2 * first.size <= t else np.arange(t)
+    if width * samples.size > _TABLE_BYTES:
+        return np.lib.stride_tricks.sliding_window_view(padded, t), windows
+    # A golden-ratio stride spreads the samples over the line, so a scan
+    # that stops once every pattern is seen stops early.
+    n = samples.size
+    stride = round(n * 0.6180339887) or 1
+    while gcd(stride, n) != 1:
+        stride += 1
+    order = samples[np.arange(n) * stride % n]
+    # one gather per gap, so that every gap row is contiguous
+    table = np.empty((width, n), dtype=np.uint8)
+    for g in range(width):
+        np.take(padded[g:], order, out=table[g])
+    return table, windows
 
 
 def _profile_entry(size: int, stats: dict, m: int) -> SizeProfile:
@@ -479,7 +485,7 @@ def _search(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget) -> dict:
     best = None
 
     stats = _new_stats()
-    count1 = ev.singleton_count()
+    count1 = ev.singleton_count(0)
     singletons = [(base,)] if interval else [(a,) for a in pool]
     for single in singletons:
         _track(stats, single, count1, m)

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamelab.cli import COMMANDS, ExperimentConfig, main, run
+from tamelab.freeset import is_free
+from tamelab.language import CoordSet, patterns_on
 from tamelab.presets import PRESETS
+from tamelab.sources import materialize
 
 DATA = Path(__file__).parent / "data"
 
@@ -189,6 +192,10 @@ _ORACLE = {"freeset": {"oracle_check": "true"}}
     ("classify", "classify", "entropy_threshold", "x", None),
     ("classify", "classify", "free_slack", "x", None),
     ("classify", "classify", "brackets", "4,x", None),
+    ("freeset", "freeset", "set", "(0,0);(1)", None),
+    ("freeset", "freeset", "set", "(0,0);1,1", None),
+    ("project", "project", "coords", "(0,0);(0,x)", None),
+    ("project", "project", "subset", "(0,0", None),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, section, key, value,
                                         extra):
@@ -217,6 +224,23 @@ def test_rank_one_box_for_a_rank_two_source_is_a_dimension_error(tmp_path):
                              ("project", "[project]\ncoords = 0,1,3\nsubset = 0,1\n")):
         config = ExperimentConfig.from_text(square + "\n" + section)
         assert run(command, config, tmp_path / f"{command}-coords") == 5
+
+
+def test_rank_two_coordinates_through_the_cli(tmp_path):
+    """Rank-k coordinate sets are written as CoordSet prints them."""
+    text = ("[source]\nkind = sturmian\nalphas = golden,sqrt2_frac\n"
+            "cuts = 0,one_minus_golden\n\n[window]\nbox = 0:50;0:50\n\n"
+            "[project]\ncoords = (0,0);(0,1);(1,0)\nsubset = (0,0);(1,0)\n\n"
+            "[freeset]\nset = (0,0);(1,1)\n")
+    config = ExperimentConfig.from_text(text)
+    win = materialize(config.source(), config.window_box())
+    assert run("project", config, tmp_path / "project") == 0
+    full = patterns_on(win, CoordSet.of([(0, 0), (0, 1), (1, 0)], rank=2), want_witness=True)
+    assert (tmp_path / "project" / "patterns.txt").read_text() == full.dump()
+    assert run("freeset", config, tmp_path / "freeset") == 0
+    cert = is_free(win, CoordSet.of([(0, 0), (1, 1)], rank=2))
+    assert cert.is_free and cert.verify(win)
+    assert (tmp_path / "freeset" / "certificate.txt").read_text() == cert.dump()
 
 
 # A small valid config per source kind, the keys of every section the
@@ -261,7 +285,8 @@ _FUZZ_KEYS = [
 _FUZZ_VALUES = ("0", "1", "2", "3", "5", "-1", "0.5", "1.5", "1e3", "x", "", "none", "true",
                 "cube", "orbit", "morse", "warp", "golden", "sqrt2_frac", "1/3", "0,1",
                 "0,1,3", "golden,sqrt2_frac", "0,0.25,0.5", "0:4", "2:9", "-3:12", "3:1",
-                "0:8;0:8", "0:4;0:4;0:4", "0,,1", "1:2:3", "%", "%(x)s", "nan", "inf")
+                "0:8;0:8", "0:4;0:4;0:4", "(0,0);(0,1)", "0,,1", "1:2:3", "%", "%(x)s", "nan",
+                "inf")
 
 
 @st.composite

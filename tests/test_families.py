@@ -5,6 +5,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from tamelab import freeset
 from tamelab.errors import ArgumentError, WitnessIntegrityError
 from tamelab.families import (
     FunctionSample,
@@ -58,6 +59,59 @@ def test_witness_split_implication_exhaustive_small():
                         assert fs.values[w.indices[i], col] < w.a
                     for i in M:
                         assert fs.values[w.indices[i], col] > w.b
+
+
+def oracle_witness(fs, a, b, max_len):
+    """(members, {split mask: first column}) of the lexicographically first
+    longest independent row subsequence of length 2..max_len, by direct
+    enumeration of row combinations; None when there is none."""
+    v = fs.values.tolist()
+    for length in range(min(max_len, fs.n_members), 1, -1):
+        for rows in combinations(range(fs.n_members), length):
+            columns = {}
+            for mask in range(1 << length):
+                columns[mask] = next(
+                    (j for j in range(fs.n_points)
+                     if all(v[r][j] > b if mask >> i & 1 else v[r][j] < a
+                            for i, r in enumerate(rows))), None)
+                if columns[mask] is None:
+                    break
+            else:
+                return rows, columns
+    return None
+
+
+def test_independence_search_matches_brute_force_oracle():
+    """Values sit exactly at the thresholds too, where a member is neither
+    low nor high."""
+    a, b = 0.25, 0.75
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(1, 8)), int(rng.integers(1, 240)))
+        fs = FunctionSample(rng.choice([0.0, a, 0.5, b, 1.0], size=shape,
+                                       p=[0.3, 0.1, 0.1, 0.1, 0.4]))
+        max_len = int(rng.integers(2, 6))
+        w = find_independent_subfamily(fs, a, b, max_len)
+        expected = oracle_witness(fs, a, b, max_len)
+        assert (None if w is None else (w.indices, w.columns)) == expected, seed
+
+
+def test_independence_search_stops_at_max_len(monkeypatch):
+    """A depth-first search stops at its first witness of length max_len,
+    after one engine call per member below that length."""
+    calls = []
+    evaluate = freeset._GapEvaluator.evaluate_extensions
+
+    def spy(self, parent, exts):
+        calls.append(parent)
+        assert len(calls) <= 6, "the search went on past its first full-length witness"
+        return evaluate(self, parent, exts)
+
+    monkeypatch.setattr(freeset._GapEvaluator, "evaluate_extensions", spy)
+    rng = np.random.default_rng(6)
+    fs = FunctionSample(rng.integers(0, 2, (64, 4096)).astype(float))
+    w = find_independent_subfamily(fs, 0.25, 0.75, max_len=6)
+    assert w.indices == (0, 1, 2, 3, 4, 5) and w.verify(fs)
 
 
 def test_witness_requires_two_members_and_valid_thresholds():
@@ -171,6 +225,9 @@ def test_family_csv_round_trip():
     fs = orbit_family_sample(SeqSource.morse(), range(4), range(12))
     back = FunctionSample.from_csv_rows(fs.csv_rows())
     assert np.array_equal(back.values, fs.values)
+    # equal values with different bit patterns keep their own text
+    signed = FunctionSample(np.array([[0.0, -0.0, 0.1], [-0.0, 1 / 3, 0.0]]))
+    assert signed.csv_rows()[1:] == ["0,-0,0.1", "-0,0.333333333333,0"]
 
 
 def test_cover_must_partition_columns():

@@ -193,6 +193,39 @@ def test_zero_copy_view_without_bit_table(monkeypatch, name):
     assert all(level["by_bits"] == 0 for level in result.stats["levels"].values())
 
 
+# monkeypatched engine caps: the scan alone, and a one-sample first epoch
+# that leaves every candidate to the bit table
+ENGINE_PATHS = {"scan": {"_BITSET_SPACE_MAX": 0},
+                "bits": {"_QUICK_MAX": 1, "_BITSET_SPACE_MAX": 81}}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("path", sorted(ENGINE_PATHS))
+def test_non_symbol_at_any_digit_is_no_pattern(monkeypatch, path, m):
+    """A sample where any row of a tuple shows the non-symbol m counts for
+    no pattern of that tuple, whichever digit the row is."""
+    for name, value in ENGINE_PATHS[path].items():
+        monkeypatch.setattr(freeset, name, value)
+    rng = np.random.default_rng(m)
+    rows, n = 7, 100
+    table = rng.integers(0, m, (rows, n)).astype(np.uint8)
+    table[rng.random((rows, n)) < 0.2] = m
+    ev = freeset._GapEvaluator(table, m)
+
+    def recount(tup):
+        return len({col for col in zip(*table[list(tup)].tolist()) if m not in col})
+
+    for g in range(rows):
+        assert ev.singleton_count(g) == recount((g,))
+    for size in range(2, 5):
+        for parent in combinations(range(rows - 1), size - 1):
+            exts = list(range(parent[-1] + 1, rows))
+            counts = ev.evaluate_extensions(parent, exts)
+            assert counts == {e: recount(parent + (e,)) for e in exts}, parent
+    settled_by = "by_scan" if path == "scan" else "by_bits"
+    assert all(level[settled_by] == level["candidates"] for level in ev.levels.values())
+
+
 def test_search_stats_account_for_every_candidate():
     win = materialize(SeqSource.fibonacci(), (0, 20000))
     budget = FreeSearchBudget.interval(0, 99, 4)
