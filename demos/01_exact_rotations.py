@@ -12,7 +12,6 @@ from tamelab import (
     RotationSpec,
     TorusPoint,
     ball_contains,
-    evaluate_partition,
     rotate_add,
 )
 from tamelab.torus import GOLDEN, SCALE, format_fraction
@@ -30,13 +29,13 @@ for n in (1, 2, 3, 1000, 10**6):
 
 # the classical two-cell coding: [0, 1-alpha) -> 0, [1-alpha, 1) -> 1
 cut = CutPartition((0, SCALE - GOLDEN))
-symbols = [evaluate_partition(rotate_add(z, spec, (n,)).coords[0], cut)
+symbols = [cut.cell_of(rotate_add(z, spec, (n,)).coords[0])
            for n in range(20)]
 print("\nfirst 20 symbols of the golden coding:", "".join(map(str, symbols)))
 
 # boundary behavior is pinned: cells close on the left
-print("\ncell of t=0:", evaluate_partition(0, cut),
-      "| cell of t=1-alpha:", evaluate_partition(SCALE - GOLDEN, cut))
+print("\ncell of t=0:", cut.cell_of(0),
+      "| cell of t=1-alpha:", cut.cell_of(SCALE - GOLDEN))
 
 # a closed ball on T^2, membership decided on a 2^-48 grid
 region = BallRegion(TorusPoint((SCALE // 2, SCALE // 2)), SCALE // 4)

@@ -13,7 +13,6 @@ from tamelab import (
     CoordSet,
     FreeSearchBudget,
     SeqSource,
-    free_density_profile,
     is_free,
     materialize,
     max_free_set,
@@ -27,8 +26,7 @@ result = max_free_set(db, FreeSearchBudget.interval(0, 11, 8))
 print("de Bruijn order 8, pool {0..11}:")
 print("  max free set:", result.best.coordset.coords,
       "coverage", result.best.coverage)
-print("  density profile:", free_density_profile(
-    db, FreeSearchBudget.interval(0, 11, 8)))
+print("  density profile:", result.density_rows())
 
 # the golden coding never frees a triple: patterns on s coordinates
 # cannot exceed 2s, but a free triple would need 8

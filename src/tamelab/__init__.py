@@ -26,7 +26,6 @@ from .freeset import (
     FreeSearchResult,
     FreeSetCertificate,
     brute_force_free_oracle,
-    free_density_profile,
     is_free,
     max_free_set,
 )
@@ -52,7 +51,6 @@ from .torus import (
     RotationSpec,
     TorusPoint,
     ball_contains,
-    evaluate_partition,
     parse_fraction,
     rotate_add,
 )

@@ -12,11 +12,16 @@ A report maps finite-scale measurements onto three verdict flags:
 Flags are evidence at the stated scale, never theorem-level claims; all
 thresholds are conventions with documented defaults, and every report
 embeds the scale parameters it was computed at.
+
+``classify`` reads a materialized rank-1 window, as the other analyses
+do; the window is the caller's choice (the CLI passes the run's
+``[window] box``), and the report's ``scale.window`` is that window.
+Free-set brackets are interval pools starting at the window's origin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,15 +29,13 @@ from .entropy import EntropySeries, entropy_estimate
 from .errors import ArgumentError
 from .freeset import FreeSearchBudget, max_free_set
 from .language import extend_classes
-from .sources import SeqSource, SeqWindow, materialize
+from .sources import SeqWindow
 
 
 @dataclass(frozen=True)
 class ClassifyParams:
     """Scale parameters and thresholds; defaults are conventions."""
 
-    horizon: int = 100_000
-    window: tuple[int, int] | None = None
     entropy_n_max: int = 200
     free_brackets: tuple[int, ...] = (8, 12, 16, 20, 24)
     free_max_size: int = 16
@@ -41,11 +44,6 @@ class ClassifyParams:
     density_threshold: float = 0.05
     entropy_threshold: float = 0.05
     free_slack: float = 1.0
-
-    def window_box(self) -> tuple[int, int]:
-        if self.window is not None:
-            return self.window
-        return (-(self.horizon // 2), self.horizon - self.horizon // 2)
 
 
 @dataclass(frozen=True)
@@ -140,14 +138,13 @@ def default_projection_families(win: SeqWindow, prefix: int) -> dict[str, list[i
 
 
 def probe_projection_growth(win: SeqWindow, L, max_prefix: int,
-                            name: str = "L",
-                            slope_bounded: float = 0.1) -> ProjectionProbe:
+                            name: str = "L") -> ProjectionProbe:
     """Greedy projection counts along L with growth classification.
 
     Elements of L are taken in increasing order; one whose inclusion more
     than doubles the observed pattern count is dropped.  The kept prefix
-    counts are classified by their log-log slope: below ``slope_bounded``
-    is bounded, below rank + 1 polynomial, anything steeper exponential.
+    counts are classified by their log-log slope: below 0.1 is bounded,
+    below rank + 1 polynomial, anything steeper exponential.
     """
     coords = [int(v) for v in L]
     if any(a >= b for a, b in zip(coords, coords[1:])):
@@ -170,7 +167,7 @@ def probe_projection_growth(win: SeqWindow, L, max_prefix: int,
                                  np.log(counts), 1)[0])
     else:
         slope = 0.0
-    if slope < slope_bounded:
+    if slope < 0.1:
         growth = "bounded"
     elif slope < win.rank + 1:
         growth = "polynomial"
@@ -179,21 +176,22 @@ def probe_projection_growth(win: SeqWindow, L, max_prefix: int,
     return ProjectionProbe(name, tuple(kept), tuple(counts), growth, slope)
 
 
-def classify(source: SeqSource, params: ClassifyParams = ClassifyParams()) -> EvidenceReport:
-    """Run the full probe battery on a source and assemble the report."""
-    win = materialize(source, params.window_box())
+def classify(win: SeqWindow, params: ClassifyParams = ClassifyParams()) -> EvidenceReport:
+    """Run the full probe battery on a materialized rank-1 window and
+    assemble the report; bracket pools start at the window's origin."""
+    origin, length = win.origin[0], win.line().size
     entropy = _entropy_probe(win, params.entropy_n_max)
 
     max_free_by_bracket: list[tuple[int, int]] = []
     density: dict[int, tuple[int, float]] = {}
-    length = win.extents[0]
     m = win.alphabet_size
     info_cap = max(1, int(np.log(length) / np.log(m)))
     for bracket in params.free_brackets:
         if bracket >= length:
             break
         budget = FreeSearchBudget.interval(
-            0, bracket - 1, min(params.free_max_size, bracket, info_cap), beam=params.beam)
+            origin, origin + bracket - 1, min(params.free_max_size, bracket, info_cap),
+            beam=params.beam)
         result = max_free_set(win, budget)
         max_free_by_bracket.append((bracket, result.max_free_size))
         for size, diam, rate in result.density_rows():
@@ -218,20 +216,9 @@ def classify(source: SeqSource, params: ClassifyParams = ClassifyParams()) -> Ev
     subexp = all(p.growth != "exponential" for p in projections)
     tame = (not beaten) and subexp
 
-    scale = {
-        "window": params.window_box(),
-        "entropy_n_max": params.entropy_n_max,
-        "free_brackets": params.free_brackets,
-        "free_max_size": params.free_max_size,
-        "beam": params.beam,
-        "projection_prefix": params.projection_prefix,
-        "density_threshold": params.density_threshold,
-        "entropy_threshold": params.entropy_threshold,
-        "free_slack": params.free_slack,
-    }
     return EvidenceReport(
-        source_digest=source.digest,
-        scale=scale,
+        source_digest=win.source_digest,
+        scale={**asdict(params), "window": (origin, origin + length)},
         entropy=entropy,
         max_free_by_bracket=tuple(max_free_by_bracket),
         density_rows=density_rows,

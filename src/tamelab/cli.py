@@ -1,6 +1,8 @@
 """Command-line harness: configs, experiment execution, artifact files.
 
-Configuration is sectioned ``key = value`` text (INI).  Every run writes
+Configuration is sectioned ``key = value`` text (INI).  ``[window] box``
+is the one window of a run: every command that reads symbols, ``classify``
+included, materializes the source over it once.  Every run writes
 its artifacts plus a manifest listing the config digest, versions, wall
 time, and a content digest per output file.  Outputs are byte-identical
 for identical configs; wall time lives only in the manifest.  Every run
@@ -363,13 +365,13 @@ class _Runner:
             lines.append(f"witness_members = {','.join(map(str, witness.indices))}")
             lines.append(f"l1_certified = {certified}")
             lines.append(f"l1_empirical = {empirical}")
-        if "cell_width" in sec and fs.labels is not None and mode == "orbit":
+        if "cell_width" in sec and mode == "orbit":
             cover = GridCover.from_labels(fs.labels, typed("family", "cell_width", float))
             eps = typed("family", "epsilon", float, "0.5")
             hit, cell = epsilon_ns(fs, cover, eps)
             lines.append(f"epsilon_ns eps={eps} -> {hit}"
                          + (f" cell={cell}" if hit else ""))
-        if variation and fs.labels is not None:
+        if variation:
             order = np.argsort(np.asarray(fs.labels, dtype=float))
             labels = np.asarray(fs.labels, dtype=float)[order]
             tvs = [total_variation(list(zip(labels, fs.values[i][order])))
@@ -381,9 +383,11 @@ class _Runner:
 
     def cmd_classify(self):
         sec = self.config.section("classify")
+        if "window" in sec:
+            raise ConfigError("[classify] window is retired: classify reads the "
+                              "run's window, [window] box")
         kwargs = {}
-        for key, name, conv in (("window", "window", _span),
-                                ("entropy_n_max", "entropy_n_max", int),
+        for key, name, conv in (("entropy_n_max", "entropy_n_max", int),
                                 ("max_size", "free_max_size", int),
                                 ("beam", "beam", int),
                                 ("prefix", "projection_prefix", int),
@@ -393,10 +397,7 @@ class _Runner:
                                 ("brackets", "free_brackets", lambda v: tuple(_int_list(v)))):
             if key in sec:
                 kwargs[name] = self.config.typed("classify", key, conv)
-        if "window" not in kwargs:
-            kwargs["window"] = self.config.window_box()
-        params = ClassifyParams(**kwargs)
-        report = classify(self.config.source(), params)
+        report = classify(self.materialized(), ClassifyParams(**kwargs))
         if self.fmt == "csv":
             self.write("report.csv",
                        report.csv_row_header() + "\n" + report.to_csv_row() + "\n")

@@ -537,12 +537,6 @@ def _closed_exts(parent: tuple, exts: list[int], lasts_of: dict,
     return exts
 
 
-def free_density_profile(win: SeqWindow, budget: FreeSearchBudget) -> list[tuple[int, int, float]]:
-    """(size, minimal free diameter, size/span density) rows of one search;
-    see ``FreeSearchResult.density_rows``."""
-    return max_free_set(win, budget).density_rows()
-
-
 def brute_force_free_oracle(win: SeqWindow, pool, max_size: int = 4,
                             horizon: int = 64) -> list[CoordSet]:
     """Every free subset of the pool, by direct enumeration (tiny instances).

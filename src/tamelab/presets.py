@@ -42,7 +42,6 @@ pool = 0:999
 max_size = 11
 
 [classify]
-window = 0:100000
 entropy_n_max = 200
 
 [family]
@@ -70,7 +69,6 @@ pool = 0:15
 max_size = 16
 
 [classify]
-window = 0:131072
 entropy_n_max = 16
 brackets = 4,8,12
 max_size = 12
@@ -119,7 +117,6 @@ kind = concat_nonnull
 box = 0:{_CONCAT10_END + 1}
 
 [classify]
-window = 0:{_CONCAT10_END + 1}
 entropy_n_max = 48
 brackets = 4,8,12,16
 max_size = 12
@@ -137,7 +134,6 @@ box = -1000:1000
 n_max = 30
 
 [classify]
-window = -1000:1000
 entropy_n_max = 200
 """,
     # randomized tiny-instance cross-check of the searcher against the
@@ -187,7 +183,6 @@ box = 0:10000
 n_max = 20
 
 [classify]
-window = 0:10000
 entropy_n_max = 60
 """,
 }

@@ -170,7 +170,10 @@ class CutPartition:
         return len(self.cuts)
 
     def cell_of(self, t: int) -> int:
-        """Index i with cuts[i] <= t < cuts[i+1]; total on [0, 1)."""
+        """Index i with cuts[i] <= t < cuts[i+1]; total on [0, 1), so a
+        boundary point goes to the right-hand cell."""
+        if not 0 <= t < SCALE:
+            raise ArgumentError("partition argument must be a fraction in [0, 1)")
         return bisect_right(self.cuts, t) - 1
 
 
@@ -215,13 +218,6 @@ def rotate_add(p: TorusPoint, spec: RotationSpec, n: tuple[int, ...] | list[int]
             for j, a in enumerate(alpha.coords):
                 coords[j] = (coords[j] + int(ni) * a) & MASK
     return TorusPoint(tuple(coords))
-
-
-def evaluate_partition(t: int, part: CutPartition) -> int:
-    """Symbol of the fraction t under the partition; boundary goes right-cell."""
-    if not 0 <= t < SCALE:
-        raise ArgumentError("partition argument must be a fraction in [0, 1)")
-    return part.cell_of(t)
 
 
 def ball_distance_sq(region: BallRegion, coords: tuple[int, ...] | list[int]) -> int:

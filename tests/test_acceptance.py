@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tamelab.classify import ClassifyParams, classify
+from tamelab.classify import classify
 from tamelab.cli import ExperimentConfig, run
 from tamelab.entropy import entropy_estimate, sequence_entropy_estimate
 from tamelab.families import (
@@ -121,7 +121,7 @@ def test_criterion_6_halfline_subshift():
     win = materialize(SeqSource.char_halfline(), (-1000, 1000))
     lang = complexity(win, 30)
     counts_ok = lang.counts == tuple(n + 1 for n in range(1, 31))
-    report = classify(SeqSource.char_halfline(), ClassifyParams(horizon=2000))
+    report = classify(win)
     gate.finish(counts_ok and report.tame_consistent
                 and report.entropy_headline < 0.01,
                 f"headline {report.entropy_headline:.4f}")

@@ -1,5 +1,7 @@
 """Evidence reports: flags, projection probes, determinism."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,12 @@ from tamelab.errors import ArgumentError
 from tamelab.sources import SeqSource, SeqWindow, concat_block_bounds, materialize
 
 
-LIGHT_DB = ClassifyParams(horizon=1 << 17, entropy_n_max=16,
-                          free_brackets=(4, 8, 12), free_max_size=12, beam=512)
+LIGHT_DB = ClassifyParams(entropy_n_max=16, free_brackets=(4, 8, 12), free_max_size=12,
+                          beam=512)
 
 
 def test_de_bruijn_positive_entropy_evidence():
-    report = classify(SeqSource.de_bruijn(16), LIGHT_DB)
+    report = classify(materialize(SeqSource.de_bruijn(16), (-(1 << 16), 1 << 16)), LIGHT_DB)
     assert report.positive_entropy_evidence
     assert report.nonnull_evidence
     assert not report.tame_consistent
@@ -26,7 +28,7 @@ def test_de_bruijn_positive_entropy_evidence():
 
 
 def test_fibonacci_tame_consistent():
-    report = classify(SeqSource.fibonacci(), ClassifyParams(horizon=100_000))
+    report = classify(materialize(SeqSource.fibonacci(), (-50_000, 50_000)))
     assert report.tame_consistent
     assert not report.nonnull_evidence
     assert not report.positive_entropy_evidence
@@ -35,16 +37,15 @@ def test_fibonacci_tame_consistent():
 
 
 def test_halfline_tame_consistent_small_headline():
-    report = classify(SeqSource.char_halfline(), ClassifyParams(horizon=2000))
+    report = classify(materialize(SeqSource.char_halfline(), (-1000, 1000)))
     assert report.tame_consistent
     assert report.entropy_headline < 0.01
 
 
 def test_concat_nonnull_but_not_positive_entropy():
     end = concat_block_bounds(10)[-1][1]
-    report = classify(SeqSource.concat_nonnull(),
-                      ClassifyParams(window=(0, end + 1), entropy_n_max=48,
-                                     free_brackets=(4, 8, 12, 16),
+    report = classify(materialize(SeqSource.concat_nonnull(), (0, end + 1)),
+                      ClassifyParams(entropy_n_max=48, free_brackets=(4, 8, 12, 16),
                                      free_max_size=12, beam=1024))
     assert report.nonnull_evidence
     assert not report.positive_entropy_evidence
@@ -53,12 +54,11 @@ def test_concat_nonnull_but_not_positive_entropy():
 
 def test_flag_invariants_across_bundled_sources():
     reports = [
-        classify(SeqSource.de_bruijn(10), ClassifyParams(
-            horizon=4096, entropy_n_max=10, free_brackets=(4, 8), free_max_size=8,
-            beam=256)),
-        classify(SeqSource.fibonacci(), ClassifyParams(horizon=20_000)),
-        classify(SeqSource.char_halfline(), ClassifyParams(horizon=2000)),
-        classify(SeqSource.morse(), ClassifyParams(horizon=20_000)),
+        classify(materialize(SeqSource.de_bruijn(10), (-2048, 2048)), ClassifyParams(
+            entropy_n_max=10, free_brackets=(4, 8), free_max_size=8, beam=256)),
+        classify(materialize(SeqSource.fibonacci(), (-10_000, 10_000))),
+        classify(materialize(SeqSource.char_halfline(), (-1000, 1000))),
+        classify(materialize(SeqSource.morse(), (-10_000, 10_000))),
     ]
     for report in reports:
         if report.positive_entropy_evidence:
@@ -69,10 +69,9 @@ def test_flag_invariants_across_bundled_sources():
 
 
 def test_reports_are_deterministic():
-    params = ClassifyParams(horizon=8192, entropy_n_max=24,
-                            free_brackets=(4, 8), free_max_size=8)
-    a = classify(SeqSource.morse(), params)
-    b = classify(SeqSource.morse(), params)
+    params = ClassifyParams(entropy_n_max=24, free_brackets=(4, 8), free_max_size=8)
+    a = classify(materialize(SeqSource.morse(), (-4096, 4096)), params)
+    b = classify(materialize(SeqSource.morse(), (-4096, 4096)), params)
     assert a.to_text() == b.to_text()
     assert a.to_csv_row() == b.to_csv_row()
 
@@ -116,9 +115,18 @@ def test_default_projection_families_fit_window():
 
 
 def test_report_text_and_csv_shapes():
-    report = classify(SeqSource.char_halfline(), ClassifyParams(horizon=2000))
+    report = classify(materialize(SeqSource.char_halfline(), (-1000, 1000)))
     text = report.to_text()
     assert text.startswith("TAMELAB-REPORT v1")
     assert "flag tame_consistent = True" in text
     row = report.to_csv_row()
     assert row.count(",") == report.csv_row_header().count(",")
+
+
+def test_scale_is_the_params_and_the_window():
+    params = ClassifyParams(entropy_n_max=8, free_brackets=(4, 8), free_max_size=4)
+    report = classify(materialize(SeqSource.morse(), (-300, 700)), params)
+    assert report.scale == {**asdict(params), "window": (-300, 700)}
+    assert "scale.window = (-300, 700)" in report.to_text().splitlines()
+    assert report.source_digest == SeqSource.morse().digest
+

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tamelab.classify import classify
 from tamelab.cli import COMMANDS, ExperimentConfig, main, run
 from tamelab.freeset import is_free
 from tamelab.language import CoordSet, patterns_on
 from tamelab.presets import PRESETS
-from tamelab.sources import materialize
+from tamelab.sources import SeqWindow, materialize
 
 DATA = Path(__file__).parent / "data"
 
@@ -150,6 +151,14 @@ _BASE = {
                "cell_width": "0.25"},
     "classify": {"brackets": "4", "max_size": "2", "entropy_n_max": "4"},
 }
+
+
+def _config(sections: dict) -> ExperimentConfig:
+    return ExperimentConfig.from_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+        for name, items in sections.items()))
+
+
 _IP = {"source": {"kind": "ip_indicator", "base": "10", "exponent_cap": "3"}}
 _RANDOM = {"source": {"kind": "random", "seed": "1", "alphabet": "2"}}
 _ORACLE = {"freeset": {"oracle_check": "true"}}
@@ -183,7 +192,6 @@ _ORACLE = {"freeset": {"oracle_check": "true"}}
     ("family", "family", "max_len", "6.0", None),
     ("family", "family", "cell_width", "wide", None),
     ("family", "family", "epsilon", "half", None),
-    ("classify", "classify", "window", "0-64", None),
     ("classify", "classify", "entropy_n_max", "x", None),
     ("classify", "classify", "max_size", "x", None),
     ("classify", "classify", "beam", "x", None),
@@ -204,10 +212,30 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, section, key,
     """Each parse site turns a malformed value into a config error (exit 2)."""
     sections = {name: dict(items) for name, items in {**_BASE, **(extra or {})}.items()}
     sections.setdefault(section, {})[key] = value
-    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
-                   for name, items in sections.items())
-    assert run(command, ExperimentConfig.from_text(text), tmp_path / "out") == 2
+    assert run(command, _config(sections), tmp_path / "out") == 2
     assert f"malformed [{section}] {key} = " in capsys.readouterr().err
+
+
+def test_classify_window_key_is_retired(tmp_path, capsys):
+    """The run's window is [window] box; [classify] window is a config error."""
+    config = _config({**_BASE, "classify": {**_BASE["classify"], "window": "0:64"}})
+    assert run("classify", config, tmp_path / "out") == 2
+    assert "[window] box" in capsys.readouterr().err
+    assert all("window" not in ExperimentConfig.from_text(text).section("classify")
+               for text in PRESETS.values())
+
+
+def test_classify_on_a_window_without_coordinate_zero(tmp_path):
+    """Bracket pools start at the window's origin, so a box off 0 runs."""
+    config = _config({**_BASE, "window": {"box": "100:5000"}, "classify": {}})
+    assert run("classify", config, tmp_path / "out") == 0
+    lines = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    assert "scale.window = (100, 5000)" in lines
+    win = materialize(config.source(), config.window_box())
+    copy = classify(SeqWindow((0,), win.symbols.copy(), 2, "copy")).to_text().splitlines()
+    rows = ("max_free ", "density ")
+    assert [x for x in lines if x.startswith(rows)] == [x for x in copy if x.startswith(rows)]
+    assert any(x.startswith("max_free ") for x in lines)
 
 
 def test_negative_cube_dimension_is_a_range_error(tmp_path):
@@ -223,7 +251,8 @@ def test_rank_one_box_for_a_rank_two_source_is_a_dimension_error(tmp_path):
     # rank-1 coordinates on a rank-2 window: no TypeError, no diagonal read
     square = text.replace("box = 0:100", "box = 0:50;0:50")
     for command, section in (("freeset", "[freeset]\nset = 0,1\n"),
-                             ("project", "[project]\ncoords = 0,1,3\nsubset = 0,1\n")):
+                             ("project", "[project]\ncoords = 0,1,3\nsubset = 0,1\n"),
+                             ("classify", "[classify]\nbrackets = 4\n")):
         config = ExperimentConfig.from_text(square + "\n" + section)
         assert run(command, config, tmp_path / f"{command}-coords") == 5
 
@@ -281,8 +310,8 @@ _FUZZ_KEYS = [
         "project": ("coords", "subset"),
         "family": ("mode", "a", "b", "max_len", "dim", "shifts", "points", "cell_width",
                    "epsilon", "variation"),
-        "classify": ("window", "entropy_n_max", "max_size", "beam", "prefix",
-                     "density_threshold", "entropy_threshold", "free_slack", "brackets"),
+        "classify": ("entropy_n_max", "max_size", "beam", "prefix", "density_threshold",
+                     "entropy_threshold", "free_slack", "brackets"),
     }.items() for key in keys]
 _FUZZ_VALUES = ("0", "1", "2", "3", "5", "-1", "0.5", "1.5", "1e3", "x", "", "none", "true",
                 "cube", "orbit", "morse", "warp", "golden", "sqrt2_frac", "1/3", "0,1",

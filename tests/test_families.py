@@ -170,6 +170,23 @@ def test_l1_empirical_is_the_same_in_blocks(monkeypatch):
     assert checked >= 20
 
 
+def test_l1_empirical_matches_every_sign_vector():
+    """Evaluating only the sign vectors with c_0 = +1 gives the value over all 2**m."""
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        m = int(rng.integers(2, 11))
+        values = rng.random((m, (1 << m) + int(rng.integers(0, 1000))))
+        masks = np.arange(1 << m)
+        high = masks >> np.arange(m)[:, None] & 1 == 1
+        values[:, masks] = np.where(high, rng.uniform(0.75, 1.0, high.shape),
+                                    rng.uniform(0.0, 0.25, high.shape))
+        fs = FunctionSample(values)
+        w = IndependenceWitness(0.3, 0.7, tuple(range(m)), {k: k for k in range(1 << m)})
+        signs = np.where(high.T, 1.0, -1.0)
+        every = float(np.abs(signs @ values).max(axis=1).min()) / m
+        assert l1_lower_bound(fs, w) == ((0.7 - 0.3) / 2, every)
+
+
 def test_l1_rejects_foreign_witness():
     fs = cube_family()
     w = find_independent_subfamily(fs, 0.25, 0.75, max_len=3)

@@ -11,7 +11,6 @@ from tamelab.freeset import (
     FreeSearchBudget,
     FreeSetCertificate,
     brute_force_free_oracle,
-    free_density_profile,
     is_free,
     max_free_set,
 )
@@ -147,11 +146,11 @@ def test_profile_reports_best_coverage_per_size():
 
 def test_density_profile_ratios():
     win = materialize(SeqSource.de_bruijn(6), (0, 300))
-    rows = free_density_profile(win, FreeSearchBudget.interval(0, 6, 6))
+    rows = max_free_set(win, FreeSearchBudget.interval(0, 6, 6)).density_rows()
     by_size = {s: (d, r) for s, d, r in rows}
     assert by_size[6][0] == 5 and by_size[6][1] == 1.0  # contiguous: span ratio 1
     win0 = explicit([0] * 64)
-    assert free_density_profile(win0, FreeSearchBudget.interval(0, 7, 3)) == []
+    assert max_free_set(win0, FreeSearchBudget.interval(0, 7, 3)).density_rows() == []
 
 
 def test_explicit_pool_positioned_search():

@@ -17,7 +17,6 @@ from tamelab.torus import (
     RotationSpec,
     TorusPoint,
     ball_contains,
-    evaluate_partition,
     format_fraction,
     parse_fraction,
     rotate_add,
@@ -77,11 +76,14 @@ def test_rotate_add_errors():
 
 def test_partition_basics_and_boundary():
     half = CutPartition((0, SCALE // 2))
-    assert evaluate_partition(0, half) == 0
-    assert evaluate_partition(SCALE // 2, half) == 1  # half-open boundary
+    assert half.cell_of(0) == 0
+    assert half.cell_of(SCALE // 2) == 1  # half-open boundary
     golden_cut = CutPartition((0, SCALE - GOLDEN))
     # alpha > 1 - alpha, compared as 128-bit words
-    assert evaluate_partition(GOLDEN, golden_cut) == 1
+    assert golden_cut.cell_of(GOLDEN) == 1
+    for t in (-1, SCALE):
+        with pytest.raises(ArgumentError):
+            half.cell_of(t)
 
 
 def test_partition_totality_and_monotonicity():
@@ -94,7 +96,7 @@ def test_partition_totality_and_monotonicity():
     assert oracle.min() == 0 and oracle.max() == 3
     assert np.all(np.diff(oracle.astype(int)) >= 0)  # monotone, no wrap here
     for t, cell in zip(ts[::4999], oracle[::4999]):
-        assert evaluate_partition(int(t), cuts) == int(cell)
+        assert cuts.cell_of(int(t)) == int(cell)
 
 
 def test_partition_rejects_bad_cuts():
