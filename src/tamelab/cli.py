@@ -339,6 +339,9 @@ class _Runner:
         max_len = typed("family", "max_len", int, "6")
         variation = typed("family", "variation", _flag, "false")
         mode = sec.get("mode", "orbit")
+        if mode == "cube" and variation:
+            raise ConfigError("[family] variation needs ordered sample points; "
+                              "mode = cube columns are cube vertices")
         if mode == "cube":
             dim = typed("family", "dim", int, "3")
             if dim < 1:

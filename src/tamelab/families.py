@@ -198,8 +198,11 @@ def find_independent_subfamily(fs: FunctionSample, a: float, b: float,
 
     def extend(indices: tuple[int, ...], rows: list[int]):
         nonlocal best
-        for row in rows:
+        for i, row in enumerate(rows):
             cand = indices + (row,)
+            # an independent extension of cand uses only the rows after it
+            if len(cand) + len(rows) - i - 1 <= len(best):
+                return
             if len(cand) > max(len(best), 1):
                 best = cand
             if len(cand) < max_len and row + 1 < n:

@@ -26,6 +26,14 @@ window, found by Karp-Miller-Rosenberg naming (``language.window_classes``);
 for the low-complexity codings studied here they are far fewer than the
 shifts.
 
+A short pool is counted by projection instead.  Every tuple's pattern set
+is a projection of the table's column codes, so ``_ProjectionLattice``
+marks those codes once and gets each requested tuple's marks by ORing one
+axis out of a larger tuple's.  ``max_free_set`` takes it when its b**W
+cells (b the digit base, W the pool span) are no more than the table's
+samples and its kept marks fit the table budget; both evaluators count
+exactly, so the choice changes no result.
+
 All claims are finite-scale: a certificate states the shift count it was
 computed over, and absence of a free set means absence at that horizon.
 """
@@ -173,10 +181,12 @@ class SizeProfile:
 @dataclass(frozen=True)
 class FreeSearchResult:
     """Search outcome.  ``stats`` holds deterministic engine counters: the
-    distinct pool-span windows (None once they exceed half the shifts), the
-    table's samples (``table_rows``), and per candidate size the candidates
-    evaluated, the samples scanned for them (``rows``), and how many were
-    settled by scan and by bits."""
+    evaluator that ran (``"lattice"`` or ``"scan"``), the distinct pool-span
+    windows (None once they exceed half the shifts), the table's samples
+    (``table_rows``), and per candidate size the candidates evaluated, the
+    samples scanned for them (``rows``), and how many were settled by scan,
+    by bits and by the lattice (``by_scan + by_bits + by_lattice`` is the
+    candidates)."""
 
     best: FreeSetCertificate | None
     profile: tuple[SizeProfile, ...]
@@ -230,6 +240,8 @@ class _GapEvaluator:
     epochs over the samples in table order and, for pattern spaces up to
     64, by a packed bit table.  Rows are read whole: keep them contiguous.
     """
+
+    name = "scan"
 
     def __init__(self, table: np.ndarray, alphabet: int):
         self.m = int(alphabet)
@@ -288,9 +300,7 @@ class _GapEvaluator:
 
     def evaluate_extensions(self, parent: tuple, exts: list[int]) -> dict[int, int]:
         """Exact pattern counts of parent + (e,) for each extension row e > parent[-1]."""
-        level = self.levels.setdefault(
-            len(parent) + 1, {"candidates": 0, "rows": 0, "by_scan": 0, "by_bits": 0})
-        level["candidates"] += len(exts)
+        level = _level_stats(self.levels, len(parent) + 1, len(exts))
         todo = np.array(exts, dtype=np.int64)
         space = self.m ** (len(parent) + 1)
         block = max(1, _BATCH_CELLS // (2 * space + 1))
@@ -352,6 +362,87 @@ class _GapEvaluator:
             hits[i[:, None], cols[c]] |= seen.T
 
 
+class _ProjectionLattice:
+    """Exact pattern counts of row tuples of a short (W x samples) table,
+    by projection, with the interface of ``_GapEvaluator``.
+
+    Each sample's column is one W-digit code in base b (m, or m + 1 when
+    the table holds the non-symbol m), row 0 most significant, and the full
+    tuple (0, ..., W - 1) marks the codes seen in a flat bool array of b**W
+    cells.  Any other tuple's marks are those of the tuple plus its highest
+    missing row, with that row's axis ORed away; they are made on first
+    request and kept.  A tuple's count is its marked cells whose digits all
+    lie below m.  Every tuple the search asks for holds row 0, so the kept
+    marks take at most b * (b + 1)**(W - 1) bytes.
+    """
+
+    name = "lattice"
+
+    def __init__(self, table: np.ndarray, alphabet: int, base: int):
+        self.m = int(alphabet)
+        self.base = base
+        width, n = table.shape
+        codes = np.zeros(n, dtype=np.int64)
+        for row in table:
+            codes *= base
+            codes += row
+        marks = np.zeros(base ** width, dtype=bool)
+        marks[codes] = True
+        self.width = width
+        self.levels: dict[int, dict[str, int]] = {}
+        self._marks = {tuple(range(width)): marks}
+
+    def _marks_of(self, rows: tuple) -> np.ndarray:
+        marks = self._marks.get(rows)
+        if marks is None:
+            # rows[i:] are the rows above the highest missing row h
+            h, i = self.width - 1, len(rows)
+            while i and rows[i - 1] == h:
+                h, i = h - 1, i - 1
+            up = self._marks_of(rows[:i] + (h,) + rows[i:])
+            up = up.reshape(self.base ** i, self.base, -1)
+            marks = up[:, 0]
+            for digit in range(1, self.base):  # far faster than any(axis=1)
+                marks = marks | up[:, digit]
+            marks = self._marks[rows] = marks.reshape(-1)
+        return marks
+
+    def _count(self, rows: tuple) -> int:
+        marks = self._marks_of(rows)
+        if self.base > self.m:
+            marks = marks.reshape((self.base,) * len(rows))[(slice(self.m),) * len(rows)]
+        return int(np.count_nonzero(marks))
+
+    def singleton_count(self, g: int) -> int:
+        """Distinct symbols in row g."""
+        return self._count((g,))
+
+    def evaluate_extensions(self, parent: tuple, exts: list[int]) -> dict[int, int]:
+        """Exact pattern counts of parent + (e,) for each extension row e > parent[-1]."""
+        _level_stats(self.levels, len(parent) + 1, len(exts))["by_lattice"] += len(exts)
+        return {e: self._count(parent + (e,)) for e in exts}
+
+
+def _level_stats(levels: dict, size: int, candidates: int) -> dict[str, int]:
+    """The counters of one candidate size, with ``candidates`` added."""
+    level = levels.setdefault(size, {"candidates": 0, "rows": 0, "by_scan": 0,
+                                     "by_bits": 0, "by_lattice": 0})
+    level["candidates"] += candidates
+    return level
+
+
+def _evaluator(table: np.ndarray, m: int):
+    """The projection lattice when its b**W cells are no more than the
+    table's samples and its kept marks, at most b * (b + 1)**(W - 1)
+    bytes, fit the table budget; the scan engine otherwise."""
+    width, n = table.shape
+    if m ** width <= n:
+        base = m + int(table.max() == m)
+        if base ** width <= n and base * (base + 1) ** (width - 1) <= _TABLE_BYTES:
+            return _ProjectionLattice(table, m, base)
+    return _GapEvaluator(table, m)
+
+
 # ---------------------------------------------------------------------------
 # level-wise search
 # ---------------------------------------------------------------------------
@@ -381,7 +472,7 @@ def max_free_set(win: SeqWindow, budget: FreeSearchBudget) -> FreeSearchResult:
     width = pool[-1] - pool[0] + 1
     shifts = min(length, horizon) if horizon else length
     table, windows = _line_table(win.line(), m, shifts, win.meta.get("period"), width)
-    ev = _GapEvaluator(table, m)
+    ev = _evaluator(table, m)
     if m ** budget.max_size > shifts:
         warnings.warn("shift horizon below m**max_size: top sizes cannot reach "
                       "coverage 1", stacklevel=2)
@@ -393,7 +484,7 @@ def max_free_set(win: SeqWindow, budget: FreeSearchBudget) -> FreeSearchResult:
         if not best.is_free or not best.verify(win):
             raise WitnessIntegrityError(
                 "search result failed re-verification against the window")
-    stats = {"windows": windows, "table_rows": int(table.shape[1]),
+    stats = {"evaluator": ev.name, "windows": windows, "table_rows": int(table.shape[1]),
              "levels": dict(sorted(ev.levels.items()))}
     return FreeSearchResult(best, profile, shifts, beam_limited, stats)
 

@@ -201,7 +201,8 @@ def patterns_on(win: SeqWindow, A: CoordSet, shifts="all",
     codes = pattern_codes(win, A, tarr)
     if want_witness:
         uniq, first = np.unique(codes, return_index=True)
-        witness = {int(c): _as_coord(tarr[i], win.rank) for c, i in zip(uniq, first)}
+        at = tarr[first, 0].tolist() if win.rank == 1 else map(tuple, tarr[first].tolist())
+        witness = dict(zip(uniq.tolist(), at))
     else:
         uniq = np.unique(codes)
         witness = None

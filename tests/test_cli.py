@@ -243,6 +243,16 @@ def test_negative_cube_dimension_is_a_range_error(tmp_path):
     assert run("family", ExperimentConfig.from_text(text), tmp_path / "out") == 5
 
 
+def test_cube_family_variation_is_a_config_error(tmp_path, capsys):
+    """Cube columns are vertices with no order, so variation is a config
+    error that names the key, not an unexpected failure."""
+    text = "[source]\nkind = morse\n\n[family]\nmode = cube\ndim = 3\nvariation = true\n"
+    assert run("family", ExperimentConfig.from_text(text), tmp_path / "out") == 2
+    assert "[family] variation" in capsys.readouterr().err
+    plain = text.replace("variation = true", "variation = false")
+    assert run("family", ExperimentConfig.from_text(plain), tmp_path / "plain") == 0
+
+
 def test_rank_one_box_for_a_rank_two_source_is_a_dimension_error(tmp_path):
     text = ("[source]\nkind = sturmian\nalphas = golden,sqrt2_frac\n"
             "cuts = 0,one_minus_golden\n\n[window]\nbox = 0:100\n")

@@ -4,7 +4,8 @@ Every level of a search profile is recomputed here candidate by candidate
 with ``patterns_on`` over the same shift range, and tiny instances are
 checked against the brute-force oracle.  The instances cover both table
 constructions: distinct pool-span windows (Sturmian, concatenation) and
-every shift (seeded noise, de Bruijn).
+every shift (seeded noise, de Bruijn), and both evaluators: the scan
+engine on every instance, the projection lattice on the short pools.
 """
 
 import warnings
@@ -141,11 +142,23 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("name,make,pool,max_size,horizon,table", CASES,
-                         ids=[c[0] for c in CASES])
-def test_profile_matches_direct_recount(name, make, pool, max_size, horizon, table):
+def lattice(table, m):
+    """The projection lattice of a table, whatever its size."""
+    return freeset._ProjectionLattice(table, m, m + int(table.max() == m))
+
+
+# evaluator name -> the evaluator ``max_free_set`` is made to build
+EVALUATORS = {"scan": freeset._GapEvaluator, "lattice": lattice}
+
+# the cases whose pool is short enough for the lattice's kept marks
+SHORT_CASES = [c for c in CASES if c[2][-1] - c[2][0] < 13]
+
+
+def check_profile(monkeypatch, evaluator, make, pool, max_size, horizon, table):
+    monkeypatch.setattr(freeset, "_evaluator", EVALUATORS[evaluator])
     win = make()
     result = search(win, FreeSearchBudget(max_size, pool, horizon))
+    assert result.stats["evaluator"] == evaluator
     assert engine_profile(result) == reference_profile(win, pool, max_size, horizon)
     if result.best is not None:
         assert result.best.is_free and result.best.verify(win)
@@ -156,6 +169,91 @@ def test_profile_matches_direct_recount(name, make, pool, max_size, horizon, tab
         assert stats["table_rows"] == stats["windows"] and 2 * stats["windows"] <= scanned
     elif table == "shifts":
         assert stats["table_rows"] == scanned
+
+
+@pytest.mark.parametrize("name,make,pool,max_size,horizon,table", CASES,
+                         ids=[c[0] for c in CASES])
+def test_profile_matches_direct_recount(monkeypatch, name, make, pool, max_size, horizon,
+                                        table):
+    check_profile(monkeypatch, "scan", make, pool, max_size, horizon, table)
+
+
+@pytest.mark.parametrize("name,make,pool,max_size,horizon,table", SHORT_CASES,
+                         ids=[c[0] for c in SHORT_CASES])
+def test_lattice_profile_matches_direct_recount(monkeypatch, name, make, pool, max_size,
+                                                horizon, table):
+    check_profile(monkeypatch, "lattice", make, pool, max_size, horizon, table)
+
+
+def search_table(monkeypatch, win, pool, horizon):
+    """The table ``max_free_set`` builds for a pool."""
+    tables = []
+
+    def keep(table, m):
+        tables.append(table)
+        return freeset._GapEvaluator(table, m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(freeset, "_evaluator", keep)
+        search(win, FreeSearchBudget(1, pool, horizon))
+    return tables[0]
+
+
+def non_symbol_table(m, rows=7, n=100):
+    """Seeded symbols below m, a fifth of them replaced by the non-symbol m."""
+    rng = np.random.default_rng(m)
+    table = rng.integers(0, m, (rows, n)).astype(np.uint8)
+    table[rng.random((rows, n)) < 0.2] = m
+    return table
+
+
+def assert_lattice_agrees(table, m):
+    """Both evaluators count every tuple of the table that holds row 0 alike."""
+    scan, lat = freeset._GapEvaluator(table, m), lattice(table, m)
+    assert lat.singleton_count(0) == scan.singleton_count(0)
+    rows = table.shape[0]
+    for size in range(rows - 1):
+        for rest in combinations(range(1, rows - 1), size):
+            parent = (0,) + rest
+            exts = list(range(parent[-1] + 1, rows))
+            assert lat.evaluate_extensions(parent, exts) == scan.evaluate_extensions(
+                parent, exts), parent
+
+
+@pytest.mark.parametrize("name,make,pool,max_size,horizon,table", CASES,
+                         ids=[c[0] for c in CASES])
+def test_lattice_counts_equal_scan_counts(monkeypatch, name, make, pool, max_size, horizon,
+                                          table):
+    """On the first 8 rows of each case's search table."""
+    win = make()
+    assert_lattice_agrees(search_table(monkeypatch, win, pool, horizon)[:8], win.alphabet_size)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_lattice_counts_equal_scan_counts_with_non_symbol(m):
+    assert_lattice_agrees(non_symbol_table(m), m)
+
+
+def test_lattice_rule(monkeypatch):
+    """``max_free_set`` takes the lattice when its b**W cells are no more
+    than the table's samples and its kept marks, b * (b + 1)**(W - 1)
+    bytes at most, fit the table budget; past either bound it searches
+    with the scan engine and builds no lattice."""
+    win = materialize(SeqSource.de_bruijn(8), (0, 1000))  # 256 samples, one per period
+    fits = search(win, FreeSearchBudget.interval(0, 7, 4))  # 2**8 = 256 cells
+    assert fits.stats["evaluator"] == "lattice"
+    assert all(level["by_lattice"] == level["candidates"] > 0
+               for level in fits.stats["levels"].values())
+    assert search(win, FreeSearchBudget.interval(0, 8, 4)).stats["evaluator"] == "scan"
+
+    def refuse(*args):
+        raise AssertionError("a lattice was built past its memo bound")
+
+    monkeypatch.setattr(freeset, "_ProjectionLattice", refuse)
+    monkeypatch.setattr(freeset, "_TABLE_BYTES", 2 * 3 ** 7 - 1)
+    scanned = search(win, FreeSearchBudget.interval(0, 7, 4))
+    assert scanned.stats["evaluator"] == "scan"
+    assert engine_profile(scanned) == engine_profile(fits)
 
 
 # (name, window, pool, max_size, horizon, beam): each beam truncates a level
@@ -200,17 +298,15 @@ ENGINE_PATHS = {"scan": {"_BITSET_SPACE_MAX": 0},
 
 
 @pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("path", sorted(ENGINE_PATHS))
+@pytest.mark.parametrize("path", sorted(ENGINE_PATHS) + ["lattice"])
 def test_non_symbol_at_any_digit_is_no_pattern(monkeypatch, path, m):
     """A sample where any row of a tuple shows the non-symbol m counts for
     no pattern of that tuple, whichever digit the row is."""
-    for name, value in ENGINE_PATHS[path].items():
+    for name, value in ENGINE_PATHS.get(path, {}).items():
         monkeypatch.setattr(freeset, name, value)
-    rng = np.random.default_rng(m)
-    rows, n = 7, 100
-    table = rng.integers(0, m, (rows, n)).astype(np.uint8)
-    table[rng.random((rows, n)) < 0.2] = m
-    ev = freeset._GapEvaluator(table, m)
+    table = non_symbol_table(m)
+    rows = table.shape[0]
+    ev = lattice(table, m) if path == "lattice" else freeset._GapEvaluator(table, m)
 
     def recount(tup):
         return len({col for col in zip(*table[list(tup)].tolist()) if m not in col})
@@ -222,7 +318,7 @@ def test_non_symbol_at_any_digit_is_no_pattern(monkeypatch, path, m):
             exts = list(range(parent[-1] + 1, rows))
             counts = ev.evaluate_extensions(parent, exts)
             assert counts == {e: recount(parent + (e,)) for e in exts}, parent
-    settled_by = "by_scan" if path == "scan" else "by_bits"
+    settled_by = f"by_{path}"
     assert all(level[settled_by] == level["candidates"] for level in ev.levels.values())
 
 
@@ -233,10 +329,11 @@ def test_search_stats_account_for_every_candidate():
     assert result.stats == search(win, budget).stats
     # p(100) = 101 for the golden coding, plus the 99 windows past the end
     assert result.stats["windows"] == 101 + 99
+    assert result.stats["evaluator"] == "scan"  # 2**100 cells: far past the lattice rule
     levels = result.stats["levels"]
     assert sorted(levels) == [p.size for p in result.profile[1:]]
     for level in levels.values():
-        assert level["by_scan"] + level["by_bits"] == level["candidates"]
+        assert level["by_scan"] + level["by_bits"] + level["by_lattice"] == level["candidates"]
     assert levels[3]["by_bits"] > 0  # no triple is free: the bit table proves it
 
 
