@@ -59,9 +59,13 @@ class ProjectionProbe:
 
 @dataclass(frozen=True)
 class EvidenceReport:
+    """``entropy`` holds the series points the report prints, sampled from
+    ``entropy_series``, the full p(1..n_max) series."""
+
     source_digest: str
     scale: dict = field(compare=False)
     entropy: EntropySeries
+    entropy_series: EntropySeries
     max_free_by_bracket: tuple[tuple[int, int], ...]
     density_rows: tuple[tuple[int, int, float], ...]
     projections: tuple[ProjectionProbe, ...]
@@ -109,19 +113,18 @@ class EvidenceReport:
                 f"{self.nonnull_evidence},{self.tame_consistent}")
 
 
-def _entropy_probe(win: SeqWindow, n_max: int) -> EntropySeries:
-    """Contiguous-window series: p(n) at every n with m**n < 2**62, then at
-    eight evenly spaced lengths up to n_max, all from one ``entropy_estimate``.
+def _entropy_probe(series: EntropySeries, alphabet: int) -> EntropySeries:
+    """The report's points of a contiguous-window series: p(n) at every n
+    with m**n < 2**62, then at eight evenly spaced lengths up to n_max.
     """
-    n_max = min(n_max, min(win.extents) - 1)
+    n_max = series.n_max
     wide = 1
-    while win.alphabet_size ** (wide + 1) < (1 << 62):
+    while alphabet ** (wide + 1) < (1 << 62):
         wide += 1
     ns = list(range(1, min(n_max, wide) + 1))
     if n_max > wide:
         ns += sorted({int(v) for v in np.linspace(wide, n_max, 9)[1:]})
-    points = entropy_estimate(win, n_max).points
-    return EntropySeries(tuple(points[n - 1] for n in ns))
+    return EntropySeries(tuple(series.points[n - 1] for n in ns))
 
 
 def default_projection_families(win: SeqWindow, prefix: int) -> dict[str, list[int]]:
@@ -180,7 +183,8 @@ def classify(win: SeqWindow, params: ClassifyParams = ClassifyParams()) -> Evide
     """Run the full probe battery on a materialized rank-1 window and
     assemble the report; bracket pools start at the window's origin."""
     origin, length = win.origin[0], win.line().size
-    entropy = _entropy_probe(win, params.entropy_n_max)
+    series = entropy_estimate(win, min(params.entropy_n_max, length - 1))
+    entropy = _entropy_probe(series, win.alphabet_size)
 
     max_free_by_bracket: list[tuple[int, int]] = []
     density: dict[int, tuple[int, float]] = {}
@@ -220,6 +224,7 @@ def classify(win: SeqWindow, params: ClassifyParams = ClassifyParams()) -> Evide
         source_digest=win.source_digest,
         scale={**asdict(params), "window": (origin, origin + length)},
         entropy=entropy,
+        entropy_series=series,
         max_free_by_bracket=tuple(max_free_by_bracket),
         density_rows=density_rows,
         projections=projections,

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .classify import ClassifyParams, classify
 from .entropy import entropy_estimate, sequence_entropy_estimate
-from .errors import ArgumentError, ConfigError, DataIOError, TameLabError
+from .errors import ArgumentError, CapacityError, ConfigError, DataIOError, TameLabError
 from .families import (
     FunctionSample,
     GridCover,
@@ -42,7 +42,7 @@ from .families import (
     total_variation,
 )
 from .freeset import FreeSearchBudget, brute_force_free_oracle, is_free, max_free_set
-from .language import CoordSet, patterns_on, project
+from .language import DENSE_CAP, CoordSet, patterns_on, project
 from .presets import PRESETS
 from .sources import SeqSource, SeqWindow, materialize, read_window, write_window
 from .torus import BallRegion, CutPartition, RotationSpec, TorusPoint, parse_fraction
@@ -201,10 +201,12 @@ def _span(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _range_spec(text: str) -> list[int]:
+def _range_spec(text: str) -> range | list[int]:
+    """``lo:hi`` (inclusive, as a range, so that its size is known before
+    anything is allocated) or a comma-separated list."""
     if ":" in text:
         lo, hi = _span(text)
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     return _int_list(text)
 
 
@@ -244,6 +246,12 @@ class _Runner:
             lines.append(f"{key} = {win.meta[key]}")
         self.write("generate.txt", "\n".join(lines) + "\n")
 
+    def write_series(self, name: str, series) -> None:
+        """The series' rows and its headline, as ``tamelab entropy`` writes them."""
+        rows = series.csv_rows()
+        rows.append(f"headline,,{series.headline:.9f}")
+        self.write(name, "\n".join(rows) + "\n")
+
     def cmd_complexity(self):
         n_max = self.config.typed("complexity", "n_max", int, "24")
         win = self.materialized()
@@ -253,18 +261,12 @@ class _Runner:
     def cmd_entropy(self):
         n_max = self.config.typed("entropy", "n_max", int, "24")
         win = self.materialized()
-        series = entropy_estimate(win, n_max)
-        rows = series.csv_rows()
-        rows.append(f"headline,,{series.headline:.9f}")
-        self.write("entropy.csv", "\n".join(rows) + "\n")
+        self.write_series("entropy.csv", entropy_estimate(win, n_max))
 
     def cmd_seqentropy(self):
         coords = self.config.typed("seqentropy", "coords", _int_list)
         win = self.materialized()
-        series = sequence_entropy_estimate(win, coords)
-        rows = series.csv_rows()
-        rows.append(f"headline,,{series.headline:.9f}")
-        self.write("seqentropy.csv", "\n".join(rows) + "\n")
+        self.write_series("seqentropy.csv", sequence_entropy_estimate(win, coords))
 
     def cmd_freeset(self):
         win = self.materialized()
@@ -346,14 +348,20 @@ class _Runner:
             dim = typed("family", "dim", int, "3")
             if dim < 1:
                 raise ArgumentError("[family] dim must be >= 1")
+            if dim > 24 or dim * 2 ** dim > DENSE_CAP:
+                raise CapacityError(f"[family] dim = {dim} samples {dim} x 2**{dim} "
+                                    "cells, over the 2**24 cap")
             cols = list(product([0, 1], repeat=dim))
             values = np.array([[c[i] for c in cols] for i in range(dim)],
                               dtype=float)
             fs = FunctionSample(values, labels=tuple(str(c) for c in cols))
         elif mode == "orbit":
-            fs = orbit_family_sample(self.config.source(),
-                                     typed("family", "shifts", _range_spec, "0:63"),
-                                     typed("family", "points", _range_spec, "0:999"))
+            shifts = typed("family", "shifts", _range_spec, "0:63")
+            points = typed("family", "points", _range_spec, "0:999")
+            if len(shifts) * len(points) > DENSE_CAP:
+                raise CapacityError(f"[family] shifts x points = {len(shifts)} x "
+                                    f"{len(points)} cells, over the 2**24 cap")
+            fs = orbit_family_sample(self.config.source(), shifts, points)
         else:
             raise ConfigError(f"unknown family mode {mode!r}")
         self.write("family.csv", "\n".join(fs.csv_rows()) + "\n")
@@ -406,6 +414,7 @@ class _Runner:
                        report.csv_row_header() + "\n" + report.to_csv_row() + "\n")
         else:
             self.write("report.txt", report.to_text())
+        self.write_series("entropy.csv", report.entropy_series)
 
 
 def run(command: str, config: ExperimentConfig, out_dir, threads: int = 1,

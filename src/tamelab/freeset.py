@@ -22,7 +22,7 @@ of rows show in a (rows x samples) uint8 table, where the non-symbol m
 marks a sample at which a row shows no symbol; the independence search of
 ``families`` counts through it too.  The free-set search's table
 (``_line_table``) holds the first occurrence of each distinct pool-span
-window, found by Karp-Miller-Rosenberg naming (``language.window_classes``);
+window, found by Karp-Miller-Rosenberg naming (``language.first_occurrences``);
 for the low-complexity codings studied here they are far fewer than the
 shifts.
 
@@ -60,10 +60,10 @@ from .errors import (
 from .language import (
     DENSE_CAP,
     CoordSet,
+    first_occurrences,
     pattern_codes,
     patterns_on,
     valid_shift_bounds,
-    window_classes,
 )
 from .sources import SeqWindow
 
@@ -509,10 +509,9 @@ def _line_table(line: np.ndarray, m: int, shifts: int, period: int | None,
     t = min(shifts, period) if period else shifts
     padded = np.full(t + width - 1, m, dtype=np.uint8)
     padded[: min(line.size, padded.size)] = line[: padded.size]
-    ids = window_classes(padded, width, limit=t // 2)
-    first = None if ids is None else np.unique(ids, return_index=True)[1]
+    first = first_occurrences(padded, width, limit=t // 2)
     windows = None if first is None else int(first.size)
-    samples = np.sort(first) if first is not None and 2 * first.size <= t else np.arange(t)
+    samples = first if first is not None and 2 * first.size <= t else np.arange(t)
     if width * samples.size > _TABLE_BYTES:
         return np.lib.stride_tricks.sliding_window_view(padded, t), windows
     # A golden-ratio stride spreads the samples over the line, so a scan

@@ -13,6 +13,21 @@ count names patterns by int32 class ids, the dense ranks of the pairs
 naming.  ``complexity`` grows windows by one symbol and n-boxes by one
 face per axis at each step, ``extend_classes`` grows a pattern along a
 coordinate sequence, and ``window_classes`` doubles window lengths.
+
+A rank-1 language is counted on its distinct windows when they are few,
+as for the low-complexity codings studied here.  Pad the line of length L
+with n_max - 1 copies of the non-symbol m, take the first occurrences S
+of its length-n_max windows (``first_occurrences``), and grow class ids
+on S alone, one column at a time; then p(n) is the class count at length
+n less n - 1.  This is exact for any set holding one copy of each
+length-n_max window.  Every length-n window at j <= L - n_max is a prefix
+of the length-n_max window at j, a copy of which S holds; every position
+j > L - n_max shows m at its own offset, so it is its own class and lies
+in S; and at length n exactly the n - 1 positions j > L - n show m, each
+a distinct class.  The path is taken when S at least halves the positions
+and every doubling step of the probe ranks without a sort; otherwise the
+loop over all L positions runs, leaving as soon as every window is
+distinct.
 """
 
 from __future__ import annotations
@@ -276,6 +291,24 @@ def window_classes(symbols: np.ndarray, width: int,
     return ids
 
 
+def first_occurrences(padded: np.ndarray, width: int, limit: int) -> np.ndarray | None:
+    """Ascending first positions of the distinct length-``width`` windows of
+    ``padded``, or None once ``window_classes`` finds more than ``limit``.
+
+    One ``np.minimum.at`` over the class ids finds them; the ids need not
+    be dense (the all-distinct exit of ``window_classes`` keeps the ids of
+    shorter windows), so the table spans ``ids.max() + 1``.
+    """
+    ids = window_classes(padded, width, limit=limit)
+    if ids is None:
+        return None
+    first = np.full(int(ids.max()) + 1, ids.size, dtype=np.int64)
+    np.minimum.at(first, ids, np.arange(ids.size, dtype=np.int64))
+    is_first = np.zeros(ids.size + 1, dtype=bool)
+    is_first[first] = True
+    return np.flatnonzero(is_first[:-1])
+
+
 def extend_classes(win: SeqWindow, offset: int,
                    classes: tuple[np.ndarray, int] | None = None
                    ) -> tuple[np.ndarray, int]:
@@ -296,13 +329,51 @@ def extend_classes(win: SeqWindow, offset: int,
     return _pair_classes(ids[:size], count, line[offset:], win.alphabet_size)
 
 
+def _sampled_line_counts(line: np.ndarray, alphabet: int, n_max: int) -> list[int] | None:
+    """p(1..n_max) of a line counted on the first occurrences of its
+    distinct windows (see the module docstring), or None when they do not
+    at least halve the positions or the probe would have to sort.
+
+    A doubling step of ``window_classes`` at length k ranks without a sort
+    while its classes number at most sqrt(2L); it goes on while they number
+    at most limit + n_max - k, hence the limit.
+    """
+    root = math.isqrt(2 * line.size)
+    limit = root - n_max
+    if limit < 0:  # its last check, at k >= n_max / 2 with more than k classes, would fail
+        return None
+    padded = np.full(line.size + n_max - 1, alphabet, dtype=np.uint8)
+    padded[: line.size] = line
+    # A prefix's windows are the line's, so a prefix with too many of them
+    # rules the line out, at a small part of the probe's cost.
+    if window_classes(padded[: 2 * root + n_max], n_max, limit) is None:
+        return None
+    sample = first_occurrences(padded, n_max, limit)
+    if sample is None or 2 * sample.size > line.size:
+        return None
+    ids, count = np.zeros(sample.size, np.int32), 1
+    counts = []
+    for k in range(n_max):
+        if count < sample.size:  # once every window is distinct, longer ones are too
+            ids, count = _pair_classes(ids, count, padded[sample + k], alphabet + 1)
+        counts.append(count - k)
+    return counts
+
+
 def _box_counts(symbols: np.ndarray, alphabet: int, n_max: int) -> list[int]:
     """p(1..n_max) on the n x ... x n boxes of a symbol array.
 
-    A box pairs the box one shorter along its first longest axis with the
-    one-thick face it adds there, itself a box.  Step n keeps only the
-    shapes it read, so two steps of classes are held at once.
+    A line is counted on its distinct windows when they are few
+    (``_sampled_line_counts``).  Otherwise a box pairs the box one shorter
+    along its first longest axis with the one-thick face it adds there,
+    itself a box.  Step n keeps only the shapes it read, so two steps of
+    classes are held at once.
     """
+    if symbols.ndim == 1:
+        counts = _sampled_line_counts(symbols, alphabet, n_max)
+        if counts is not None:
+            return counts
+
     def classes(shape):  # (ids of the boxes of this shape at every position, count)
         if shape in before:
             step[shape] = before[shape]

@@ -253,6 +253,31 @@ def test_cube_family_variation_is_a_config_error(tmp_path, capsys):
     assert run("family", ExperimentConfig.from_text(plain), tmp_path / "plain") == 0
 
 
+@pytest.mark.parametrize("family, key", [
+    ("mode = cube\ndim = 30\n", "[family] dim"),
+    ("shifts = 0:99999\npoints = 0:99999\n", "[family] shifts x points"),
+])
+def test_family_sample_over_the_cell_cap_is_a_capacity_error(tmp_path, capsys, family, key):
+    """A sample of more than 2**24 cells exits 3, naming its keys, before
+    anything is allocated."""
+    text = "[source]\nkind = morse\n\n[family]\n" + family
+    assert run("family", ExperimentConfig.from_text(text), tmp_path / "out") == 3
+    assert key in capsys.readouterr().err
+
+
+def test_classify_writes_the_full_entropy_series(tmp_path):
+    """classify's entropy.csv is what ``tamelab entropy`` writes for the same
+    window at the clamped n_max; the report keeps its sampled points."""
+    config = ExperimentConfig.from_text(PRESETS["fib100k"] + "\n[entropy]\nn_max = 200\n")
+    assert run("classify", config, tmp_path / "classify") == 0
+    assert run("entropy", config, tmp_path / "entropy") == 0
+    series = (tmp_path / "classify" / "entropy.csv").read_text()
+    assert series == (tmp_path / "entropy" / "entropy.csv").read_text()
+    assert len(series.splitlines()) == 202  # header, n = 1..200, headline
+    report = (tmp_path / "classify" / "report.txt").read_text()
+    assert sum(line.startswith("entropy ") for line in report.splitlines()) == 69
+
+
 def test_rank_one_box_for_a_rank_two_source_is_a_dimension_error(tmp_path):
     text = ("[source]\nkind = sturmian\nalphas = golden,sqrt2_frac\n"
             "cuts = 0,one_minus_golden\n\n[window]\nbox = 0:100\n")

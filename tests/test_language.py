@@ -288,3 +288,94 @@ def test_patterns_on_every_rank_matches_brute_force(origin, shape, alphabet, coo
     with pytest.raises(DimensionError):
         patterns_on(win, CoordSet.of([0, 1]) if win.rank > 1
                     else CoordSet.of([(0, 0), (0, 1)], rank=2))
+
+
+def rotation_coding(letters):
+    """An irrational rotation coded by ``letters`` intervals of the circle."""
+    from tamelab.torus import GOLDEN, SCALE, CutPartition, RotationSpec, TorusPoint
+    cuts = (0,) + tuple(SCALE * (2 * i + 1) // (2 * letters + 1) for i in range(1, letters))
+    return SeqSource.sturmian(RotationSpec.circle(GOLDEN), CutPartition(cuts),
+                              TorusPoint.zero())
+
+
+def sampled_path_spy(monkeypatch):
+    """Record, per ``_box_counts`` call on a line, whether it counted on
+    the first occurrences of the distinct windows."""
+    taken = []
+    sampled = language._sampled_line_counts
+
+    def spy(line, alphabet, n_max):
+        counts = sampled(line, alphabet, n_max)
+        taken.append(counts is not None)
+        return counts
+
+    monkeypatch.setattr(language, "_sampled_line_counts", spy)
+    return taken
+
+
+def low_complexity_line(name, length):
+    """Lines with few distinct windows: a periodic tile, rotation codings on
+    2-4 letters, Thue-Morse and the half-line indicator."""
+    if name == "tile":
+        return np.resize(np.array([0, 1, 1, 0, 2], dtype=np.uint8), length), 3
+    if name.startswith("rotation"):
+        m = int(name[-1])
+        return materialize(rotation_coding(m), (0, length)).line(), m
+    source = SeqSource.morse() if name == "morse" else SeqSource.char_halfline()
+    return materialize(source, (-length // 2, length - length // 2)).line(), 2
+
+
+@pytest.mark.parametrize("name", ["tile", "rotation2", "rotation3", "rotation4", "morse",
+                                  "halfline"])
+def test_sampled_counts_match_brute_force_window_sets(name, monkeypatch):
+    """Every n_max on a short line, where the sampled path gives way to the
+    loop, and every n_max the sampled path can take on a long one."""
+    taken = sampled_path_spy(monkeypatch)
+    for length, top in ((200, 199), (4000, 89)):  # 89 = isqrt(2 * 4000)
+        symbols, alphabet = low_complexity_line(name, length)
+        data = symbols.tobytes()
+        brute = [len({data[j:j + n] for j in range(length - n + 1)})
+                 for n in range(1, top + 1)]
+        win = kernel_window(symbols, alphabet)
+        taken.clear()
+        for n_max in range(1, top + 1):
+            assert list(complexity(win, n_max).counts) == brute[:n_max], (length, n_max)
+        if length == 200:
+            assert taken[0] and not taken[-1]
+        else:
+            assert all(taken[:16])
+
+
+def test_low_complexity_lines_take_the_sampled_path(monkeypatch):
+    taken = sampled_path_spy(monkeypatch)
+    golden = materialize(SeqSource.fibonacci(), (0, 100_000))
+    assert complexity(golden, 200).counts == tuple(range(2, 202))
+    random_line = materialize(SeqSource.random(7, 2), (0, 100_000))
+    assert count_contiguous(random_line, 20) > 2 ** 16
+    de_bruijn = materialize(SeqSource.de_bruijn(12), (0, 1 << 13))
+    assert complexity(de_bruijn, 12).counts == tuple(2 ** n for n in range(1, 13))
+    assert taken == [True, False, False]
+
+
+def test_probe_ranks_without_sorting(monkeypatch):
+    """Every doubling step over the whole line ranks without a sort, and a
+    line whose prefix already shows too many windows takes none."""
+    steps = []
+    pair_classes = language._pair_classes
+
+    def spy(left, n_left, right, n_right):
+        steps.append((left.size, n_left * n_right <= 2 * left.size))
+        return pair_classes(left, n_left, right, n_right)
+
+    monkeypatch.setattr(language, "_pair_classes", spy)
+    for source, n_max, sampled, whole_line_steps in (
+            (SeqSource.fibonacci(), 200, True, True),
+            (SeqSource.morse(), 32, True, True),
+            (SeqSource.de_bruijn(16), 16, False, True),  # too many only at the end
+            (SeqSource.random(7, 2), 20, False, False)):
+        line = materialize(source, (0, 1 << 17)).line()
+        steps.clear()
+        counts = language._sampled_line_counts(line, 2, n_max)
+        assert (counts is not None) == sampled, source.kind
+        whole_line = [sort_free for size, sort_free in steps if size >= line.size]
+        assert bool(whole_line) == whole_line_steps and all(whole_line), source.kind
