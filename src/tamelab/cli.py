@@ -351,10 +351,9 @@ class _Runner:
             if dim > 24 or dim * 2 ** dim > DENSE_CAP:
                 raise CapacityError(f"[family] dim = {dim} samples {dim} x 2**{dim} "
                                     "cells, over the 2**24 cap")
-            cols = list(product([0, 1], repeat=dim))
-            values = np.array([[c[i] for c in cols] for i in range(dim)],
-                              dtype=float)
-            fs = FunctionSample(values, labels=tuple(str(c) for c in cols))
+            # vertex j's coordinates are the bits of j, most significant first
+            values = (np.arange(2 ** dim) >> np.arange(dim - 1, -1, -1)[:, None] & 1).astype(float)
+            fs = FunctionSample(values, labels=tuple(map(str, product((0, 1), repeat=dim))))
         elif mode == "orbit":
             shifts = typed("family", "shifts", _range_spec, "0:63")
             points = typed("family", "points", _range_spec, "0:999")

@@ -208,7 +208,7 @@ def find_independent_subfamily(fs: FunctionSample, a: float, b: float,
             if len(cand) < max_len and row + 1 < n:
                 exts = list(range(row + 1, n))
                 counts = ev.evaluate_extensions(cand, exts)
-                extend(cand, [e for e in exts if counts[e] == 2 << len(cand)])
+                extend(cand, [e for e, c in zip(exts, counts.tolist()) if c == 2 << len(cand)])
             if len(best) == max_len:
                 return
 

@@ -4,18 +4,20 @@ A window is free on a coordinate set A at a given horizon when the
 patterns observed on A + t, over the sampled shifts t, exhaust every
 possible symbol assignment on A.  Freeness is downward closed: every
 subset of a free set is free.  The searcher exploits this with a
-level-wise sorted-prefix join, exactly like frequent-itemset mining, and
-certifies results with per-pattern witness shifts that re-verify against
-the window.
+level-wise join and subset prune, exactly like frequent-itemset mining
+(Apriori), and certifies results with per-pattern witness shifts that
+re-verify against the window.
 
 Coverage over the full valid shift range of a window depends only on the
 gap vector of A, not its placement: translating A by c translates its
 valid shift range by -c and reproduces the same pattern multiset.  One
-level-wise loop serves both kinds of pool and stores positioned sets.
-An interval pool holds every translate of a set that fits in it, so it
-keeps only the sets containing its first point and reports that leftmost
-placement; an explicit pool keeps every placement.  Parents sharing a gap
-tuple are evaluated once, on the union of their extensions.
+level-wise loop serves both kinds of pool.  It holds each level as one
+(N, s) array of positioned sets in lexicographic order, so the join, the
+prune and the level's profile are whole-array steps.  An interval pool
+holds every translate of a set that fits in it, so it keeps only the sets
+containing its first point and reports that leftmost placement; an
+explicit pool keeps every placement.  Parents sharing a gap tuple are
+evaluated once, on the union of their extensions.
 
 The evaluation engine, ``_GapEvaluator``, counts the patterns that tuples
 of rows show in a (rows x samples) uint8 table, where the non-symbol m
@@ -41,7 +43,6 @@ computed over, and absence of a free set means absence at that horizon.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -298,16 +299,16 @@ class _GapEvaluator:
 
     # -- batched evaluation ----------------------------------------------
 
-    def evaluate_extensions(self, parent: tuple, exts: list[int]) -> dict[int, int]:
-        """Exact pattern counts of parent + (e,) for each extension row e > parent[-1]."""
+    def evaluate_extensions(self, parent: tuple, exts: list[int]) -> np.ndarray:
+        """Exact pattern counts of parent + (e,) for each extension row
+        e > parent[-1], aligned with ``exts``."""
         level = _level_stats(self.levels, len(parent) + 1, len(exts))
         todo = np.array(exts, dtype=np.int64)
         space = self.m ** (len(parent) + 1)
         block = max(1, _BATCH_CELLS // (2 * space + 1))
-        out = {}
+        out = np.empty(todo.size, dtype=np.int64)
         for lo in range(0, todo.size, block):
-            gaps = todo[lo: lo + block]
-            out.update(zip(gaps.tolist(), self._settle(parent, gaps, space, level).tolist()))
+            out[lo: lo + block] = self._settle(parent, todo[lo: lo + block], space, level)
         return out
 
     def _settle(self, parent: tuple, gaps: np.ndarray, space: int, level: dict) -> np.ndarray:
@@ -417,10 +418,11 @@ class _ProjectionLattice:
         """Distinct symbols in row g."""
         return self._count((g,))
 
-    def evaluate_extensions(self, parent: tuple, exts: list[int]) -> dict[int, int]:
-        """Exact pattern counts of parent + (e,) for each extension row e > parent[-1]."""
+    def evaluate_extensions(self, parent: tuple, exts: list[int]) -> np.ndarray:
+        """Exact pattern counts of parent + (e,) for each extension row
+        e > parent[-1], aligned with ``exts``."""
         _level_stats(self.levels, len(parent) + 1, len(exts))["by_lattice"] += len(exts)
-        return {e: self._count(parent + (e,)) for e in exts}
+        return np.array([self._count(parent + (e,)) for e in exts], dtype=np.int64)
 
 
 def _level_stats(levels: dict, size: int, candidates: int) -> dict[str, int]:
@@ -510,8 +512,8 @@ def _line_table(line: np.ndarray, m: int, shifts: int, period: int | None,
     padded = np.full(t + width - 1, m, dtype=np.uint8)
     padded[: min(line.size, padded.size)] = line[: padded.size]
     first = first_occurrences(padded, width, limit=t // 2)
-    windows = None if first is None else int(first.size)
-    samples = first if first is not None and 2 * first.size <= t else np.arange(t)
+    windows = int(first.size) if first is not None and 2 * first.size <= t else None
+    samples = np.arange(t) if windows is None else first
     if width * samples.size > _TABLE_BYTES:
         return np.lib.stride_tricks.sliding_window_view(padded, t), windows
     # A golden-ratio stride spreads the samples over the line, so a scan
@@ -532,99 +534,94 @@ def _search(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget
             ) -> tuple[tuple | None, tuple[SizeProfile, ...], bool]:
     """Level-wise search over positioned sets: (best set, profile, beam-limited).
 
-    An interval pool holds every translate of a set that fits in it, so it
-    keeps only the sets containing pool[0]: its singleton (pool[0],) has
-    every pool point as a sibling, and a subset is looked up translated to
-    pool[0].  An explicit pool keeps every placement.  Parents sharing a
-    gap tuple are evaluated together, on the union of their extensions.
-    Every level, the first included, is profiled by ``_level`` from its
-    (set, count) records.
+    Each level is profiled from its sorted rows and their counts: the best
+    set is the first of highest count.  An interval pool's level-1 row
+    (pool[0],) has every pool point as a sibling.  Until a beam cuts a
+    level, a candidate is kept when dropping any column but its last two
+    leaves a row of the level.
     """
     base = pool[0]
-    interval = pool[-1] - base + 1 == len(pool)
-    anchor = base if interval else None
-    count1 = ev.singleton_count(0)
-    singletons = [(base,)] if interval else [(a,) for a in pool]
-    entry, free = _level(1, ((s, count1) for s in singletons), ev.m)
-    profile = [entry]
-    best = free[0] if free else None
-    beam_limited = False
-    while len(profile) < budget.max_size and free:
-        if budget.beam is not None and len(free) > budget.beam:
-            free = free[: budget.beam]
-            beam_limited = True
-        by_prefix: dict[tuple, list[int]] = {}
-        for f in free:
-            by_prefix.setdefault(f[:-1], []).append(f[-1])
-        if interval and len(profile) == 1:
-            by_prefix[()] = list(pool)
-        # the full subset prune is sound only while the free list is complete
-        lasts_of = None if beam_limited else {p: set(v) for p, v in by_prefix.items()}
-        groups: dict[tuple, list[tuple]] = {}
-        for parent in free:
-            lasts = by_prefix[parent[:-1]]
-            exts = lasts[bisect_right(lasts, parent[-1]):]
-            if lasts_of is not None:
-                exts = _closed_exts(parent, exts, lasts_of, anchor)
-            if exts:
-                gaps = tuple(g - parent[0] for g in parent)
-                groups.setdefault(gaps, []).append((parent, exts))
-        if not groups:
+    span = pool[-1] - base + 1
+    interval = span == len(pool)
+    points = np.array(pool, dtype=np.int64)[:, None]
+    level = points[:1] if interval else points
+    counts = np.full(len(level), ev.singleton_count(0))
+    profile, best, beam_limited = [], None, False
+    while True:
+        size, space = level.shape[1], ev.m ** level.shape[1]
+        rows = level[counts == space]
+        diam = int((rows[:, -1] - rows[:, 0]).min()) if len(rows) else None
+        profile.append(SizeProfile(size, Fraction(int(counts.max()), space),
+                                   CoordSet.of(level[counts.argmax()].tolist()), len(rows), diam))
+        if len(rows):
+            best = tuple(rows[0].tolist())
+        if size == budget.max_size or not len(rows):
             break
-        entry, free = _level(len(profile) + 1, _records(ev, groups), ev.m)
-        profile.append(entry)
-        if free:
-            best = free[0]
+        if budget.beam is not None and len(rows) > budget.beam:
+            rows = rows[: budget.beam]
+            beam_limited = True
+        level, parent = _join(rows, points if interval and size == 1 else rows)
+        if not beam_limited:  # the subset prune is sound only on a complete level
+            level, parent = _prune(level, parent, rows, base, interval)
+        if not len(level):
+            break
+        counts = _count(ev, rows, level, parent, span)
     return best, tuple(profile), beam_limited
 
 
-def _records(ev: _GapEvaluator, groups: dict[tuple, list[tuple]]):
-    """(set, count) of every candidate parent + (y,), one
-    ``evaluate_extensions`` call per gap group, groups in sorted order."""
-    for gaps in sorted(groups):
-        members = groups[gaps]
-        union = sorted({y - parent[0] for parent, exts in members for y in exts})
-        counts = ev.evaluate_extensions(gaps, union)
-        for parent, exts in members:
-            for y in exts:
-                yield parent + (y,), counts[y - parent[0]]
+def _join(rows: np.ndarray, sibs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row extended by the last column of each later sibling of its
+    run (rows sharing all but their last column), in lexicographic order,
+    with the index of its parent row.  The rows are the first rows of
+    ``sibs``."""
+    n = len(rows)
+    run = np.zeros(len(sibs), dtype=np.int64)
+    np.cumsum((sibs[1:, :-1] != sibs[:-1, :-1]).any(axis=1), out=run[1:])
+    width = np.searchsorted(run, run[:n], side="right") - np.arange(1, n + 1)
+    parent = np.repeat(np.arange(n), width)
+    # the t-th candidate joins its parent i to sibling t + i + 1 - (candidates before i)
+    skip = np.repeat(np.arange(1, n + 1) - np.cumsum(width) + width, width)
+    return np.hstack([rows[parent], sibs[np.arange(parent.size) + skip, -1:]]), parent
 
 
-def _level(size: int, records, m: int) -> tuple[SizeProfile, list[tuple]]:
-    """The profile of one level and its free sets, sorted, from the level's
-    (set, count) records.  The best set is the lexicographically first of
-    highest count; the free count and minimal free diameter are read from
-    the free sets."""
-    space = m ** size
-    best, top, free = None, -1, []
-    for coords, count in records:
-        if count > top or count == top and coords < best:
-            best, top = coords, count
-        if count == space:
-            free.append(coords)
-    free.sort()
-    diam = min((f[-1] - f[0] for f in free), default=None)
-    return SizeProfile(size, Fraction(top, space), CoordSet.of(best), len(free), diam), free
+def _key(rows: np.ndarray, base: int) -> np.ndarray:
+    """One bytes key per row, big-endian uint32 of ``rows - base``: keys
+    sort as their rows do."""
+    return (rows - base).astype(">u4", order="C").view(f"S{4 * rows.shape[1]}").ravel()
 
 
-def _closed_exts(parent: tuple, exts: list[int], lasts_of: dict,
-                 anchor: int | None) -> list[int]:
-    """Extensions y whose candidate parent + (y,) has only free subsets.
+def _prune(level: np.ndarray, parent: np.ndarray, rows: np.ndarray, base: int,
+           interval: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates whose subsets without column k, for every k below the
+    parents' last, are rows of the complete sorted level ``rows``; an
+    interval pool's subset is translated to ``base`` first."""
+    keys = _key(rows, base)
+    for k in range(rows.shape[1] - 1):
+        sub = level[:, [j for j in range(level.shape[1]) if j != k]]
+        if interval:
+            sub += base - sub[:, :1]
+        want = _key(sub, base)
+        keep = keys[np.searchsorted(keys, want).clip(max=len(keys) - 1)] == want
+        level, parent = level[keep], parent[keep]
+    return level, parent
 
-    Dropping y or the parent's last coordinate leaves a free set by
-    construction; dropping parent[i] leaves sub + (y,), which is free
-    exactly when y, translated with sub by d, is a free last of that
-    prefix.  d moves sub[0] to ``anchor``, an interval pool's first point,
-    and is 0 in an explicit pool (``anchor`` None).
-    """
-    for i in range(len(parent) - 1):
-        sub = parent[:i] + parent[i + 1:]
-        d = 0 if anchor is None else sub[0] - anchor
-        lasts = lasts_of.get(tuple(g - d for g in sub) if d else sub, ())
-        exts = [y for y in exts if y - d in lasts]
-        if not exts:
-            break
-    return exts
+
+def _count(ev: _GapEvaluator, rows: np.ndarray, level: np.ndarray, parent: np.ndarray,
+           span: int) -> np.ndarray:
+    """Pattern counts of the candidates.  Parents sharing a gap tuple are
+    evaluated together, one ``evaluate_extensions`` call per gap tuple in
+    sorted order, on the union of their extensions."""
+    gaps = rows - rows[:, :1]
+    _, first, group = np.unique(_key(gaps, 0), return_index=True, return_inverse=True)
+    exts, cell = np.unique(group[parent] * span + level[:, -1] - level[:, 0],
+                           return_inverse=True)
+    bounds = np.searchsorted(exts, np.arange(first.size + 1) * span).tolist()
+    counts = np.empty(exts.size, dtype=np.int64)
+    exts = (exts % span).tolist()
+    for gap, lo, hi in zip(gaps[first].tolist(), bounds, bounds[1:]):
+        if lo < hi:
+            counts[lo:hi] = ev.evaluate_extensions(tuple(gap), exts[lo:hi])
+    return counts[cell]
 
 
 def brute_force_free_oracle(win: SeqWindow, pool, max_size: int = 4,

@@ -139,6 +139,15 @@ CASES = [
      tuple(range(40, 50)), 5, 100, "shifts"),
     ("de-bruijn-explicit-pool", lambda: materialize(SeqSource.de_bruijn(8), (0, 1000)),
      (1, 2, 4, 8, 9, 12), 5, 600, "shifts"),
+    ("sturmian-explicit-pool-negative-origin",
+     lambda: materialize(SeqSource.fibonacci(), (-300, 4700)),
+     (-290, -287, -281, -270, -256, -240), 4, None, "windows"),
+    # placed parents such as (0, 1), (1, 2) and (10, 11) share one gap tuple
+    ("noise-explicit-pool-shared-gaps", lambda: materialize(SeqSource.random(3), (0, 2000)),
+     (0, 1, 2, 3, 10, 11, 12, 13), 4, None, "shifts"),
+    # the whole pool is free, so level 4 is a single row that joins nothing
+    ("noise-single-row-level", lambda: materialize(SeqSource.random(8), (0, 91)),
+     (1, 3, 8, 11), 5, None, "shifts"),
 ]
 
 
@@ -168,7 +177,7 @@ def check_profile(monkeypatch, evaluator, make, pool, max_size, horizon, table):
     if table == "windows":
         assert stats["table_rows"] == stats["windows"] and 2 * stats["windows"] <= scanned
     elif table == "shifts":
-        assert stats["table_rows"] == scanned
+        assert stats["table_rows"] == scanned and stats["windows"] is None
 
 
 @pytest.mark.parametrize("name,make,pool,max_size,horizon,table", CASES,
@@ -216,8 +225,8 @@ def assert_lattice_agrees(table, m):
         for rest in combinations(range(1, rows - 1), size):
             parent = (0,) + rest
             exts = list(range(parent[-1] + 1, rows))
-            assert lat.evaluate_extensions(parent, exts) == scan.evaluate_extensions(
-                parent, exts), parent
+            assert np.array_equal(lat.evaluate_extensions(parent, exts),
+                                  scan.evaluate_extensions(parent, exts)), parent
 
 
 @pytest.mark.parametrize("name,make,pool,max_size,horizon,table", CASES,
@@ -262,6 +271,8 @@ BEAM_CASES = [
      tuple(range(0, 12)), 5, None, 3),
     ("noise-explicit-pool-beam", lambda: materialize(SeqSource.random(13), (0, 1500)),
      (0, 2, 3, 7, 11, 12, 20), 4, None, 4),
+    ("noise-explicit-pool-level-1-beam", lambda: materialize(SeqSource.random(5), (0, 1500)),
+     (0, 3, 4, 9, 10, 15), 4, None, 2),
 ]
 
 
@@ -317,7 +328,7 @@ def test_non_symbol_at_any_digit_is_no_pattern(monkeypatch, path, m):
         for parent in combinations(range(rows - 1), size - 1):
             exts = list(range(parent[-1] + 1, rows))
             counts = ev.evaluate_extensions(parent, exts)
-            assert counts == {e: recount(parent + (e,)) for e in exts}, parent
+            assert counts.tolist() == [recount(parent + (e,)) for e in exts], parent
     settled_by = f"by_{path}"
     assert all(level[settled_by] == level["candidates"] for level in ev.levels.values())
 
