@@ -171,11 +171,12 @@ def find_independent_subfamily(fs: FunctionSample, a: float, b: float,
                                max_len: int = 6) -> IndependenceWitness | None:
     """Longest independent subsequence of rows at thresholds a < b, up to max_len.
 
-    Thresholded, the distinct columns form a table for
+    Thresholded, the distinct columns (one sorted bytes key per column, the
+    first of each key kept in column order) form a table for
     ``freeset._GapEvaluator``: 0 below a, 1 above b, and the non-symbol 2
-    between.  Depth-first over increasing row indices, each node counts
-    its extensions in one call; a subsequence qualifies when it shows all
-    its low/high splits.  Returns the lexicographically first witness of
+    between.  Depth-first over increasing row indices, each node counts its
+    extensions in one call; a subsequence qualifies when it shows all its
+    low/high splits.  Returns the lexicographically first witness of
     maximal length, with the first column of each split, or None when no
     subsequence of length >= 2 qualifies over this sample.
     """
@@ -187,10 +188,9 @@ def find_independent_subfamily(fs: FunctionSample, a: float, b: float,
     if fs.n_members > MAX_FAMILY_ROWS:
         raise ArgumentError(f"independence search capped at {MAX_FAMILY_ROWS} rows")
     symbols = np.where(fs.values < a, 0, np.where(fs.values > b, 1, 2)).astype(np.uint8)
-    first: dict[bytes, int] = {}
-    for j, column in enumerate(symbols.T):
-        first.setdefault(column.tobytes(), j)
-    keep = list(first.values())
+    _, first = np.unique(np.ascontiguousarray(symbols.T).view(f"S{fs.n_members}").ravel(),
+                         return_index=True)
+    keep = np.sort(first).tolist()
     table = np.take(symbols, keep, axis=1)
     ev = _GapEvaluator(table, 2)
     n = fs.n_members

@@ -23,10 +23,10 @@ The evaluation engine, ``_GapEvaluator``, counts the patterns that tuples
 of rows show in a (rows x samples) uint8 table, where the non-symbol m
 marks a sample at which a row shows no symbol; the independence search of
 ``families`` counts through it too.  The free-set search's table
-(``_line_table``) holds the first occurrence of each distinct pool-span
-window, found by Karp-Miller-Rosenberg naming (``language.first_occurrences``);
-for the low-complexity codings studied here they are far fewer than the
-shifts.
+(``_line_table``) is the first occurrences of the distinct pool-span
+windows (``language.first_occurrences``), gathered once, when they at least
+halve the shifts and fit the table budget, as for the low-complexity
+codings studied here; otherwise it is the zero-copy view of every shift.
 
 A short pool is counted by projection instead.  Every tuple's pattern set
 is a projection of the table's column codes, so ``_ProjectionLattice``
@@ -183,11 +183,11 @@ class SizeProfile:
 class FreeSearchResult:
     """Search outcome.  ``stats`` holds deterministic engine counters: the
     evaluator that ran (``"lattice"`` or ``"scan"``), the distinct pool-span
-    windows (None once they exceed half the shifts), the table's samples
-    (``table_rows``), and per candidate size the candidates evaluated, the
-    samples scanned for them (``rows``), and how many were settled by scan,
-    by bits and by the lattice (``by_scan + by_bits + by_lattice`` is the
-    candidates)."""
+    windows (None exactly when the table is the view of every shift), the
+    table's samples (``table_rows``), and per candidate size the candidates
+    evaluated, the samples scanned for them (``rows``), and how many were
+    settled by scan, by bits and by the lattice (``by_scan + by_bits +
+    by_lattice`` is the candidates)."""
 
     best: FreeSetCertificate | None
     profile: tuple[SizeProfile, ...]
@@ -494,40 +494,38 @@ def max_free_set(win: SeqWindow, budget: FreeSearchBudget) -> FreeSearchResult:
 def _line_table(line: np.ndarray, m: int, shifts: int, period: int | None,
                 width: int) -> tuple[np.ndarray, int | None]:
     """The (width x samples) table of a line's windows of that width, and
-    the number of distinct windows (None once they exceed half the shifts
-    scanned).
+    the number of distinct windows, None when the table is every shift.
 
     A gap tuple (0, g2, ..., gs) with gs < width stands for any placement
     of the set.  It scans the shifts j < T(gs) = min(L - gs, horizon,
     period), and its code at j depends only on the window at j, which it
-    shares with that window's first occurrence f <= j.  So the samples are
-    the first occurrences when that at least halves them, else every shift
-    j < T(0); past the table budget the table is the zero-copy view of
-    every shift.  Windows running past the line's end are padded with the
-    non-symbol m.  At a sample beyond a gap's last shift (f >= L - g, the
-    only samples below T(0) that are not below T(g)) the gap shows m, so
-    every gap scans every sample, with no per-gap masking.
+    shares with that window's first occurrence f <= j.  So the table has
+    two forms: the first occurrences, gathered once, when they at least
+    halve the shifts j < T(0) and fit the table budget; else the zero-copy
+    view of every such shift, in line order.  Windows running past the
+    line's end are padded with the non-symbol m.  At a sample beyond a
+    gap's last shift (f >= L - g, the only samples below T(0) that are not
+    below T(g)) the gap shows m, so every gap scans every sample, with no
+    per-gap masking.
     """
     t = min(shifts, period) if period else shifts
     padded = np.full(t + width - 1, m, dtype=np.uint8)
     padded[: min(line.size, padded.size)] = line[: padded.size]
     first = first_occurrences(padded, width, limit=t // 2)
-    windows = int(first.size) if first is not None and 2 * first.size <= t else None
-    samples = np.arange(t) if windows is None else first
-    if width * samples.size > _TABLE_BYTES:
-        return np.lib.stride_tricks.sliding_window_view(padded, t), windows
+    if first is None or 2 * first.size > t or width * first.size > _TABLE_BYTES:
+        return np.lib.stride_tricks.sliding_window_view(padded, t), None
     # A golden-ratio stride spreads the samples over the line, so a scan
     # that stops once every pattern is seen stops early.
-    n = samples.size
+    n = first.size
     stride = round(n * 0.6180339887) or 1
     while gcd(stride, n) != 1:
         stride += 1
-    order = samples[np.arange(n) * stride % n]
+    order = first[np.arange(n) * stride % n]
     # one gather per gap, so that every gap row is contiguous
     table = np.empty((width, n), dtype=np.uint8)
     for g in range(width):
         np.take(padded[g:], order, out=table[g])
-    return table, windows
+    return table, n
 
 
 def _search(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget

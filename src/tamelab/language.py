@@ -24,10 +24,10 @@ length-n_max window.  Every length-n window at j <= L - n_max is a prefix
 of the length-n_max window at j, a copy of which S holds; every position
 j > L - n_max shows m at its own offset, so it is its own class and lies
 in S; and at length n exactly the n - 1 positions j > L - n show m, each
-a distinct class.  The path is taken when S at least halves the positions
-and every doubling step of the probe ranks without a sort; otherwise the
-loop over all L positions runs, leaving as soon as every window is
-distinct.
+a distinct class.  The path is taken when S less its n_max - 1 padded
+positions at least halves the L positions, and every doubling step of the
+probe ranks without a sort; otherwise the loop over all L positions runs,
+leaving as soon as every window is distinct.
 """
 
 from __future__ import annotations
@@ -331,8 +331,8 @@ def extend_classes(win: SeqWindow, offset: int,
 
 def _sampled_line_counts(line: np.ndarray, alphabet: int, n_max: int) -> list[int] | None:
     """p(1..n_max) of a line counted on the first occurrences of its
-    distinct windows (see the module docstring), or None when they do not
-    at least halve the positions or the probe would have to sort.
+    distinct windows (see the module docstring), or None when those in the
+    line do not at least halve its positions or the probe would sort.
 
     A doubling step of ``window_classes`` at length k ranks without a sort
     while its classes number at most sqrt(2L); it goes on while they number
@@ -349,7 +349,7 @@ def _sampled_line_counts(line: np.ndarray, alphabet: int, n_max: int) -> list[in
     if window_classes(padded[: 2 * root + n_max], n_max, limit) is None:
         return None
     sample = first_occurrences(padded, n_max, limit)
-    if sample is None or 2 * sample.size > line.size:
+    if sample is None or 2 * (sample.size - (n_max - 1)) > line.size:
         return None
     ids, count = np.zeros(sample.size, np.int32), 1
     counts = []

@@ -351,12 +351,10 @@ def _concat_prefix(length: int) -> np.ndarray:
     total = 0
     n = 1
     while total < length:
-        u = np.zeros(2 * n * (1 << n), dtype=np.uint8)
-        for i in range(1 << n):
-            word = (i >> np.arange(n - 1, -1, -1)) & 1
-            u[i * 2 * n: i * 2 * n + n] = word
-        block = np.concatenate([u, np.zeros_like(u)])
-        pieces.append(block)
+        # w_n = u_n v_n: row i of u_n is the bits of i, most significant first, then n zeros
+        block = np.zeros((2, 1 << n, 2 * n), dtype=np.uint8)
+        block[0, :, :n] = np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+        pieces.append(block.ravel())
         total += block.size
         n += 1
     return np.concatenate(pieces)[:length]

@@ -90,19 +90,46 @@ def oracle_witness(fs, a, b, max_len):
     return None
 
 
-def test_independence_search_matches_brute_force_oracle():
+def first_columns(symbols):
+    """The first index of each distinct column, in column order, by a dict."""
+    first = {}
+    for j, column in enumerate(symbols.T):
+        first.setdefault(column.tobytes(), j)
+    return list(first.values())
+
+
+def test_independence_search_matches_brute_force_oracle(monkeypatch):
     """Values sit exactly at the thresholds too, where a member is neither
-    low nor high."""
+    low nor high.  The engine's table is the first occurrence of each
+    distinct thresholded column, in column order: on the seeded samples, a
+    one-row sample, and cube vertices (dim 12) drawn with repeats."""
+    tables = []
+
+    class Recorded(freeset._GapEvaluator):
+        def __init__(self, table, m):
+            tables.append(table)
+            super().__init__(table, m)
+
+    monkeypatch.setattr(families, "_GapEvaluator", Recorded)
     a, b = 0.25, 0.75
+    samples = []
     for seed in range(60):
         rng = np.random.default_rng(seed)
         shape = (int(rng.integers(1, 8)), int(rng.integers(1, 240)))
-        fs = FunctionSample(rng.choice([0.0, a, 0.5, b, 1.0], size=shape,
-                                       p=[0.3, 0.1, 0.1, 0.1, 0.4]))
-        max_len = int(rng.integers(2, 6))
+        samples.append((FunctionSample(rng.choice([0.0, a, 0.5, b, 1.0], size=shape,
+                                                  p=[0.3, 0.1, 0.1, 0.1, 0.4])),
+                        int(rng.integers(2, 6))))
+    rng = np.random.default_rng(60)
+    samples.append((FunctionSample(rng.choice([0.0, 0.5, 1.0], size=(1, 50))), 2))
+    cube = cube_family(12).values
+    samples.append((FunctionSample(cube[:, rng.integers(0, cube.shape[1], 6000)]), 5))
+    for seed, (fs, max_len) in enumerate(samples):
+        tables.clear()
         w = find_independent_subfamily(fs, a, b, max_len)
         expected = oracle_witness(fs, a, b, max_len)
         assert (None if w is None else (w.indices, w.columns)) == expected, seed
+        symbols = np.where(fs.values < a, 0, np.where(fs.values > b, 1, 2)).astype(np.uint8)
+        assert np.array_equal(tables[0], symbols[:, first_columns(symbols)]), seed
 
 
 def test_independence_search_stops_at_max_len(monkeypatch):

@@ -163,6 +163,12 @@ EVALUATORS = {"scan": freeset._GapEvaluator, "lattice": lattice}
 SHORT_CASES = [c for c in CASES if c[2][-1] - c[2][0] < 13]
 
 
+def scanned_shifts(win, result):
+    """The shifts a search's table covers: its horizon, cut to the period."""
+    period = win.meta.get("period")
+    return min(result.horizon, period) if period else result.horizon
+
+
 def check_profile(monkeypatch, evaluator, make, pool, max_size, horizon, table):
     monkeypatch.setattr(freeset, "_evaluator", EVALUATORS[evaluator])
     win = make()
@@ -172,8 +178,7 @@ def check_profile(monkeypatch, evaluator, make, pool, max_size, horizon, table):
     if result.best is not None:
         assert result.best.is_free and result.best.verify(win)
     stats = result.stats
-    period = win.meta.get("period")
-    scanned = min(result.horizon, period) if period else result.horizon
+    scanned = scanned_shifts(win, result)
     if table == "windows":
         assert stats["table_rows"] == stats["windows"] and 2 * stats["windows"] <= scanned
     elif table == "shifts":
@@ -293,13 +298,16 @@ def test_beam_limited_profile_matches_direct_recount(name, make, pool, max_size,
                                   "rare-symbol-at-end", "noise-ternary", "de-bruijn-horizon"])
 def test_zero_copy_view_without_bit_table(monkeypatch, name):
     """Past the table budget the engine reads the sliding view of the line
-    in line order and settles every candidate by scan epochs."""
+    in line order and settles every candidate by scan epochs; the view
+    holds every scanned shift and reports no window count."""
     _, make, pool, max_size, horizon, _ = next(c for c in CASES if c[0] == name)
     monkeypatch.setattr(freeset, "_TABLE_BYTES", 16)
     win = make()
     result = search(win, FreeSearchBudget(max_size, pool, horizon))
     assert engine_profile(result) == reference_profile(win, pool, max_size, horizon)
     assert all(level["by_bits"] == 0 for level in result.stats["levels"].values())
+    assert result.stats["windows"] is None
+    assert result.stats["table_rows"] == scanned_shifts(win, result)
 
 
 # monkeypatched engine caps: the scan alone, and a one-sample first epoch

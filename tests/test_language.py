@@ -359,7 +359,8 @@ def test_low_complexity_lines_take_the_sampled_path(monkeypatch):
 
 def test_probe_ranks_without_sorting(monkeypatch):
     """Every doubling step over the whole line ranks without a sort, and a
-    line whose prefix already shows too many windows takes none."""
+    line whose prefix already shows too many windows takes none.  The
+    halving test does not count the padded positions."""
     steps = []
     pair_classes = language._pair_classes
 
@@ -371,7 +372,8 @@ def test_probe_ranks_without_sorting(monkeypatch):
     for source, n_max, sampled, whole_line_steps in (
             (SeqSource.fibonacci(), 200, True, True),
             (SeqSource.morse(), 32, True, True),
-            (SeqSource.de_bruijn(16), 16, False, True),  # too many only at the end
+            # S holds all 2**16 windows and the 15 padded positions: L / 2 + 15
+            (SeqSource.de_bruijn(16), 16, True, True),
             (SeqSource.random(7, 2), 20, False, False)):
         line = materialize(source, (0, 1 << 17)).line()
         steps.clear()
@@ -379,3 +381,8 @@ def test_probe_ranks_without_sorting(monkeypatch):
         assert (counts is not None) == sampled, source.kind
         whole_line = [sort_free for size, sort_free in steps if size >= line.size]
         assert bool(whole_line) == whole_line_steps and all(whole_line), source.kind
+        if source.kind == "de_bruijn":
+            assert counts == [2 ** n for n in range(1, 17)]
+    # one period shows every window once: S less its padding is the whole line
+    one_period = materialize(SeqSource.de_bruijn(16), (0, (1 << 16) + 15)).line()
+    assert language._sampled_line_counts(one_period, 2, 16) is None
