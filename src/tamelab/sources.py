@@ -22,7 +22,6 @@ explicit        symbols loaded from a TAMELAB-SEQ v1 file
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -37,6 +36,9 @@ from .errors import (
     ShiftRangeError,
 )
 from .torus import (
+    BALL_SCALE,
+    BALL_SHIFT,
+    LIMB_MASK,
     MASK,
     NEAR_CUT_EPS,
     SCALE,
@@ -44,11 +46,16 @@ from .torus import (
     CutPartition,
     RotationSpec,
     TorusPoint,
-    ball_distance_sq,
+    orbit_words,
     rotate_add,
+    sub_words,
+    words,
 )
 
 CELL_CAP = 1 << 28
+# Orbit builders work in blocks of at most this many cells, so that their
+# uint64 temporaries stay a few MB.
+BLOCK_CELLS = 1 << 16
 MAX_ALPHABET = 16
 MAX_RANK = 3
 MAX_DE_BRUIJN_ORDER = 24
@@ -257,26 +264,37 @@ def _build_sturmian(source: SeqSource, box: Box) -> SeqWindow:
     spec, part, z = source.rotation, source.partition, source.base_point
     extents = tuple(hi - lo for lo, hi in box)
     origin = tuple(lo for lo, _ in box)
+    t0 = rotate_add(z, spec, origin).coords[0]
+    if len(box) > 1:
+        # every row start is held to the orbit index bound, not only the first
+        rotate_add(z, spec, tuple(hi - 1 for _, hi in box[:-1]) + origin[-1:])
     out = np.empty(extents, dtype=np.uint8)
-    flat = out.reshape(-1)
-    step = spec.alphas[-1].coords[0]
-    inner = extents[-1]
-    cuts = part.cuts
-    ncells = len(cuts)
-    eps = NEAR_CUT_EPS
+    rows = out.reshape(-1, extents[-1])
+    alphas = [a.coords[0] for a in spec.alphas]
+    step = alphas[-1]
+    # word pairs of each cell's lower and upper cut; the last cell's upper
+    # cut, SCALE, wraps to the pair of cut 0
+    lower = np.array([words(c) for c in part.cuts], dtype=np.uint64).T
+    upper = np.roll(lower, -1, axis=1)
+    width = min(extents[-1], BLOCK_CELLS)
+    height = max(1, BLOCK_CELLS // width)
+    offsets = np.arange(width, dtype=np.uint64)
     near = 0
-    start = 0
-    for outer in (np.ndindex(*extents[:-1]) if len(extents) > 1 else ((),)):
-        n = tuple(o + i for o, i in zip(origin, outer)) + (origin[-1],)
-        t = rotate_add(z, spec, n).coords[0]
-        for i in range(inner):
-            c = bisect_right(cuts, t) - 1
-            flat[start + i] = c
-            upper = cuts[c + 1] if c + 1 < ncells else SCALE
-            if t - cuts[c] < eps or upper - t < eps:
-                near += 1
-            t = (t + step) & MASK
-        start += inner
+    for r in range(0, len(rows), height):
+        rows_at = np.arange(r, min(r + height, len(rows)))
+        outer = np.unravel_index(rows_at, extents[:-1]) if len(extents) > 1 else ()
+        row_terms = [(n.astype(np.uint64)[:, None], a) for n, a in zip(outer, alphas)]
+        for col in range(0, extents[-1], width):
+            j = offsets[None, :min(width, extents[-1] - col)]
+            hi, lo = orbit_words((t0 + col * step) & MASK, row_terms + [(j, step)])
+            cell = np.zeros(hi.shape, dtype=np.uint8)
+            for c_hi, c_lo in lower.T[1:]:
+                cell += (hi > c_hi) | ((hi == c_hi) & (lo >= c_lo))
+            d_hi, d_lo = sub_words(hi, lo, *lower[:, cell])
+            u_hi, u_lo = sub_words(*upper[:, cell], hi, lo)
+            near += int(np.count_nonzero(((d_hi == 0) & (d_lo < NEAR_CUT_EPS))
+                                         | ((u_hi == 0) & (u_lo < NEAR_CUT_EPS))))
+            rows[r:r + len(rows_at), col:col + j.shape[1]] = cell
     return SeqWindow(origin, out, source.alphabet_size, source.digest,
                      {"near_cut_hits": near})
 
@@ -285,23 +303,42 @@ def _build_sturmian(source: SeqSource, box: Box) -> SeqWindow:
 
 
 def _build_sphere(source: SeqSource, box: Box) -> SeqWindow:
-    """Binary coding: symbol 1 exactly when z + n*alpha lies in the ball."""
+    """Binary coding: symbol 1 exactly when z + n*alpha lies in the ball.
+
+    ``meta['near_sphere_hits']`` counts orbit points whose squared distance
+    is within ``NEAR_SPHERE_MARGIN`` quanta of the squared radius.
+    """
     region, spec, z = source.region, source.rotation, source.base_point
     (lo, hi), = box
-    length = hi - lo
-    out = np.empty(length, dtype=np.uint8)
-    point = rotate_add(z, spec, (lo,))
+    out = np.empty(hi - lo, dtype=np.uint8)
+    start = rotate_add(z, spec, (lo,)).coords
     alpha = spec.alphas[0].coords
-    coords = list(point.coords)
-    r_sq = region.radius_sq
+    centers = [c >> BALL_SHIFT for c in region.center.coords]
+    r_words = words(region.radius_sq)
+    # |d_sq - r_sq| < margin exactly when d_sq - (r_sq - margin + 1) < 2 margin - 1
+    near_words = words((region.radius_sq - NEAR_SPHERE_MARGIN + 1) & MASK)
+    offsets = np.arange(min(len(out), BLOCK_CELLS), dtype=np.uint64)
     near = 0
-    for i in range(length):
-        d_sq = ball_distance_sq(region, coords)
-        out[i] = d_sq <= r_sq
-        if abs(d_sq - r_sq) < NEAR_SPHERE_MARGIN:
-            near += 1
-        for j, a in enumerate(alpha):
-            coords[j] = (coords[j] + a) & MASK
+    for s in range(0, len(out), BLOCK_CELLS):
+        j = offsets[:len(out) - s]
+        sq_hi = np.zeros(len(j), dtype=np.uint64)
+        sq_lo = np.zeros(len(j), dtype=np.uint64)
+        for t, a, center in zip(start, alpha, centers):
+            x = orbit_words((t + s * a) & MASK, [(j, a)])[0] >> (BALL_SHIFT - 64)
+            d = (x - center) & (BALL_SCALE - 1)
+            d = np.minimum(d, BALL_SCALE - d)
+            # d**2 = dh**2 2**64 + 2 dh dl 2**32 + dl**2, with d = dh 2**32 + dl
+            dh, dl = d >> 32, d & LIMB_MASK
+            mid = 2 * dh * dl
+            low = dl * dl
+            part_lo = low + (mid << 32)
+            part_hi = dh * dh + (mid >> 32) + (part_lo < low)
+            sq_lo += part_lo
+            sq_hi += part_hi + (sq_lo < part_lo)
+        out[s:s + len(j)] = (sq_hi < r_words[0]) | ((sq_hi == r_words[0])
+                                                    & (sq_lo <= r_words[1]))
+        m_hi, m_lo = sub_words(sq_hi, sq_lo, *near_words)
+        near += int(np.count_nonzero((m_hi == 0) & (m_lo < 2 * NEAR_SPHERE_MARGIN - 1)))
     return SeqWindow((lo,), out, 2, source.digest, {"near_sphere_hits": near})
 
 

@@ -12,6 +12,14 @@ Interval partitions close on the left: a point t lands in cell i when
 c_i <= t < c_{i+1}.  Ball membership uses the closed ball, decided by an
 exact integer comparison of the minimal-image squared distance on a
 2**-48 per-coordinate grid.
+
+Whole orbits are built exactly in numpy by ``orbit_words``.  A 128-bit
+angle is split into four 32-bit limbs held in uint64, so each limb product
+n * alpha_k with n < 2**28 (a window's cell cap) stays below 2**60, and a
+sum of up to three such terms plus a start limb stays below 2**63.  One
+carry pass from the low limb up then gives the orbit modulo 2**128 as a
+(hi, lo) pair of 64-bit words; cuts, differences and squared distances are
+compared as word pairs, and no float is used.
 """
 
 from __future__ import annotations
@@ -21,11 +29,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
+
 from .errors import ArgumentError, DimensionError
 
 FRAC_BITS = 128
 SCALE = 1 << FRAC_BITS
 MASK = SCALE - 1
+
+WORD_MASK = (1 << 64) - 1
+LIMB_MASK = (1 << 32) - 1
 
 # Quantization grid for ball membership: coordinates reduced to 48 bits,
 # squared distances compared at 2**-96 resolution.
@@ -237,3 +250,31 @@ def ball_contains(region: BallRegion, p: TorusPoint) -> bool:
     if p.dim != region.dim:
         raise DimensionError(f"point dimension {p.dim} != ball dimension {region.dim}")
     return ball_distance_sq(region, p.coords) <= region.radius_sq
+
+
+def words(value: int) -> tuple[np.uint64, np.uint64]:
+    """(hi, lo) 64-bit words of a 128-bit integer."""
+    return np.uint64(value >> 64), np.uint64(value & WORD_MASK)
+
+
+def sub_words(a_hi, a_lo, b_hi, b_lo):
+    """(a - b) mod 2**128 on (hi, lo) word pairs; one operand is an array."""
+    return a_hi - b_hi - (a_lo < b_lo), a_lo - b_lo
+
+
+def orbit_words(start: int, terms) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) words of (start + sum(n * alpha)) mod 2**128, exactly.
+
+    ``terms`` holds at most three (n, alpha) pairs: n a uint64 array of
+    indices below 2**28, alpha a 128-bit fraction; the n arrays broadcast
+    against each other.
+    """
+    limbs = []
+    carry = np.uint64(0)
+    for shift in range(0, FRAC_BITS, 32):
+        acc = carry + np.uint64((start >> shift) & LIMB_MASK)
+        for n, alpha in terms:
+            acc = acc + n * np.uint64((alpha >> shift) & LIMB_MASK)
+        limbs.append(acc & LIMB_MASK)
+        carry = acc >> 32
+    return limbs[2] | limbs[3] << 32, limbs[0] | limbs[1] << 32

@@ -7,7 +7,16 @@ from tamelab.families import FunctionSample, GridCover, epsilon_ns, total_variat
 from tamelab.freeset import is_free
 from tamelab.language import CoordSet, patterns_on, project
 from tamelab.sources import SeqSource, SeqWindow, materialize
-from tamelab.torus import MASK, CutPartition, RotationSpec, TorusPoint, rotate_add
+from tamelab.torus import (
+    MASK,
+    SCALE,
+    BallRegion,
+    CutPartition,
+    RotationSpec,
+    TorusPoint,
+    ball_contains,
+    rotate_add,
+)
 
 CASES = settings(max_examples=120, deadline=None)
 
@@ -64,6 +73,41 @@ def test_cocycle_identity(z_frac, shift, alpha_frac):
     a = materialize(src, (shift, shift + 16)).line()
     b = materialize(moved, (0, 16)).line()
     assert np.array_equal(a, b)
+
+
+fractions = st.integers(0, MASK)
+angles = st.integers(1, MASK)
+
+
+@CASES
+@given(st.integers(1, 3), st.data())
+def test_rotation_symbols_are_cells_of_the_orbit(rank, data):
+    spec = RotationSpec.circle(*data.draw(st.lists(angles, min_size=rank, max_size=rank)))
+    cuts = data.draw(st.sets(angles, min_size=1, max_size=3))
+    part = CutPartition((0, *sorted(cuts)))
+    z = TorusPoint((data.draw(fractions),))
+    box = tuple((lo, lo + data.draw(st.integers(1, 6)))
+                for lo in data.draw(st.lists(st.integers(-5000, 5000),
+                                             min_size=rank, max_size=rank)))
+    win = materialize(SeqSource.sturmian(spec, part, z), box)
+    for idx in np.ndindex(*win.extents):
+        n = tuple(lo + i for (lo, _), i in zip(box, idx))
+        assert win.symbols[idx] == part.cell_of(rotate_add(z, spec, n).coords[0])
+
+
+@CASES
+@given(st.integers(2, 3), st.data())
+def test_sphere_symbols_are_ball_membership(dim, data):
+    def point(values):
+        return TorusPoint(tuple(data.draw(st.lists(values, min_size=dim, max_size=dim))))
+
+    region = BallRegion(point(fractions), data.draw(st.integers(1, SCALE // 2 - 1)))
+    spec = RotationSpec((point(angles),))
+    z = point(fractions)
+    lo = data.draw(st.integers(-5000, 5000))
+    win = materialize(SeqSource.sphere(region, spec, z), (lo, lo + data.draw(st.integers(1, 64))))
+    for i, symbol in enumerate(win.line()):
+        assert symbol == ball_contains(region, rotate_add(z, spec, (lo + i,)))
 
 
 @CASES

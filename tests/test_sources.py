@@ -1,6 +1,8 @@
 """Generator families against independent oracles."""
 
 import itertools
+import random
+from bisect import bisect_right
 
 import mpmath as mp
 import numpy as np
@@ -8,22 +10,30 @@ import pytest
 
 from tamelab.errors import ArgumentError, CapacityError, ConfigError, DataIOError
 from tamelab.sources import (
+    NEAR_SPHERE_MARGIN,
     SeqSource,
+    SeqWindow,
     concat_block_bounds,
     concat_slot_coordinates,
     de_bruijn_period,
     materialize,
+    normalize_box,
     read_window,
     write_window,
 )
 from tamelab.torus import (
+    BALL_SHIFT,
     GOLDEN,
+    MASK,
+    MAX_STEP,
+    NEAR_CUT_EPS,
     SCALE,
     SQRT2_FRAC,
     BallRegion,
     CutPartition,
     RotationSpec,
     TorusPoint,
+    ball_distance_sq,
     rotate_add,
 )
 
@@ -247,6 +257,199 @@ def test_capacity_and_unknown_kind_errors():
 
 
 def test_near_cut_hits_reported():
-    # base point 0 sits exactly on the cut at 0, so n=0 is a near hit
+    # base point 0 sits exactly on the cut at 0, so n=0 is the one near hit
     win = materialize(SeqSource.fibonacci(), (0, 100))
-    assert win.meta["near_cut_hits"] >= 1
+    assert win.meta["near_cut_hits"] == 1
+
+
+# -- loop builders: one exact Python int stepped per cell --------------------
+
+
+def _reference_sturmian(source, box):
+    spec, part, z = source.rotation, source.partition, source.base_point
+    extents = tuple(hi - lo for lo, hi in box)
+    origin = tuple(lo for lo, _ in box)
+    out = np.empty(extents, dtype=np.uint8)
+    flat = out.reshape(-1)
+    step = spec.alphas[-1].coords[0]
+    inner = extents[-1]
+    cuts = part.cuts
+    near = 0
+    start = 0
+    for outer in (np.ndindex(*extents[:-1]) if len(extents) > 1 else ((),)):
+        n = tuple(o + i for o, i in zip(origin, outer)) + (origin[-1],)
+        t = rotate_add(z, spec, n).coords[0]
+        for i in range(inner):
+            c = bisect_right(cuts, t) - 1
+            flat[start + i] = c
+            upper = cuts[c + 1] if c + 1 < len(cuts) else SCALE
+            if t - cuts[c] < NEAR_CUT_EPS or upper - t < NEAR_CUT_EPS:
+                near += 1
+            t = (t + step) & MASK
+        start += inner
+    return SeqWindow(origin, out, source.alphabet_size, source.digest,
+                     {"near_cut_hits": near})
+
+
+def _reference_sphere(source, box):
+    region, spec, z = source.region, source.rotation, source.base_point
+    (lo, hi), = box
+    out = np.empty(hi - lo, dtype=np.uint8)
+    coords = list(rotate_add(z, spec, (lo,)).coords)
+    alpha = spec.alphas[0].coords
+    near = 0
+    for i in range(hi - lo):
+        d_sq = ball_distance_sq(region, coords)
+        out[i] = d_sq <= region.radius_sq
+        if abs(d_sq - region.radius_sq) < NEAR_SPHERE_MARGIN:
+            near += 1
+        for j, a in enumerate(alpha):
+            coords[j] = (coords[j] + a) & MASK
+    return SeqWindow((lo,), out, 2, source.digest, {"near_sphere_hits": near})
+
+
+def _assert_matches_reference(source, box, reference, near=None):
+    box = normalize_box(box, source.group_rank)
+    win, ref = materialize(source, box), reference(source, box)
+    assert win.origin == ref.origin
+    assert win.symbols.shape == ref.symbols.shape
+    assert np.array_equal(win.symbols, ref.symbols)
+    assert win.meta == ref.meta
+    if near is not None:
+        assert list(win.meta.values()) == [near]
+
+
+# Shapes cover one axis longer than a build block, rows split into blocks,
+# whole rows grouped into blocks with a short last block, and rows of one cell.
+ROTATION_SHAPES = [(140_000,), (3, 70_000), (300, 250), (40, 30, 60), (100, 100, 1)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shape", ROTATION_SHAPES)
+def test_rotation_builder_matches_reference_loop(shape, seed):
+    rng = random.Random(f"{shape}-{seed}")
+    alphas = [rng.randrange(1, SCALE) for _ in shape]
+    cuts = {0, SCALE - 1} if seed == 0 else {0}
+    while len(cuts) < 2 + seed:
+        cuts.add(rng.randrange(1, SCALE))
+    lows = [rng.randrange(-10**6, 10**6) for _ in shape]
+    source = SeqSource.sturmian(RotationSpec.circle(*alphas),
+                                CutPartition(tuple(sorted(cuts))),
+                                TorusPoint((rng.randrange(SCALE),)))
+    _assert_matches_reference(source, tuple((lo, lo + e) for lo, e in zip(lows, shape)),
+                              _reference_sturmian)
+
+
+@pytest.mark.parametrize("shape", [(5_000,), (30, 40), (6, 7, 8)])
+def test_rotation_builder_counts_near_cut_hits_exactly(shape):
+    # cuts sit at chosen orbit points moved by delta; |delta| < 2**40 is a hit
+    rng = random.Random(len(shape))
+    alphas = [rng.randrange(1, SCALE) for _ in shape]
+    z = rng.randrange(SCALE)
+    box = tuple((lo, lo + e) for lo, e in zip((-17, 4, -3), shape))
+    deltas = [0, NEAR_CUT_EPS - 1, 1 - NEAR_CUT_EPS, NEAR_CUT_EPS, -NEAR_CUT_EPS, 12345]
+    cuts = {0}
+    for delta in deltas:
+        n = [rng.randrange(lo, hi) for lo, hi in box]
+        t = z + sum(ni * a for ni, a in zip(n, alphas))
+        cuts.add((t + delta) & MASK)
+    source = SeqSource.sturmian(RotationSpec.circle(*alphas),
+                                CutPartition(tuple(sorted(cuts))), TorusPoint((z,)))
+    _assert_matches_reference(source, box, _reference_sturmian, near=4)
+
+
+@pytest.mark.parametrize("cuts, z, near", [
+    ((0, SCALE // 2, SCALE - 1), SCALE - 1, 2),
+    ((0, SCALE // 2), SCALE - NEAR_CUT_EPS + 1, 2),
+    ((0, SCALE // 2), SCALE - NEAR_CUT_EPS, 1),
+])
+def test_rotation_builder_near_the_top_cut_and_across_zero(cuts, z, near):
+    # t = z + n 2**40 steps through 0 once.  z = SCALE - 1 sits on a cut and
+    # 1 below SCALE (n = 0), and n = 1 gives t = 2**40 - 1; z = SCALE - 2**40 + 1
+    # is 2**40 - 1 below SCALE, and n = 1 gives t = 1; z = SCALE - 2**40 is
+    # 2**40 below SCALE, no hit, and n = 1 gives t = 0
+    source = SeqSource.sturmian(RotationSpec.circle(NEAR_CUT_EPS), CutPartition(cuts),
+                                TorusPoint((z,)))
+    _assert_matches_reference(source, (0, 1000), _reference_sturmian, near=near)
+    _assert_matches_reference(source, (-500, 500), _reference_sturmian, near=near)
+
+
+def test_rotation_builder_keeps_the_row_index_bound():
+    source = SeqSource.sturmian(RotationSpec.circle(GOLDEN, SQRT2_FRAC),
+                                CutPartition((0, SCALE - GOLDEN)), TorusPoint.zero())
+    for box in (((MAX_STEP - 2, MAX_STEP + 2), (0, 3)), ((0, 2), (MAX_STEP, MAX_STEP + 3))):
+        with pytest.raises(ArgumentError, match="2\\*\\*40"):
+            _reference_sturmian(source, box)
+        with pytest.raises(ArgumentError, match="2\\*\\*40"):
+            materialize(source, box)
+    # the inner axis is bounded by its start only, as the loop did
+    _assert_matches_reference(source, ((0, 2), (MAX_STEP - 2, MAX_STEP + 2)),
+                              _reference_sturmian)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sphere_builder_matches_reference_loop(dim, seed):
+    rng = random.Random(f"sphere-{dim}-{seed}")
+    center = TorusPoint(tuple(rng.randrange(SCALE) for _ in range(dim)))
+    spec = RotationSpec((TorusPoint(tuple(rng.randrange(1, SCALE) for _ in range(dim))),))
+    region = BallRegion(center, rng.randrange(1, SCALE // 2))
+    lo = rng.randrange(-10**6, 10**6)
+    source = SeqSource.sphere(region, spec, TorusPoint(tuple(rng.randrange(SCALE)
+                                                             for _ in range(dim))))
+    _assert_matches_reference(source, (lo, lo + 90_000), _reference_sphere)
+
+
+def _on_grid(*quanta):
+    return TorusPoint(tuple((q % (1 << 48)) << BALL_SHIFT for q in quanta))
+
+
+@pytest.mark.parametrize("radius, near", [(16, 44), (63, 8), (127, 6)])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("center_x", [1 << 40, 5])
+def test_sphere_builder_counts_near_sphere_hits_on_an_axis_walk(dim, center_x, radius, near):
+    # x moves one grid quantum per step from offset -150: d**2 is the squared
+    # offset, and a hit is |d**2 - radius**2| < 2**8.  Radius 16 puts offset 0
+    # at -256 (no hit) and offset 1 at -255; radius 63 puts 65 at +256 (no
+    # hit); radius 127 puts 128 at +255; every radius has offsets exactly on
+    # the sphere.  center_x = 5 walks through 0 by the minimal image.
+    rest = [1 << 45] * (dim - 1)
+    spec = RotationSpec((TorusPoint((1 << BALL_SHIFT,) + (1,) * (dim - 1)),))
+    region = BallRegion(_on_grid(center_x, *rest), (radius << BALL_SHIFT) + 12345)
+    source = SeqSource.sphere(region, spec, _on_grid(center_x - 150, *rest))
+    _assert_matches_reference(source, (0, 301), _reference_sphere, near=near)
+    win = materialize(source, (0, 301))
+    assert win.line().tolist() == [int(abs(j - 150) <= radius) for j in range(301)]
+
+
+def test_sphere_builder_below_one_quantum():
+    # a radius below one grid quantum has radius_sq 0: hits are d**2 < 2**8
+    spec = RotationSpec((TorusPoint((1 << BALL_SHIFT, 1)),))
+    source = SeqSource.sphere(BallRegion(_on_grid(7, 9), 5), spec, _on_grid(-13, 9))
+    _assert_matches_reference(source, (0, 60), _reference_sphere, near=31)
+    assert materialize(source, (0, 60)).line().tolist() == [int(j == 20) for j in range(60)]
+
+
+def _pythagorean(m, n, p, q):
+    """Euler's four-square identity: offsets (a, b, c) and d with
+    a**2 + b**2 + c**2 = d**2."""
+    return ((m * m + n * n - p * p - q * q, 2 * (m * q + n * p), 2 * (n * q - m * p)),
+            m * m + n * n + p * p + q * q)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sphere_builder_on_a_large_sphere(dim):
+    # base point exactly on a sphere of about 2**43 quanta: d has both
+    # 32-bit halves nonzero, so the word carries of d**2 decide the hit
+    rng = random.Random(dim)
+    m, p = (1 << 21) + 12345, (1 << 19) + 4321
+    n, q = ((1 << 20) + 777, (1 << 18) + 99) if dim == 3 else (0, 0)
+    (a, b, c), radius = _pythagorean(m, n, p, q)
+    offsets = (a, b, c) if dim == 3 else (a, c)
+    assert sum(o * o for o in offsets) == radius ** 2
+    cq = [rng.randrange(1 << 48) for _ in offsets]
+    spec = RotationSpec((TorusPoint(tuple(rng.randrange(1, SCALE) for _ in offsets)),))
+    region = BallRegion(_on_grid(*cq), radius << BALL_SHIFT)
+    source = SeqSource.sphere(region, spec, _on_grid(*(c + o for c, o in zip(cq, offsets))))
+    _assert_matches_reference(source, (0, 50_000), _reference_sphere, near=1)
+    assert materialize(source, (0, 1)).value_at(0) == 1

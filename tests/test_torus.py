@@ -9,6 +9,7 @@ from tamelab.errors import ArgumentError, DimensionError
 from tamelab.torus import (
     GOLDEN,
     PI_FRAC,
+    MASK,
     SCALE,
     SQRT2_FRAC,
     SQRT3_FRAC,
@@ -18,6 +19,7 @@ from tamelab.torus import (
     TorusPoint,
     ball_contains,
     format_fraction,
+    orbit_words,
     parse_fraction,
     rotate_add,
 )
@@ -151,3 +153,20 @@ def test_parse_fraction_decimal_and_names():
 def test_format_fraction_round_trip():
     for text in ("0.25", "0.123456789", "0"):
         assert parse_fraction(format_fraction(parse_fraction(text))) == parse_fraction(text)
+
+
+def test_orbit_words_are_exact_at_the_limb_bounds():
+    # three terms with indices up to 2**28 - 1 and all-ones angles are the
+    # largest limb sums the builders can form
+    rng = np.random.default_rng(5)
+    top = (1 << 28) - 1
+    for alphas in ([MASK] * 3, [int(rng.integers(1, 1 << 62)) << 66 | 7 for _ in range(3)]):
+        n = [np.array([0, 1, top - 1, top], dtype=np.uint64)[:, None, None],
+             np.array([top, 3, 0], dtype=np.uint64)[None, :, None],
+             np.array([top, 0, 12345], dtype=np.uint64)[None, None, :]]
+        for start in (0, MASK, SCALE // 3):
+            hi, lo = orbit_words(start, list(zip(n, alphas)))
+            for idx in np.ndindex(*hi.shape):
+                exact = start + sum(int(ni[idx]) * a
+                                    for ni, a in zip(np.broadcast_arrays(*n), alphas))
+                assert (int(hi[idx]) << 64 | int(lo[idx])) == exact & MASK
