@@ -53,9 +53,16 @@ from .torus import (
 )
 
 CELL_CAP = 1 << 28
+# Window coordinates lie in [-COORD_LIMIT, COORD_LIMIT), so that every
+# coordinate is an int64.
+COORD_LIMIT = 1 << 63
 # Orbit builders work in blocks of at most this many cells, so that their
 # uint64 temporaries stay a few MB.
 BLOCK_CELLS = 1 << 16
+# The noise builder hashes this many cells at a time.  A block's message and
+# digest bytes objects live until the block is written, and the interpreter
+# keeps the small-object pages they touched, so blocks stay small.
+_HASH_BLOCK_CELLS = 1 << 10
 MAX_ALPHABET = 16
 MAX_RANK = 3
 MAX_DE_BRUIJN_ORDER = 24
@@ -68,7 +75,11 @@ Box = tuple[tuple[int, int], ...]
 
 
 def normalize_box(window, rank: int) -> Box:
-    """Accept (lo, hi) for one axis or a tuple of per-axis (lo, hi) pairs."""
+    """Accept (lo, hi) for one axis or a tuple of per-axis (lo, hi) pairs.
+
+    Every coordinate must lie in [-2**63, 2**63), so that builders can hold
+    coordinates as int64.
+    """
     if len(window) == 2 and all(isinstance(v, int) for v in window):
         window = (tuple(window),)
     box = tuple((int(lo), int(hi)) for lo, hi in window)
@@ -76,6 +87,8 @@ def normalize_box(window, rank: int) -> Box:
         raise DimensionError(f"window has {len(box)} axes, source has rank {rank}")
     if any(hi <= lo for lo, hi in box):
         raise ArgumentError("window extents must be positive")
+    if any(lo < -COORD_LIMIT or hi > COORD_LIMIT for lo, hi in box):
+        raise ArgumentError(f"window {box} leaves the coordinate range [-2**63, 2**63)")
     cells = 1
     for lo, hi in box:
         cells *= hi - lo
@@ -200,6 +213,8 @@ class SeqSource:
 
     @classmethod
     def random(cls, seed: int, alphabet_size: int = 2) -> "SeqSource":
+        if not -(1 << 127) <= seed < 1 << 127:
+            raise ArgumentError(f"random seed {seed} outside the range [-2**127, 2**127)")
         return cls("random", alphabet_size, 1, seed=seed)
 
     @classmethod
@@ -352,25 +367,28 @@ def _build_ip(source: SeqSource, box: Box) -> SeqWindow:
     all 0/1 with a zero units digit.  Coordinates n <= 0 carry symbol 0.
     """
     (lo, hi), = box
-    base, cap = source.base, source.exponent_cap
-    n = np.arange(lo, hi, dtype=np.int64)
-    ok = n > 0
-    rest = np.where(ok, n, 0)
-    # units digit must be zero, higher digits 0/1; the exponent-cap
-    # precondition keeps every admissible n below base**cap.
-    ok &= rest % base == 0
-    rest //= base
+    base = source.base
+    out = np.zeros(hi - lo, dtype=np.uint8)
+    # the units digit must be zero, higher digits 0/1; the exponent-cap
+    # precondition keeps every admissible n below base**cap.  cells and rest
+    # are the positive cells still admissible and their undivided digits.
+    n = np.arange(max(lo, 1), max(hi, 1), dtype=np.int64)
+    cells = np.flatnonzero(n % base == 0)
+    rest = n[cells] // base
+    cells += len(out) - len(n)
     while rest.any():
-        ok &= rest % base <= 1
-        rest //= base
-    return SeqWindow((lo,), ok.astype(np.uint8), 2, source.digest, {})
+        rest, digit = np.divmod(rest, base)
+        keep = digit <= 1
+        cells, rest = cells[keep], rest[keep]
+    out[cells] = 1
+    return SeqWindow((lo,), out, 2, source.digest, {})
 
 
 def _build_morse(source: SeqSource, box: Box) -> SeqWindow:
     """Digit-sum parity sequence with the mirror extension x(-n-1) = x(n)."""
     (lo, hi), = box
     n = np.arange(lo, hi, dtype=np.int64)
-    mirrored = np.where(n >= 0, n, -n - 1).astype(np.uint64)
+    mirrored = np.where(n >= 0, n, ~n).astype(np.uint64)
     out = (np.bitwise_count(mirrored) & 1).astype(np.uint8)
     return SeqWindow((lo,), out, 2, source.digest, {})
 
@@ -379,22 +397,6 @@ def _build_halfline(source: SeqSource, box: Box) -> SeqWindow:
     (lo, hi), = box
     n = np.arange(lo, hi, dtype=np.int64)
     return SeqWindow((lo,), (n >= 0).astype(np.uint8), 2, source.digest, {})
-
-
-@lru_cache(maxsize=4)
-def _concat_prefix(length: int) -> np.ndarray:
-    """First ``length`` symbols of w1 w2 w3 ... (1-indexed stream)."""
-    pieces = []
-    total = 0
-    n = 1
-    while total < length:
-        # w_n = u_n v_n: row i of u_n is the bits of i, most significant first, then n zeros
-        block = np.zeros((2, 1 << n, 2 * n), dtype=np.uint8)
-        block[0, :, :n] = np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1
-        pieces.append(block.ravel())
-        total += block.size
-        n += 1
-    return np.concatenate(pieces)[:length]
 
 
 def concat_block_bounds(n_max: int) -> list[tuple[int, int]]:
@@ -424,10 +426,20 @@ def _build_concat(source: SeqSource, box: Box) -> SeqWindow:
     """
     (lo, hi), = box
     out = np.zeros(hi - lo, dtype=np.uint8)
-    if hi > 1:
-        prefix = _concat_prefix(hi - 1)
-        first = max(lo, 1)
-        out[first - lo:] = prefix[first - 1: hi - 1]
+    start, n = 1, 1
+    while start < hi:
+        # row i of u_n is the bits of i, most significant first, then n zeros;
+        # only the rows that meet the window are built
+        width = 2 * n
+        a, b = max(lo, start), min(hi, start + (width << n))
+        if a < b:
+            r0, r1 = (a - start) // width, (b - start - 1) // width + 1
+            rows = np.zeros((r1 - r0, width), dtype=np.uint8)
+            rows[:, :n] = np.arange(r0, r1)[:, None] >> np.arange(n - 1, -1, -1) & 1
+            at = start + r0 * width
+            out[a - lo:b - lo] = rows.ravel()[a - at:b - at]
+        start += 2 * width << n
+        n += 1
     return SeqWindow((lo,), out, 2, source.digest, {})
 
 
@@ -466,14 +478,29 @@ def _build_de_bruijn(source: SeqSource, box: Box) -> SeqWindow:
 
 
 def _build_random(source: SeqSource, box: Box) -> SeqWindow:
+    """Seeded hash noise: symbol(n) is the little-endian uint64 of
+    blake2b(n as 16 signed little-endian bytes, key = seed as 16 signed
+    little-endian bytes, digest_size = 8), mod m.
+
+    The keyed state is made once and copied per cell.  Cells are hashed in
+    blocks of ``_HASH_BLOCK_CELLS``; a block's messages are n's int64 word
+    followed by its sign word n >> 63, which is n's 16-byte encoding for
+    every coordinate ``normalize_box`` admits.
+    """
     (lo, hi), = box
-    seed = source.seed.to_bytes(16, "little", signed=True)
     m = source.alphabet_size
+    keyed = hashlib.blake2b(key=source.seed.to_bytes(16, "little", signed=True),
+                            digest_size=8)
     out = np.empty(hi - lo, dtype=np.uint8)
-    for i, n in enumerate(range(lo, hi)):
-        h = hashlib.blake2b(n.to_bytes(16, "little", signed=True), key=seed,
-                            digest_size=8).digest()
-        out[i] = int.from_bytes(h, "little") % m
+    for s in range(0, hi - lo, _HASH_BLOCK_CELLS):
+        n = np.arange(lo + s, min(lo + s + _HASH_BLOCK_CELLS, hi), dtype=np.int64)
+        digests = []
+        words = np.stack([n, n >> 63], axis=1, dtype="<i8")
+        for message in words.view("V16").ravel().tolist():
+            h = keyed.copy()
+            h.update(message)
+            digests.append(h.digest())
+        out[s:s + len(n)] = np.frombuffer(b"".join(digests), dtype="<u8") % m
     return SeqWindow((lo,), out, m, source.digest, {})
 
 

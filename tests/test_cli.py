@@ -75,6 +75,24 @@ def test_range_error_exit_code(tmp_path):
     assert main(["seqentropy", "--config", str(cfg), "--out", str(tmp_path)]) == 5
 
 
+@pytest.mark.parametrize("source, box", [
+    ("kind = char_halfline", "9223372036854775805:9223372036854775811"),
+    ("kind = ip_indicator\nbase = 3\nexponent_cap = 45",
+     "1180591620717411303424:1180591620717411303428"),
+    ("kind = sturmian\nalphas = golden,sqrt2_frac\ncuts = 0,one_minus_golden",
+     "0:4;9223372036854775807:9223372036854775809"),
+    ("kind = morse", "1180591620717411303424:1180591620717411303428"),
+    ("kind = de_bruijn\norder = 3", "-9223372036854775809:0"),
+    ("kind = random\nseed = 170141183460469231731687303715884105728", "0:8"),
+    ("kind = random\nseed = -170141183460469231731687303715884105729", "0:8"),
+])
+def test_coordinates_and_seeds_past_their_range_exit_5(tmp_path, capsys, source, box):
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(f"[source]\n{source}\n\n[window]\nbox = {box}\n")
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path)]) == 5
+    assert "range" in capsys.readouterr().err
+
+
 def test_freeset_set_mode_certificate(tmp_path):
     rc, out = run_preset(tmp_path, "freeset", "ip10")
     assert rc == 0
@@ -352,7 +370,9 @@ _FUZZ_VALUES = ("0", "1", "2", "3", "5", "-1", "0.5", "1.5", "1e3", "x", "", "no
                 "cube", "orbit", "morse", "warp", "golden", "sqrt2_frac", "1/3", "0,1",
                 "0,1,3", "golden,sqrt2_frac", "0,0.25,0.5", "0:4", "2:9", "-3:12", "3:1",
                 "0:8;0:8", "0:4;0:4;0:4", "(0,0);(0,1)", "0,,1", "1:2:3", "%", "%(x)s", "nan",
-                "inf")
+                "inf", "170141183460469231731687303715884105728",
+                "-170141183460469231731687303715884105729",
+                "9223372036854775805:9223372036854775811")
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Generator families against independent oracles."""
 
+import hashlib
 import itertools
 import random
 from bisect import bisect_right
@@ -10,6 +11,7 @@ import pytest
 
 from tamelab.errors import ArgumentError, CapacityError, ConfigError, DataIOError
 from tamelab.sources import (
+    _HASH_BLOCK_CELLS,
     NEAR_SPHERE_MARGIN,
     SeqSource,
     SeqWindow,
@@ -453,3 +455,141 @@ def test_sphere_builder_on_a_large_sphere(dim):
     source = SeqSource.sphere(region, spec, _on_grid(*(c + o for c, o in zip(cq, offsets))))
     _assert_matches_reference(source, (0, 50_000), _reference_sphere, near=1)
     assert materialize(source, (0, 1)).value_at(0) == 1
+
+
+# -- arithmetic and noise builders against per-cell loops ---------------------
+
+
+def _reference_random(source, box):
+    (lo, hi), = box
+    seed = source.seed.to_bytes(16, "little", signed=True)
+    m = source.alphabet_size
+    out = np.empty(hi - lo, dtype=np.uint8)
+    for i, n in enumerate(range(lo, hi)):
+        h = hashlib.blake2b(n.to_bytes(16, "little", signed=True), key=seed,
+                            digest_size=8).digest()
+        out[i] = int.from_bytes(h, "little") % m
+    return SeqWindow((lo,), out, m, source.digest, {})
+
+
+def _reference_ip(source, box):
+    (lo, hi), = box
+    base = source.base
+    n = np.arange(lo, hi, dtype=np.int64)
+    ok = n > 0
+    rest = np.where(ok, n, 0)
+    ok &= rest % base == 0
+    rest //= base
+    while rest.any():
+        ok &= rest % base <= 1
+        rest //= base
+    return SeqWindow((lo,), ok.astype(np.uint8), 2, source.digest, {})
+
+
+def _reference_concat(source, box):
+    # walk the blocks w_1 w_2 ... to each coordinate, one Python int at a time
+    (lo, hi), = box
+    out = np.zeros(hi - lo, dtype=np.uint8)
+    for p in range(max(lo, 1), hi):
+        start, n = 1, 1
+        while p >= start + 4 * n * 2 ** n:
+            start += 4 * n * 2 ** n
+            n += 1
+        word, r = divmod(p - start, 2 * n)
+        if word < 2 ** n and r < n:
+            out[p - lo] = word >> (n - 1 - r) & 1
+    return SeqWindow((lo,), out, 2, source.digest, {})
+
+
+_EDGE = 1 << 63
+_B = _HASH_BLOCK_CELLS
+# windows crossing 0, one-cell windows, windows at either end of the
+# coordinate range, and windows of several blocks that end in a partial block
+RANDOM_WINDOWS = [(-5, 5), (0, 1), (-1, 0), (7, 8), (-_EDGE, -_EDGE + 1), (_EDGE - 1, _EDGE),
+                  (-_EDGE, -_EDGE + 40), (_EDGE - 40, _EDGE), (-3 * _B - 5, 2 * _B + 17),
+                  (_B, 3 * _B + 1)]
+
+
+@pytest.mark.parametrize("seed", [0, -987654321, (1 << 127) - 1, -(1 << 127) + 1, -(1 << 127)])
+def test_random_builder_matches_reference_loop(seed):
+    for m in (2, 3, 7, 16):
+        for box in RANDOM_WINDOWS:
+            _assert_matches_reference(SeqSource.random(seed, m), box, _reference_random)
+
+
+@pytest.mark.parametrize("seed", [1 << 127, -(1 << 127) - 1, 1 << 200])
+def test_random_seed_outside_128_bits_is_an_argument_error(seed):
+    with pytest.raises(ArgumentError, match="seed"):
+        SeqSource.random(seed)
+
+
+@pytest.mark.parametrize("base, cap", [(2, 63), (3, 40), (10, 19)])
+@pytest.mark.parametrize("box", [(-1000, 1000), (0, 1), (1, 2), (-7, 0), (-5000, 250_000),
+                                 (123_456, 654_321), (_EDGE - 5000, _EDGE)])
+def test_ip_builder_matches_reference_loop(base, cap, box):
+    _assert_matches_reference(SeqSource.ip_indicator(base, cap), box, _reference_ip)
+
+
+def test_concat_builder_matches_reference_loop():
+    source = SeqSource.concat_nonnull()
+    far = concat_block_bounds(40)[-1][0]
+    u_end = far + 2 * 40 * 2 ** 40
+    for box in [(-10, 10), (0, 1), (1, 2), (-5, 0), (0, 5000), (123_456, 130_000),
+                (far - 100, far + 100), (u_end - 100, u_end + 100), (_EDGE - 300, _EDGE)]:
+        _assert_matches_reference(source, box, _reference_concat)
+
+
+def _edge_sources(origin):
+    spec = RotationSpec((TorusPoint((GOLDEN, SQRT2_FRAC)),))
+    data = np.arange(8, dtype=np.uint8) % 3
+    return {
+        "sturmian": SeqSource.fibonacci(),
+        "sphere": SeqSource.sphere(BallRegion(TorusPoint((0, 0)), SCALE // 4), spec,
+                                   TorusPoint((0, 0))),
+        "ip_indicator": SeqSource.ip_indicator(2, 64),
+        "morse": SeqSource.morse(),
+        "concat_nonnull": SeqSource.concat_nonnull(),
+        "char_halfline": SeqSource.char_halfline(),
+        "de_bruijn": SeqSource.de_bruijn(4),
+        "random": SeqSource.random(-5, 3),
+        "explicit": SeqSource.explicit(SeqWindow((origin,), data, 3, "")),
+    }
+
+
+def _edge_symbol(kind, source, n):
+    """Each kind's symbol at n from Python ints (None: no builder runs there)."""
+    if kind in ("sturmian", "sphere"):
+        return None
+    if kind == "ip_indicator":
+        return int(n > 0 and n % 2 == 0)
+    if kind == "morse":
+        return bin(n if n >= 0 else -n - 1).count("1") & 1
+    if kind == "concat_nonnull":
+        return int(_reference_concat(source, ((n, n + 1),)).symbols[0])
+    if kind == "char_halfline":
+        return int(n >= 0)
+    if kind == "de_bruijn":
+        period = de_bruijn_period(4).tolist()
+        return period[n % len(period)]
+    if kind == "random":
+        return int(_reference_random(source, ((n, n + 1),)).symbols[0])
+    return int(source.data.value_at(n))
+
+
+@pytest.mark.parametrize("kind", sorted(_edge_sources(0)))
+@pytest.mark.parametrize("inside, outside", [
+    ((_EDGE - 4, _EDGE), (_EDGE - 3, _EDGE + 3)),
+    ((-_EDGE, -_EDGE + 4), (-_EDGE - 1, -_EDGE + 3)),
+    ((_EDGE - 4, _EDGE), (1 << 70, (1 << 70) + 4)),
+])
+def test_window_coordinates_stay_in_the_int64_range(kind, inside, outside):
+    source = _edge_sources(inside[0] - 2)[kind]
+    with pytest.raises(ArgumentError, match="coordinate range"):
+        materialize(source, outside)
+    expected = [_edge_symbol(kind, source, n) for n in range(*inside)]
+    if expected[0] is None:
+        # torus codings stop earlier, at the 2**40 orbit index bound
+        with pytest.raises(ArgumentError, match="2\\*\\*40"):
+            materialize(source, inside)
+    else:
+        assert materialize(source, inside).line().tolist() == expected
