@@ -16,25 +16,29 @@ level-wise loop serves both kinds of pool.  It holds each level as one
 prune and the level's profile are whole-array steps.  An interval pool
 holds every translate of a set that fits in it, so it keeps only the sets
 containing its first point and reports that leftmost placement; an
-explicit pool keeps every placement.  Parents sharing a gap tuple are
-evaluated once, on the union of their extensions.
+explicit pool keeps every placement.  A level's distinct gap tuples are
+counted by one evaluator call.
 
 The evaluation engine, ``_GapEvaluator``, counts the patterns that tuples
 of rows show in a (rows x samples) uint8 table, where the non-symbol m
-marks a sample at which a row shows no symbol; the independence search of
-``families`` counts through it too.  The free-set search's table
+marks a sample at which a row shows no symbol; it settles a whole level
+as (parent, extension) pairs, and the independence search of ``families``
+counts through it too, one parent at a time.  The free-set search's table
 (``_line_table``) is the first occurrences of the distinct pool-span
-windows (``language.first_occurrences``), gathered once, when they at least
-halve the shifts and fit the table budget, as for the low-complexity
-codings studied here; otherwise it is the zero-copy view of every shift.
+windows (``language.first_occurrences``), less the windows running past
+the line's end whose live part occurs earlier in the line, gathered once,
+when they at least halve the shifts and fit the table budget, as for the
+low-complexity codings studied here; otherwise it is the zero-copy view of
+every shift.
 
 A short pool is counted by projection instead.  Every tuple's pattern set
 is a projection of the table's column codes, so ``_ProjectionLattice``
-marks those codes once and gets each requested tuple's marks by ORing one
-axis out of a larger tuple's.  ``max_free_set`` takes it when its b**W
-cells (b the digit base, W the pool span) are no more than the table's
-samples and its kept marks fit the table budget; both evaluators count
-exactly, so the choice changes no result.
+marks those codes once and fills a level's missing tuples from their
+ancestors one size up, one batched axis-OR per position of the row ORed
+away.  ``max_free_set`` takes it when its b**W cells (b the digit base, W
+the pool span) are no more than the table's samples and its marks fit the
+table budget; both evaluators count exactly, so the choice changes no
+result.
 
 All claims are finite-scale: a certificate states the shift count it was
 computed over, and absence of a free set means absence at that horizon.
@@ -47,7 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
@@ -83,7 +87,8 @@ _BITSET_SPACE_MAX = 64
 _BATCH_CELLS = 1 << 21
 _TABLE_BYTES = 1 << 26
 # Parent codes from here on hold the non-symbol at some digit.  Adding the
-# digits of a code below 2**24 keeps them there and within int32.
+# digits of a code below 2**25 (2**24 codes, times m + 1) keeps them there
+# and within int32.
 _NON_PATTERN = 1 << 30
 
 
@@ -131,8 +136,8 @@ class FreeSetCertificate:
             f"coverage = {self.coverage.numerator}/{self.coverage.denominator}",
         ]
         if self.witnesses is not None:
-            for code in sorted(self.witnesses):
-                lines.append(f"witness {format(code, 'x')} = {self.witnesses[code]}")
+            lines += [f"witness {code:x} = {self.witnesses[code]}"
+                      for code in sorted(self.witnesses)]
         return "\n".join(lines) + "\n"
 
 
@@ -182,9 +187,10 @@ class SizeProfile:
 @dataclass(frozen=True)
 class FreeSearchResult:
     """Search outcome.  ``stats`` holds deterministic engine counters: the
-    evaluator that ran (``"lattice"`` or ``"scan"``), the distinct pool-span
-    windows (None exactly when the table is the view of every shift), the
-    table's samples (``table_rows``), and per candidate size the candidates
+    evaluator that ran (``"lattice"`` or ``"scan"``), the kept first
+    occurrences of the pool-span windows (``windows``, None exactly when the
+    table is the view of every shift), the table's samples
+    (``table_rows``), and per candidate size the candidates
     evaluated, the samples scanned for them (``rows``), and how many were
     settled by scan, by bits and by the lattice (``by_scan + by_bits +
     by_lattice`` is the candidates)."""
@@ -237,9 +243,17 @@ class _GapEvaluator:
 
     A tuple (g1 < ... < gs) of rows shows at sample j the code
     sum_i table[g_i, j] * m**i, or no pattern when a digit is the
-    non-symbol m.  All extensions of a parent are settled together, by scan
-    epochs over the samples in table order and, for pattern spaces up to
-    64, by a packed bit table.  Rows are read whole: keep them contiguous.
+    non-symbol m.  ``count`` settles a whole level of tuples together, as
+    (parent, extension) pairs: the parent is all but the last row, and
+    pairs in lexicographic order share their parent's codes.  Each block of
+    pairs runs scan epochs over the samples in table order.  An epoch takes
+    its live pairs in chunks, plans each chunk's parents once by their
+    distinct prefixes, and builds their int32 codes one digit at a time
+    over pieces of the epoch's samples, so a piece's cells stay within
+    _BATCH_CELLS / 8.  For pattern spaces up to 64 a packed bit table
+    settles what the first epoch leaves open.  ``evaluate_extensions``
+    counts one parent's extensions the same way.  Rows are read whole:
+    keep them contiguous.
     """
 
     name = "scan"
@@ -248,38 +262,10 @@ class _GapEvaluator:
         self.m = int(alphabet)
         self.table = table
         self.levels: dict[int, dict[str, int]] = {}
-        # prefix chain of the current parent: [row, samples filled] per depth,
-        # the codes of depth i in _bufs[i]
-        self._chain: list[list[int]] = []
-        self._bufs: list[np.ndarray] = []
 
     def singleton_count(self, g: int) -> int:
         """Distinct symbols in row g."""
         return int(np.setdiff1d(self.table[g], (self.m,)).size)
-
-    def _codes(self, parent: tuple, upto: int) -> np.ndarray:
-        """Pattern codes of the parent over samples [0, upto), at least
-        _NON_PATTERN where a digit is the non-symbol.  The codes of the
-        parent's prefixes, filled as far as a scan has needed them, are the
-        only cache: sibling parents share them."""
-        chain, bufs = self._chain, self._bufs
-        k = 0
-        while k < min(len(chain), len(parent)) and chain[k][0] == parent[k]:
-            k += 1
-        del chain[k:]
-        chain += [[g, 0] for g in parent[k:]]
-        bufs += [np.empty(self.table.shape[1], dtype=np.int32)
-                 for _ in range(len(chain) - len(bufs))]
-        for i, (g, filled) in enumerate(chain):
-            if filled < upto:
-                digits = self.table[g, filled:upto]
-                seg = bufs[i][filled:upto]
-                np.multiply(digits, self.m ** i, out=seg, dtype=np.int32)
-                if i:
-                    seg += bufs[i - 1][filled:upto]
-                seg[digits == self.m] = _NON_PATTERN
-                chain[i][1] = upto
-        return bufs[len(chain) - 1][:upto]
 
     @cached_property
     def bits(self) -> np.ndarray | None:
@@ -302,65 +288,133 @@ class _GapEvaluator:
     def evaluate_extensions(self, parent: tuple, exts: list[int]) -> np.ndarray:
         """Exact pattern counts of parent + (e,) for each extension row
         e > parent[-1], aligned with ``exts``."""
-        level = _level_stats(self.levels, len(parent) + 1, len(exts))
-        todo = np.array(exts, dtype=np.int64)
-        space = self.m ** (len(parent) + 1)
+        return self._count_pairs(np.array([parent]), np.zeros(len(exts), dtype=np.intp),
+                                 np.array(exts, dtype=np.int64))
+
+    def count(self, tuples: np.ndarray) -> np.ndarray:
+        """Exact pattern counts of an (N, s) array of distinct row tuples,
+        s >= 2, aligned with its rows."""
+        new = _run_starts(tuples[:, :-1])
+        return self._count_pairs(tuples[new, :-1], np.cumsum(new) - 1, tuples[:, -1])
+
+    def _count_pairs(self, parents: np.ndarray, parent_of: np.ndarray,
+                     exts: np.ndarray) -> np.ndarray:
+        """Exact pattern counts of the tuples parents[parent_of[i]] + (exts[i],),
+        for a nondecreasing ``parent_of``."""
+        size = parents.shape[1] + 1
+        level = _level_stats(self.levels, size, exts.size)
+        space = self.m ** size
         block = max(1, _BATCH_CELLS // (2 * space + 1))
-        out = np.empty(todo.size, dtype=np.int64)
-        for lo in range(0, todo.size, block):
-            out[lo: lo + block] = self._settle(parent, todo[lo: lo + block], space, level)
+        out = np.empty(exts.size, dtype=np.int64)
+        for lo in range(0, exts.size, block):
+            out[lo: lo + block] = self._settle(parents, parent_of[lo: lo + block],
+                                               exts[lo: lo + block], space, level)
         return out
 
-    def _settle(self, parent: tuple, gaps: np.ndarray, space: int, level: dict) -> np.ndarray:
-        """Scan epochs over all extensions at once; for small pattern spaces
-        the bit table settles what the first epoch leaves open, or settles
-        everything when one bit pass costs less than that epoch."""
-        space_par = space // self.m
+    def _settle(self, parents: np.ndarray, parent_of: np.ndarray, exts: np.ndarray,
+                space: int, level: dict) -> np.ndarray:
+        """Scan epochs over a block of pairs at once; for small pattern
+        spaces the bit table settles what the first epoch leaves open, or
+        settles everything when one bit pass costs less than that epoch."""
+        m = self.m
+        space_par = space // m
         n = self.table.shape[1]
-        # cells from `space` on are no patterns: a parent code holding the non-symbol
-        # is clamped to `space`, and an extension digit m lands at `space` or beyond
-        width = 2 * space + 1
-        hits = np.zeros((gaps.size, width), dtype=bool)
+        # hits[i, c, d]: pair i shows parent code c with extension digit d.  A
+        # parent code holding the non-symbol is clamped to c = space_par, and
+        # an extension's non-symbol is d = m: both are no patterns.  A block's
+        # hits hold about _BATCH_CELLS cells, so int32 indexes them.
+        hits = np.zeros((exts.size, space_par + 1, m + 1), dtype=bool)
         flat = hits.reshape(-1)
-        live = np.arange(gaps.size)
+        live = np.arange(exts.size)
         j0, j1 = 0, min(max(16 * space, _QUICK_MIN), _QUICK_MAX, n)
         bits = self.bits if space <= _BITSET_SPACE_MAX else None
         scan = bits is None or space * bits.shape[2] > j1
         while scan and live.size:
-            pcodes = np.minimum(self._codes(parent, j1)[j0:j1], space)
-            step = max(1, _BATCH_CELLS // (j1 - j0))
+            # a chunk of pairs shares one prefix plan of its parents; its cells
+            # are built over pieces of the samples, _BATCH_CELLS / 8 at most
+            step = max(1, _BATCH_CELLS // (2 * (j1 - j0)))
             for b in range(0, live.size, step):
                 idx = live[b: b + step]
-                cells = np.multiply(self.table[gaps[idx], j0:j1], space_par, dtype=np.intp)
-                cells += pcodes
-                cells += idx[:, None] * width
-                flat[cells.ravel()] = True
+                ids, local = _owners(parent_of[idx])
+                plan = self._prefix_plan(parents[ids])
+                rows, offsets = exts[idx], (idx * hits[0].size).astype(np.int32)[:, None]
+                span = max(1, _BATCH_CELLS // (8 * idx.size))
+                for s0 in range(j0, j1, span):
+                    s1 = min(s0 + span, j1)
+                    cells = self._parent_cells(plan, s0, s1, space_par)
+                    if 1 < len(ids) < idx.size:
+                        cells = cells[local]
+                    # in place, unless one parent's row broadcasts over its pairs
+                    cells = np.add(cells, self.table[rows, s0:s1],
+                                   out=cells if len(cells) == idx.size else None)
+                    cells += offsets
+                    flat[cells.ravel()] = True
             level["rows"] += live.size * (j1 - j0)
-            done = hits[live, :space].all(axis=1) | (j1 == n)
+            done = hits[live][:, :space_par, :m].all(axis=(1, 2)) | (j1 == n)
             level["by_scan"] += int(done.sum())
             live = live[~done]
             scan = bits is None
             j0, j1 = j1, min(j1 + min(3 * j1, _EPOCH_MAX), n)
         if live.size:
-            self._settle_bits(bits, parent, gaps, live, hits)
+            self._settle_bits(bits, parents, parent_of, exts, live, hits)
             level["by_bits"] += int(live.size)
-        return hits[:, :space].sum(axis=1)
+        return hits[:, :space_par, :m].sum(axis=(1, 2))
 
-    def _settle_bits(self, bits, parent, gaps, live, hits) -> None:
+    def _prefix_plan(self, parents: np.ndarray) -> list:
+        """Per depth d, the table rows of the parents' distinct d-prefixes,
+        no two neighbours equal, and the index of each one's (d-1)-prefix,
+        None where they are the same prefixes."""
+        plan, node = [], None
+        new = np.zeros(len(parents), dtype=bool)
+        for d in range(parents.shape[1]):
+            new |= _run_starts(parents[:, d])
+            at = np.flatnonzero(new)
+            up = node[at] if d and at.size > len(plan[-1][0]) else None
+            plan.append((parents[at, d], up))
+            node = np.cumsum(new) - 1
+        return plan
+
+    def _parent_cells(self, plan: list, j0: int, j1: int, space_par: int) -> np.ndarray:
+        """int32 codes of the planned parents over samples [j0, j1), times
+        m + 1, clamped to space_par * (m + 1) where a digit is the
+        non-symbol; each depth adds one digit row to its prefix's codes."""
+        m, codes = self.m, None
+        for d, (rows, up) in enumerate(plan):
+            digits = self.table[rows, j0:j1]
+            deeper = np.multiply(digits, m ** d * (m + 1), dtype=np.int32)
+            if d:
+                deeper += codes if up is None else codes[up]
+            deeper[digits == m] = _NON_PATTERN
+            codes = deeper
+        return np.minimum(codes, space_par * (m + 1), out=codes)
+
+    def _settle_bits(self, bits, parents, parent_of, exts, live, hits) -> None:
         """Settle the codes still missing after the scan: one gathered
-        AND/any per open (extension, parent code) pair."""
-        masks = bits[:, parent[0]]
-        for g in parent[1:]:
-            masks = (bits[:, g, None, :] & masks).reshape(-1, bits.shape[2])
-        # bit j of masks[c] is set iff the parent shows code c at row j
-        space_par = masks.shape[0]
-        cols = np.arange(space_par)[:, None] + np.arange(self.m) * space_par
-        ext, code = np.nonzero(~hits[live[:, None, None], cols].all(axis=2))
-        step = max(1, _BATCH_CELLS // (self.m * bits.shape[2]))
-        for b in range(0, code.size, step):
-            i, c = live[ext[b: b + step]], code[b: b + step]
-            seen = (bits[:, gaps[i]] & masks[c]).any(axis=2)
-            hits[i[:, None], cols[c]] |= seen.T
+        AND/any per open (pair, parent code), a chunk of pairs at a time,
+        against masks of the chunk's parents; a chunk's gathered words
+        stay within _BATCH_CELLS bytes."""
+        m, words = self.m, bits.shape[2]
+        space_par = m ** parents.shape[1]
+        step = max(1, _BATCH_CELLS // (8 * space_par * m * words))
+        for b in range(0, live.size, step):
+            idx = live[b: b + step]
+            ids, local = _owners(parent_of[idx])
+            masks = _parent_masks(bits, parents[ids])
+            pair, code = np.nonzero(~hits[idx][:, :space_par, :m].all(axis=2))
+            i = idx[pair]
+            seen = (bits[:, exts[i]] & masks[code, local[pair]]).any(axis=2)
+            hits[i, code, :m] |= seen.T
+
+
+def _parent_masks(bits: np.ndarray, parents: np.ndarray) -> np.ndarray:
+    """(m**k, P, words) masks whose bit j of [c, p] is set iff parent p
+    shows code c at sample j."""
+    # a single parent's rows are read as slices: views, not gathers
+    rows = [slice(g, g + 1) for g in parents[0].tolist()] if len(parents) == 1 else parents.T
+    masks = bits[:, rows[0]]
+    for g in rows[1:]:
+        masks = (bits[:, None, g] & masks).reshape(-1, len(parents), bits.shape[2])
+    return masks
 
 
 class _ProjectionLattice:
@@ -369,12 +423,18 @@ class _ProjectionLattice:
 
     Each sample's column is one W-digit code in base b (m, or m + 1 when
     the table holds the non-symbol m), row 0 most significant, and the full
-    tuple (0, ..., W - 1) marks the codes seen in a flat bool array of b**W
-    cells.  Any other tuple's marks are those of the tuple plus its highest
-    missing row, with that row's axis ORed away; they are made on first
-    request and kept.  A tuple's count is its marked cells whose digits all
-    lie below m.  Every tuple the search asks for holds row 0, so the kept
-    marks take at most b * (b + 1)**(W - 1) bytes.
+    tuple (0, ..., W - 1) marks the codes seen in b**W cells.  The marks of
+    the s-tuples holding row 0 are the rows of one (C(W - 1, s - 1), b**s)
+    bool array, allocated on first use; a tuple's row is the colex rank of
+    its row bitmask, and it is filled once it marks a cell, as every
+    tuple's marks do.  A missing tuple's marks are those of the tuple plus
+    its highest missing row h, with h's axis ORed away.  ``count`` fills
+    a level's missing tuples together: their ancestors one size up first,
+    by the same rule, then one batched axis-OR per position of h.  A
+    tuple's count is its marked cells whose digits all lie below m; a tuple
+    without row 0 is counted from the marks of the tuple plus row 0.  So
+    the marks take at most sum_s C(W - 1, s - 1) * b**s = b * (b + 1)**(W - 1)
+    bytes.
     """
 
     name = "lattice"
@@ -387,42 +447,107 @@ class _ProjectionLattice:
         for row in table:
             codes *= base
             codes += row
-        marks = np.zeros(base ** width, dtype=bool)
-        marks[codes] = True
         self.width = width
         self.levels: dict[int, dict[str, int]] = {}
-        self._marks = {tuple(range(width)): marks}
-
-    def _marks_of(self, rows: tuple) -> np.ndarray:
-        marks = self._marks.get(rows)
-        if marks is None:
-            # rows[i:] are the rows above the highest missing row h
-            h, i = self.width - 1, len(rows)
-            while i and rows[i - 1] == h:
-                h, i = h - 1, i - 1
-            up = self._marks_of(rows[:i] + (h,) + rows[i:])
-            up = up.reshape(self.base ** i, self.base, -1)
-            marks = up[:, 0]
-            for digit in range(1, self.base):  # far faster than any(axis=1)
-                marks = marks | up[:, digit]
-            marks = self._marks[rows] = marks.reshape(-1)
-        return marks
-
-    def _count(self, rows: tuple) -> int:
-        marks = self._marks_of(rows)
-        if self.base > self.m:
-            marks = marks.reshape((self.base,) * len(rows))[(slice(self.m),) * len(rows)]
-        return int(np.count_nonzero(marks))
+        # _binom[a, i] = C(a, i): the colex rank of (0, r1, ..., rk) is the
+        # sum of C(r_i - 1, i)
+        self._binom = np.array([[comb(a, i) for i in range(width)] for a in range(width)],
+                               dtype=np.int64)
+        full = np.zeros((1, base ** width), dtype=bool)
+        full[0, codes] = True
+        self._marks = {width: full}
 
     def singleton_count(self, g: int) -> int:
         """Distinct symbols in row g."""
-        return self._count((g,))
+        return int(self._counts(np.array([[g]]))[0])
 
     def evaluate_extensions(self, parent: tuple, exts: list[int]) -> np.ndarray:
         """Exact pattern counts of parent + (e,) for each extension row
         e > parent[-1], aligned with ``exts``."""
-        _level_stats(self.levels, len(parent) + 1, len(exts))["by_lattice"] += len(exts)
-        return np.array([self._count(parent + (e,)) for e in exts], dtype=np.int64)
+        tuples = np.array([parent + (e,) for e in exts], dtype=np.int64)
+        return self.count(tuples.reshape(len(exts), len(parent) + 1))
+
+    def count(self, tuples: np.ndarray) -> np.ndarray:
+        """Exact pattern counts of an (N, s) array of distinct row tuples,
+        aligned with its rows."""
+        _level_stats(self.levels, tuples.shape[1], len(tuples))["by_lattice"] += len(tuples)
+        return self._counts(tuples)
+
+    def _counts(self, tuples: np.ndarray) -> np.ndarray:
+        """``count`` without the level counters."""
+        size = tuples.shape[1]
+        out = np.empty(len(tuples), dtype=np.int64)
+        lead = tuples[:, 0] == 0
+        # a tuple without row 0 folds row 0's axis out of the tuple plus row 0
+        for fold, sel in ((False, np.flatnonzero(lead)), (True, np.flatnonzero(~lead))):
+            if not sel.size:
+                continue
+            rows = tuples[sel]
+            if fold:
+                rows = np.hstack([np.zeros((sel.size, 1), dtype=rows.dtype), rows])
+            at = self._fill(rows)
+            marks = self._marks[rows.shape[1]]
+            step = max(1, _BATCH_CELLS // marks.shape[1])
+            for lo in range(0, sel.size, step):
+                got = marks[at[lo: lo + step]]
+                if fold:
+                    got = got.reshape(len(got), self.base, -1).any(axis=1)
+                if self.base > self.m:
+                    got = got.reshape((len(got),) + (self.base,) * size)
+                    got = got[(slice(None),) + (slice(self.m),) * size]
+                out[sel[lo: lo + step]] = np.count_nonzero(got.reshape(len(got), -1), axis=1)
+        return out
+
+    def _fill(self, tuples: np.ndarray) -> np.ndarray:
+        """The rows of the marks of tuples holding row 0, filling the
+        missing ones."""
+        size, b = tuples.shape[1], self.base
+        marks = self._marks.get(size)
+        if marks is None:
+            marks = self._marks[size] = np.zeros((comb(self.width - 1, size - 1), b ** size),
+                                                 dtype=bool)
+        at = self._binom[tuples[:, 1:] - 1, np.arange(1, size)].sum(axis=1)
+        step = max(1, _BATCH_CELLS // marks.shape[1])
+        filled = np.concatenate([marks[at[lo: lo + step]].any(axis=1)
+                                 for lo in range(0, len(at), step)])
+        dst, first = np.unique(at[~filled], return_index=True)
+        if dst.size:
+            # h sits just below the tuple's top run of rows ending at W - 1,
+            # which it joins in the ancestor
+            tup = tuples[~filled][first]
+            pos = size - (tup == np.arange(self.width - size, self.width)).sum(axis=1)
+            cols = np.arange(size + 1)
+            up = self._fill(np.where(cols < pos[:, None], np.pad(tup, ((0, 0), (0, 1))),
+                                     cols + self.width - size - 1))
+            src = self._marks[size + 1]
+            step = max(1, _BATCH_CELLS // src.shape[1])
+            for i in np.unique(pos).tolist():
+                group = np.flatnonzero(pos == i)
+                for lo in range(0, group.size, step):
+                    part = group[lo: lo + step]
+                    axes = src[up[part]].reshape(part.size, b ** i, b, -1)
+                    got = axes[:, :, 0]
+                    for digit in range(1, b):  # far faster than any(axis=2)
+                        got = got | axes[:, :, digit]
+                    marks[dst[part]] = got.reshape(part.size, -1)
+        return at
+
+
+def _owners(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids of a nondecreasing id array, and the index of each
+    entry's id among them."""
+    if owner[0] == owner[-1]:
+        return owner[:1], np.zeros(owner.size, dtype=np.intp)
+    new = _run_starts(owner)
+    return owner[new], np.cumsum(new) - 1
+
+
+def _run_starts(rows: np.ndarray) -> np.ndarray:
+    """True at row 0 and at each row that differs from the one before it."""
+    new = np.ones(len(rows), dtype=bool)
+    differs = rows[1:] != rows[:-1]
+    new[1:] = differs.any(axis=1) if rows.ndim == 2 else differs
+    return new
 
 
 def _level_stats(levels: dict, size: int, candidates: int) -> dict[str, int]:
@@ -435,8 +560,8 @@ def _level_stats(levels: dict, size: int, candidates: int) -> dict[str, int]:
 
 def _evaluator(table: np.ndarray, m: int):
     """The projection lattice when its b**W cells are no more than the
-    table's samples and its kept marks, at most b * (b + 1)**(W - 1)
-    bytes, fit the table budget; the scan engine otherwise."""
+    table's samples and its marks, at most b * (b + 1)**(W - 1) bytes, fit
+    the table budget; the scan engine otherwise."""
     width, n = table.shape
     if m ** width <= n:
         base = m + int(table.max() == m)
@@ -494,7 +619,7 @@ def max_free_set(win: SeqWindow, budget: FreeSearchBudget) -> FreeSearchResult:
 def _line_table(line: np.ndarray, m: int, shifts: int, period: int | None,
                 width: int) -> tuple[np.ndarray, int | None]:
     """The (width x samples) table of a line's windows of that width, and
-    the number of distinct windows, None when the table is every shift.
+    its sample count, None when the table is every shift.
 
     A gap tuple (0, g2, ..., gs) with gs < width stands for any placement
     of the set.  It scans the shifts j < T(gs) = min(L - gs, horizon,
@@ -507,11 +632,21 @@ def _line_table(line: np.ndarray, m: int, shifts: int, period: int | None,
     gap's last shift (f >= L - g, the only samples below T(0) that are not
     below T(g)) the gap shows m, so every gap scans every sample, with no
     per-gap masking.
+
+    A padded first occurrence j whose live part, the line from j on, also
+    occurs at some f < j adds no pattern: a tuple fitting in that live part
+    shows the same code at f, and any other shows m at j.  Those j form a
+    suffix of the padded ones, since the live part at j + 1 then occurs at
+    f + 1, so the table drops them from one binary search.
     """
     t = min(shifts, period) if period else shifts
     padded = np.full(t + width - 1, m, dtype=np.uint8)
-    padded[: min(line.size, padded.size)] = line[: padded.size]
-    first = first_occurrences(padded, width, limit=t // 2)
+    live = min(line.size, padded.size)
+    padded[:live] = line[:live]
+    # past this limit even the kept samples, at most width - 1 fewer, are too many
+    first = first_occurrences(padded, width, limit=t // 2 + width - 1)
+    if first is not None:
+        first = first[: np.searchsorted(first, _repeat_cut(padded[:live], live - width + 1, t))]
     if first is None or 2 * first.size > t or width * first.size > _TABLE_BYTES:
         return np.lib.stride_tricks.sliding_window_view(padded, t), None
     # A golden-ratio stride spreads the samples over the line, so a scan
@@ -526,6 +661,20 @@ def _line_table(line: np.ndarray, m: int, shifts: int, period: int | None,
     for g in range(width):
         np.take(padded[g:], order, out=table[g])
     return table, n
+
+
+def _repeat_cut(line: np.ndarray, lo: int, hi: int) -> int:
+    """The least j in [lo, hi) whose tail line[j:] also occurs at some
+    f < j, or hi; the tails past the line are empty and occur at 0."""
+    lo, text = min(max(lo, 1), hi), line.tobytes()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        # an occurrence ending before the line's last symbol starts before mid
+        if text.find(text[mid:], 0, len(text) - 1) != -1:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _search(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget
@@ -558,20 +707,19 @@ def _search(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget
         if budget.beam is not None and len(rows) > budget.beam:
             rows = rows[: budget.beam]
             beam_limited = True
-        level, parent = _join(rows, points if interval and size == 1 else rows)
+        level = _join(rows, points if interval and size == 1 else rows)
         if not beam_limited:  # the subset prune is sound only on a complete level
-            level, parent = _prune(level, parent, rows, base, interval)
+            level = _prune(level, rows, base, interval)
         if not len(level):
             break
-        counts = _count(ev, rows, level, parent, span)
+        counts = _count(ev, level, interval)
     return best, tuple(profile), beam_limited
 
 
-def _join(rows: np.ndarray, sibs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _join(rows: np.ndarray, sibs: np.ndarray) -> np.ndarray:
     """Every row extended by the last column of each later sibling of its
-    run (rows sharing all but their last column), in lexicographic order,
-    with the index of its parent row.  The rows are the first rows of
-    ``sibs``."""
+    run (rows sharing all but their last column), in lexicographic order.
+    The rows are the first rows of ``sibs``."""
     n = len(rows)
     run = np.zeros(len(sibs), dtype=np.int64)
     np.cumsum((sibs[1:, :-1] != sibs[:-1, :-1]).any(axis=1), out=run[1:])
@@ -579,7 +727,7 @@ def _join(rows: np.ndarray, sibs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     parent = np.repeat(np.arange(n), width)
     # the t-th candidate joins its parent i to sibling t + i + 1 - (candidates before i)
     skip = np.repeat(np.arange(1, n + 1) - np.cumsum(width) + width, width)
-    return np.hstack([rows[parent], sibs[np.arange(parent.size) + skip, -1:]]), parent
+    return np.hstack([rows[parent], sibs[np.arange(parent.size) + skip, -1:]])
 
 
 def _key(rows: np.ndarray, base: int) -> np.ndarray:
@@ -588,8 +736,7 @@ def _key(rows: np.ndarray, base: int) -> np.ndarray:
     return (rows - base).astype(">u4", order="C").view(f"S{4 * rows.shape[1]}").ravel()
 
 
-def _prune(level: np.ndarray, parent: np.ndarray, rows: np.ndarray, base: int,
-           interval: bool) -> tuple[np.ndarray, np.ndarray]:
+def _prune(level: np.ndarray, rows: np.ndarray, base: int, interval: bool) -> np.ndarray:
     """The candidates whose subsets without column k, for every k below the
     parents' last, are rows of the complete sorted level ``rows``; an
     interval pool's subset is translated to ``base`` first."""
@@ -600,26 +747,20 @@ def _prune(level: np.ndarray, parent: np.ndarray, rows: np.ndarray, base: int,
             sub += base - sub[:, :1]
         want = _key(sub, base)
         keep = keys[np.searchsorted(keys, want).clip(max=len(keys) - 1)] == want
-        level, parent = level[keep], parent[keep]
-    return level, parent
+        level = level[keep]
+    return level
 
 
-def _count(ev: _GapEvaluator, rows: np.ndarray, level: np.ndarray, parent: np.ndarray,
-           span: int) -> np.ndarray:
-    """Pattern counts of the candidates.  Parents sharing a gap tuple are
-    evaluated together, one ``evaluate_extensions`` call per gap tuple in
-    sorted order, on the union of their extensions."""
-    gaps = rows - rows[:, :1]
-    _, first, group = np.unique(_key(gaps, 0), return_index=True, return_inverse=True)
-    exts, cell = np.unique(group[parent] * span + level[:, -1] - level[:, 0],
-                           return_inverse=True)
-    bounds = np.searchsorted(exts, np.arange(first.size + 1) * span).tolist()
-    counts = np.empty(exts.size, dtype=np.int64)
-    exts = (exts % span).tolist()
-    for gap, lo, hi in zip(gaps[first].tolist(), bounds, bounds[1:]):
-        if lo < hi:
-            counts[lo:hi] = ev.evaluate_extensions(tuple(gap), exts[lo:hi])
-    return counts[cell]
+def _count(ev: _GapEvaluator, level: np.ndarray, interval: bool) -> np.ndarray:
+    """Pattern counts of the candidates, from one evaluator call on their
+    distinct gap tuples in sorted order: placements of one gap tuple are
+    counted once.  An interval pool's candidates all start at its first
+    point, so their gap tuples are already distinct and sorted."""
+    gaps = level - level[:, :1]
+    if interval:
+        return ev.count(gaps)
+    _, first, inverse = np.unique(_key(gaps, 0), return_index=True, return_inverse=True)
+    return ev.count(gaps[first])[inverse]
 
 
 def brute_force_free_oracle(win: SeqWindow, pool, max_size: int = 4,

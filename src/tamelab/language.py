@@ -4,15 +4,17 @@ A pattern on a coordinate set A is the tuple of symbols a window shows on
 A + t for some shift t.  ``patterns_on`` collects them as mixed-radix codes
 (first coordinate least significant, at most 2**24 of them), which
 certificates, dumps and ``project`` need.  One path serves every rank, a
-rank-1 window being the case k = 1: shifts are rows of an (N, k) array,
-and ``pattern_codes`` reads each coordinate a of A from the flattened
-symbols at (t - origin + a) . strides.  A coordinate set whose rank differs
-from the window's raises DimensionError.  Counting needs no codes: every
-count names patterns by int32 class ids, the dense ranks of the pairs
-(id of a smaller pattern, id of the part it adds) -- Karp-Miller-Rosenberg
-naming.  ``complexity`` grows windows by one symbol and n-boxes by one
-face per axis at each step, ``extend_classes`` grows a pattern along a
-coordinate sequence, and ``window_classes`` doubles window lengths.
+rank-1 window being the case k = 1: listed shifts are rows of an (N, k)
+array, and ``pattern_codes`` reads each coordinate a of A from the
+flattened symbols at (t - origin + a) . strides; every valid shift at once
+is the box of the shift bounds, read from one slice of the symbols per
+coordinate, with no shift array.  A coordinate set whose rank differs from
+the window's raises DimensionError.  Counting needs no codes: every count
+names patterns by int32 class ids, the dense ranks of the pairs (id of a
+smaller pattern, id of the part it adds) -- Karp-Miller-Rosenberg naming.
+``complexity`` grows windows by one symbol and n-boxes by one face per
+axis at each step, ``extend_classes`` grows a pattern along a coordinate
+sequence, and ``window_classes`` doubles window lengths.
 
 A rank-1 language is counted on its distinct windows when they are few,
 as for the low-complexity codings studied here.  Pad the line of length L
@@ -138,8 +140,7 @@ class PatternSet:
         for i in range(0, len(hexcodes), 16):
             lines.append("codes = " + " ".join(hexcodes[i:i + 16]))
         if self.witness is not None:
-            for code in sorted(self.witness):
-                lines.append(f"witness {format(code, 'x')} = {self.witness[code]}")
+            lines += [f"witness {code:x} = {self.witness[code]}" for code in sorted(self.witness)]
         return "\n".join(lines) + "\n"
 
 
@@ -201,9 +202,11 @@ def patterns_on(win: SeqWindow, A: CoordSet, shifts="all",
     """
     _check_capacity(win.alphabet_size, A.size)
     bounds = valid_shift_bounds(win, A)
+    tarr = None
     if isinstance(shifts, str) and shifts == "all":
-        axes = (np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in bounds)
-        tarr = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        lows = [lo for lo, _ in bounds]
+        shape = tuple(hi - lo + 1 for lo, hi in bounds)
+        codes = _box_codes(win, A, lows, shape)
         desc = " ".join(f"{lo}:{hi}" for lo, hi in bounds)
     else:
         tarr = np.array(list(shifts), dtype=np.int64)
@@ -212,16 +215,34 @@ def patterns_on(win: SeqWindow, A: CoordSet, shifts="all",
         if tarr.ndim == 1:
             tarr = tarr[:, None]
         tarr = tarr[np.lexsort(tarr.T[::-1])]
+        codes = pattern_codes(win, A, tarr)
         desc = "explicit"
-    codes = pattern_codes(win, A, tarr)
+    witness = None
     if want_witness:
         uniq, first = np.unique(codes, return_index=True)
-        at = tarr[first, 0].tolist() if win.rank == 1 else map(tuple, tarr[first].tolist())
+        # a box's codes run over its shifts in C order
+        t = tarr[first] if tarr is not None else (
+            np.stack(np.unravel_index(first, shape), axis=1) + lows)
+        at = t[:, 0].tolist() if win.rank == 1 else map(tuple, t.tolist())
         witness = dict(zip(uniq.tolist(), at))
     else:
         uniq = np.unique(codes)
-        witness = None
-    return PatternSet(A, win.alphabet_size, uniq, int(len(tarr)), desc, witness)
+    return PatternSet(A, win.alphabet_size, uniq.astype(np.int64, copy=False),
+                      int(codes.size), desc, witness)
+
+
+def _box_codes(win: SeqWindow, A: CoordSet, lows: list[int], shape: tuple) -> np.ndarray:
+    """Codes of the patterns on A + t for every shift t of the box with
+    lower corner ``lows`` and that shape, in C order: Horner's rule over
+    one slice of the symbols per coordinate, in int32 (the codes lie below
+    DENSE_CAP), with no shift or index array."""
+    codes = np.zeros(shape, dtype=np.int32)
+    for a in reversed(A.coords):  # last digit first
+        corner = (a,) if win.rank == 1 else a
+        codes *= win.alphabet_size
+        codes += win.symbols[tuple(slice(lo + c - o, lo + c - o + n) for lo, c, o, n
+                                   in zip(lows, corner, win.origin, shape))]
+    return codes.reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -262,7 +262,10 @@ def materialize(source: SeqSource, window) -> SeqWindow:
         builder = _BUILDERS[source.kind]
     except KeyError:
         raise ConfigError(f"unknown source kind {source.kind!r}") from None
-    if source.kind == "ip_indicator" and source.base ** source.exponent_cap < box[0][1]:
+    # coordinates lie below 2**63 <= base**63, so a cap of 63 or more always
+    # reaches past the window, and no huge power is built to say so
+    if (source.kind == "ip_indicator" and source.exponent_cap < 63
+            and source.base ** source.exponent_cap < box[0][1]):
         raise ArgumentError("exponent cap too small: base**cap must reach past the window")
     return builder(source, box)
 

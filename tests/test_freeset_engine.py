@@ -8,6 +8,7 @@ every shift (seeded noise, de Bruijn), and both evaluators: the scan
 engine on every instance, the projection lattice on the short pools.
 """
 
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -142,6 +143,12 @@ CASES = [
     ("sturmian-explicit-pool-negative-origin",
      lambda: materialize(SeqSource.fibonacci(), (-300, 4700)),
      (-290, -287, -281, -270, -256, -240), 4, None, "windows"),
+    # a horizon shorter than the line: no window runs past its end
+    ("sturmian-short-horizon", lambda: materialize(SeqSource.fibonacci(), (0, 5000)),
+     tuple(range(0, 31)), 4, 1000, "windows"),
+    # the period cuts the shifts to 256, and the one padded window repeats
+    ("de-bruijn-period-padded", lambda: materialize(SeqSource.de_bruijn(8), (0, 257)),
+     tuple(range(0, 3)), 3, None, "windows"),
     # placed parents such as (0, 1), (1, 2) and (10, 11) share one gap tuple
     ("noise-explicit-pool-shared-gaps", lambda: materialize(SeqSource.random(3), (0, 2000)),
      (0, 1, 2, 3, 10, 11, 12, 13), 4, None, "shifts"),
@@ -316,29 +323,149 @@ ENGINE_PATHS = {"scan": {"_BITSET_SPACE_MAX": 0},
                 "bits": {"_QUICK_MAX": 1, "_BITSET_SPACE_MAX": 81}}
 
 
-@pytest.mark.parametrize("m", [2, 3])
+def recount_columns(table, m, tup):
+    """Distinct columns of the tuple's rows with no non-symbol m."""
+    return len({col for col in zip(*table[list(tup)].tolist()) if m not in col})
+
+
+# the non-symbol tables, and an alphabet-1 table without the non-symbol,
+# whose lattice has base 1
+@pytest.mark.parametrize("m, base_one", [(2, False), (3, False), (1, False), (1, True)],
+                         ids=["2", "3", "1", "1-base1"])
 @pytest.mark.parametrize("path", sorted(ENGINE_PATHS) + ["lattice"])
-def test_non_symbol_at_any_digit_is_no_pattern(monkeypatch, path, m):
+def test_non_symbol_at_any_digit_is_no_pattern(monkeypatch, path, m, base_one):
     """A sample where any row of a tuple shows the non-symbol m counts for
-    no pattern of that tuple, whichever digit the row is."""
+    no pattern of that tuple, whichever digit the row is: per parent
+    through ``evaluate_extensions``, and per level of the tuples holding
+    row 0 through one ``count`` call, in lexicographic order or shuffled,
+    in one block or split by a small cell cap."""
     for name, value in ENGINE_PATHS.get(path, {}).items():
         monkeypatch.setattr(freeset, name, value)
-    table = non_symbol_table(m)
+    table = np.zeros((7, 40), dtype=np.uint8) if base_one else non_symbol_table(m)
     rows = table.shape[0]
-    ev = lattice(table, m) if path == "lattice" else freeset._GapEvaluator(table, m)
+    rng = np.random.default_rng(rows)
+    for cells in (freeset._BATCH_CELLS, 64):
+        monkeypatch.setattr(freeset, "_BATCH_CELLS", cells)
+        ev = lattice(table, m) if path == "lattice" else freeset._GapEvaluator(table, m)
+        for g in range(rows):
+            assert ev.singleton_count(g) == recount_columns(table, m, (g,))
+        for size in range(2, 5):
+            for parent in combinations(range(rows - 1), size - 1):
+                exts = list(range(parent[-1] + 1, rows))
+                counts = ev.evaluate_extensions(parent, exts)
+                expected = [recount_columns(table, m, parent + (e,)) for e in exts]
+                assert counts.tolist() == expected, parent
+        for shuffled in (False, True):
+            for size in range(2, rows + 1):
+                tuples = np.array([(0,) + rest for rest in combinations(range(1, rows), size - 1)])
+                if shuffled:
+                    tuples = tuples[rng.permutation(len(tuples))]
+                expected = [recount_columns(table, m, tup) for tup in tuples.tolist()]
+                assert ev.count(tuples).tolist() == expected, (cells, size, shuffled)
+        # the bits path's bit table takes pattern spaces up to 81, and its
+        # one-sample first scan epoch may already cover a space of 1
+        settled_by = f"by_{path}"
+        for size, level in ev.levels.items():
+            if path != "bits" or 1 < m ** size <= 81:
+                assert level[settled_by] == level["candidates"], size
+            assert level["by_scan"] + level["by_bits"] + level["by_lattice"] == level["candidates"]
 
-    def recount(tup):
-        return len({col for col in zip(*table[list(tup)].tolist()) if m not in col})
 
-    for g in range(rows):
-        assert ev.singleton_count(g) == recount((g,))
-    for size in range(2, 5):
-        for parent in combinations(range(rows - 1), size - 1):
-            exts = list(range(parent[-1] + 1, rows))
-            counts = ev.evaluate_extensions(parent, exts)
-            assert counts.tolist() == [recount(parent + (e,)) for e in exts], parent
-    settled_by = f"by_{path}"
-    assert all(level[settled_by] == level["candidates"] for level in ev.levels.values())
+def test_lattice_index_is_bounded_on_a_base_1_table():
+    """An alphabet-1 table without the non-symbol has base 1, so its lattice
+    is taken up to 27 rows, where its marks fill the table budget.  Tuples
+    are found by the colex rank of their row bitmask, with no table over
+    the 2**26 bitmasks: counting through every size allocates little more
+    than the marks."""
+    table = np.zeros((27, 3), dtype=np.uint8)
+    assert isinstance(freeset._evaluator(table, 1), freeset._ProjectionLattice)
+    assert isinstance(freeset._evaluator(np.zeros((28, 3), dtype=np.uint8), 1),
+                      freeset._GapEvaluator)
+    tracemalloc.start()
+    try:
+        ev = freeset._evaluator(table, 1)
+        tuples = np.array([[0, 26], [0, 1], [0, 13], [0, 25]])
+        assert ev.count(tuples).tolist() == [1, 1, 1, 1]
+        assert ev.count(np.array([[0, 5, 9, 26]])).tolist() == [1]
+        assert ev.singleton_count(17) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= freeset._TABLE_BYTES + (1 << 22)
+
+
+def brute_table_columns(line, m, shifts, period, width):
+    """The table's columns by brute force: the first occurrence of each
+    distinct width-window of the line padded with m, less each padded one
+    whose live part also starts at an earlier position of the line."""
+    t = min(shifts, period) if period else shifts
+    live = min(len(line), t + width - 1)
+    padded = [int(v) for v in line[:live]] + [m] * (t + width - 1 - live)
+    seen, kept = set(), []
+    for j in range(t):
+        window = tuple(padded[j: j + width])
+        if window in seen:
+            continue
+        seen.add(window)
+        tail = padded[j:live]
+        if j + width > live and any(padded[f: f + len(tail)] == tail for f in range(j)):
+            continue
+        kept.append(window)
+    return sorted(kept)
+
+
+_GOLDEN_WORD = [0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0]
+
+# (name, line, alphabet, shifts, period, width, padded samples the table keeps)
+LINE_TABLES = [
+    # every tail repeats: only the 101 windows that fit are kept
+    ("golden", materialize(SeqSource.fibonacci(), (0, 20000)).line(), 2, 20000, None, 100, 0),
+    # the last symbol occurs nowhere earlier, so no tail repeats
+    ("new-symbol-at-end", np.array([0] * 400 + [1], dtype=np.uint8), 2, 401, None, 6, 5),
+    # "1 1" first occurs at the end: the tails holding it stay, "1" repeats
+    ("new-pair-at-end", np.array(_GOLDEN_WORD * 10 + [1, 1], dtype=np.uint8), 2, 212, None,
+     9, 7),
+    # a horizon shorter than the line: nothing is padded
+    ("short-horizon", np.array(_GOLDEN_WORD * 10 + [1, 1], dtype=np.uint8), 2, 100, None,
+     9, 0),
+    # a period below the line: the table covers one period
+    ("de-bruijn-period", materialize(SeqSource.de_bruijn(8), (0, 257)).line(), 2, 257, 256,
+     3, 0),
+    ("periodic-past-end", np.resize(np.array([0, 1, 2, 2, 1], dtype=np.uint8), 300), 3, 300,
+     None, 40, 0),
+]
+
+
+@pytest.mark.parametrize("name,line,m,shifts,period,width,padded", LINE_TABLES,
+                         ids=[c[0] for c in LINE_TABLES])
+def test_line_table_drops_padded_windows_whose_tail_repeats(name, line, m, shifts, period,
+                                                            width, padded):
+    table, n = freeset._line_table(line, m, shifts, period, width)
+    expected = brute_table_columns(line, m, shifts, period, width)
+    assert n == len(expected) == table.shape[1]
+    assert sorted(map(tuple, table.T.tolist())) == expected
+    assert sum(m in column for column in expected) == padded
+
+
+def test_line_table_matches_brute_force_on_random_lines():
+    """Seeded short lines, widths, horizons and periods: the first-occurrence
+    table holds the brute-force columns, and the view is taken only when
+    they would not halve the shifts."""
+    rng = np.random.default_rng(15)
+    for i in range(150):
+        m = int(rng.integers(1, 4))
+        line = rng.integers(0, m, int(rng.integers(1, 60))).astype(np.uint8)
+        if i % 3 == 0:  # low complexity: a repeated short block
+            line = np.resize(line[: int(rng.integers(1, 5))], line.size)
+        width = int(rng.integers(1, 12))
+        shifts = int(rng.integers(1, line.size + 1))
+        period = int(rng.integers(1, line.size + 1)) if i % 4 == 0 else None
+        table, n = freeset._line_table(line, m, shifts, period, width)
+        expected = brute_table_columns(line, m, shifts, period, width)
+        if n is None:
+            assert 2 * len(expected) > min(shifts, period or shifts), i
+        else:
+            assert sorted(map(tuple, table.T.tolist())) == expected, i
 
 
 def test_search_stats_account_for_every_candidate():
@@ -346,8 +473,9 @@ def test_search_stats_account_for_every_candidate():
     budget = FreeSearchBudget.interval(0, 99, 4)
     result = search(win, budget)
     assert result.stats == search(win, budget).stats
-    # p(100) = 101 for the golden coding, plus the 99 windows past the end
-    assert result.stats["windows"] == 101 + 99
+    # p(100) = 101 for the golden coding; the 99 windows past the end are
+    # dropped, as the live part of each occurs earlier in the line
+    assert result.stats["windows"] == 101
     assert result.stats["evaluator"] == "scan"  # 2**100 cells: far past the lattice rule
     levels = result.stats["levels"]
     assert sorted(levels) == [p.size for p in result.profile[1:]]

@@ -260,6 +260,33 @@ def brute_first_shifts(win, A, shifts):
     return first
 
 
+@pytest.mark.parametrize("origin, shape, alphabet, coords", [
+    ((-40,), (3000,), 2, [0, 3, 4, 9]), ((-40,), (3000,), 3, [-2, 0, 5]),
+    ((-40,), (3000,), 2, list(range(0, 48, 2))), ((-40,), (3000,), 16, [1, 2, 4, 8, 16, 32]),
+    ((3, -4), (30, 41), 2, [(0, 0), (0, 3), (2, -1), (5, 0)]),
+    ((-1, 2, 0), (9, 7, 12), 3, [(-1, 0, 2), (0, 2, 1), (1, 0, 3), (3, 1, 0)]),
+])
+def test_every_shift_equals_the_listed_shift_path(origin, shape, alphabet, coords):
+    """Every valid shift of a window of any rank, read from one slice of
+    the symbols per coordinate, gives the codes, witnesses and dump of the
+    same shifts listed one by one in lexicographic order, up to the
+    pattern space's cap of 2**24."""
+    rng = np.random.default_rng(alphabet + len(coords))
+    win = SeqWindow(origin, rng.integers(0, alphabet, shape).astype(np.uint8), alphabet, "box")
+    A = CoordSet.of(coords, rank=len(shape))
+    bounds = language.valid_shift_bounds(win, A)
+    listed = itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
+    listed = [t[0] for t in listed] if win.rank == 1 else list(listed)
+    every = patterns_on(win, A, want_witness=True)
+    by_list = patterns_on(win, A, shifts=listed, want_witness=True)
+    assert every.codes.dtype == by_list.codes.dtype
+    assert np.array_equal(every.codes, by_list.codes)
+    assert every.witness == by_list.witness
+    desc = " ".join(f"{lo}:{hi}" for lo, hi in bounds)
+    assert every.dump() == by_list.dump().replace("shifts = explicit", f"shifts = {desc}")
+    assert np.array_equal(patterns_on(win, A).codes, every.codes)
+
+
 # (origin, shape, alphabet, coordinates) of one window per rank
 RANK_CASES = [
     ((-7,), (90,), 3, [0, 2, 5, 11]),

@@ -140,6 +140,35 @@ def test_ip_indicator_requires_reachable_cap():
         materialize(SeqSource.ip_indicator(10, 2), (0, 1000))
 
 
+def test_ip_indicator_cap_boundary():
+    """The window must end at or below base**cap, up to the top of the
+    coordinate range, where any cap of 63 or more reaches."""
+    assert materialize(SeqSource.ip_indicator(10, 3), (990, 1000)).line().sum() == 0
+    with pytest.raises(ArgumentError):
+        materialize(SeqSource.ip_indicator(10, 3), (990, 1001))
+    top = (2 ** 63 - 8, 2 ** 63)
+    with pytest.raises(ArgumentError):
+        materialize(SeqSource.ip_indicator(2, 62), top)
+    assert materialize(SeqSource.ip_indicator(2, 63), top).line().tolist() == [1, 0] * 4
+
+
+class _Unpowered(int):
+    """An exponent cap whose power with the base must not be taken."""
+
+    def __rpow__(self, base, mod=None):
+        raise AssertionError(f"{base} ** {int(self)} was built")
+
+
+def test_ip_indicator_huge_cap_builds_no_power():
+    """A cap of 63 or more passes the precondition without base**cap,
+    which for cap 10**7 took seconds to build; a smaller cap takes it."""
+    for cap in (63, 10 ** 7):
+        win = materialize(SeqSource.ip_indicator(3, _Unpowered(cap)), (0, 100))
+        assert win.line()[[3, 9, 12, 36, 39]].tolist() == [1, 1, 1, 1, 1]
+    with pytest.raises(AssertionError, match="was built"):
+        materialize(SeqSource.ip_indicator(3, _Unpowered(62)), (0, 100))
+
+
 def test_concat_first_block_hand_expansion():
     win = materialize(SeqSource.concat_nonnull(), (-3, 9))
     # w1 = u1 v1 = "00" + "10" + "0000" at positions 1..8
