@@ -174,11 +174,12 @@ def find_independent_subfamily(fs: FunctionSample, a: float, b: float,
     Thresholded, the distinct columns (one sorted bytes key per column, the
     first of each key kept in column order) form a table for
     ``freeset._GapEvaluator``: 0 below a, 1 above b, and the non-symbol 2
-    between.  Depth-first over increasing row indices, each node counts its
-    extensions in one call; a subsequence qualifies when it shows all its
-    low/high splits.  Returns the lexicographically first witness of
-    maximal length, with the first column of each split, or None when no
-    subsequence of length >= 2 qualifies over this sample.
+    between.  A subsequence qualifies when it shows all its low/high splits.
+    Depth-first over increasing row indices, each node counts in one call
+    its extensions by the later rows that qualified with its parent, as
+    independence is hereditary.  Returns the lexicographically first
+    witness of maximal length, with the first column of each split, or None
+    when no subsequence of length >= 2 qualifies over this sample.
     """
     if not a < b:
         raise ArgumentError("thresholds require a < b")
@@ -193,26 +194,28 @@ def find_independent_subfamily(fs: FunctionSample, a: float, b: float,
     keep = np.sort(first).tolist()
     table = np.take(symbols, keep, axis=1)
     ev = _GapEvaluator(table, 2)
-    n = fs.n_members
     best: tuple[int, ...] = ()
 
-    def extend(indices: tuple[int, ...], rows: list[int]):
+    def extend(indices: tuple[int, ...], rows: np.ndarray):
         nonlocal best
-        for i, row in enumerate(rows):
+        for i, row in enumerate(rows.tolist()):
             cand = indices + (row,)
             # an independent extension of cand uses only the rows after it
             if len(cand) + len(rows) - i - 1 <= len(best):
                 return
             if len(cand) > max(len(best), 1):
                 best = cand
-            if len(cand) < max_len and row + 1 < n:
-                exts = list(range(row + 1, n))
-                counts = ev.evaluate_extensions(cand, exts)
-                extend(cand, [e for e, c in zip(exts, counts.tolist()) if c == 2 << len(cand)])
+            # cand + (e,) is independent only if indices + (e,) is
+            exts = rows[i + 1:]
+            if len(cand) < max_len and exts.size:
+                tuples = np.empty((exts.size, len(cand) + 1), dtype=np.int64)
+                tuples[:, :-1] = cand
+                tuples[:, -1] = exts
+                extend(cand, exts[ev.count(tuples) == 2 << len(cand)])
             if len(best) == max_len:
                 return
 
-    extend((), [g for g in range(n) if ev.singleton_count(g) == 2])
+    extend((), np.flatnonzero((table == 0).any(axis=1) & (table == 1).any(axis=1)))
     if not best:
         return None
     # bit i of a code is "member i high", the witness's split mask

@@ -21,9 +21,9 @@ counted by one evaluator call.
 
 The evaluation engine, ``_GapEvaluator``, counts the patterns that tuples
 of rows show in a (rows x samples) uint8 table, where the non-symbol m
-marks a sample at which a row shows no symbol; it settles a whole level
-as (parent, extension) pairs, and the independence search of ``families``
-counts through it too, one parent at a time.  The free-set search's table
+marks a sample at which a row shows no symbol.  One call of its only
+counting method, ``count``, settles a level of the search, or a node's
+extensions in the independence search of ``families``.  The free-set table
 (``_line_table``) is the first occurrences of the distinct pool-span
 windows (``language.first_occurrences``), less the windows running past
 the line's end whose live part occurs earlier in the line, gathered once,
@@ -90,6 +90,8 @@ _TABLE_BYTES = 1 << 26
 # digits of a code below 2**25 (2**24 codes, times m + 1) keeps them there
 # and within int32.
 _NON_PATTERN = 1 << 30
+# Cell cap for one joined level of candidates, positions times columns.
+_LEVEL_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -251,9 +253,8 @@ class _GapEvaluator:
     distinct prefixes, and builds their int32 codes one digit at a time
     over pieces of the epoch's samples, so a piece's cells stay within
     _BATCH_CELLS / 8.  For pattern spaces up to 64 a packed bit table
-    settles what the first epoch leaves open.  ``evaluate_extensions``
-    counts one parent's extensions the same way.  Rows are read whole:
-    keep them contiguous.
+    settles what the first epoch leaves open.  Rows are read whole: keep
+    them contiguous.
     """
 
     name = "scan"
@@ -262,10 +263,6 @@ class _GapEvaluator:
         self.m = int(alphabet)
         self.table = table
         self.levels: dict[int, dict[str, int]] = {}
-
-    def singleton_count(self, g: int) -> int:
-        """Distinct symbols in row g."""
-        return int(np.setdiff1d(self.table[g], (self.m,)).size)
 
     @cached_property
     def bits(self) -> np.ndarray | None:
@@ -283,25 +280,12 @@ class _GapEvaluator:
                     self.table[g: g + step] == s, axis=1)
         return bits.view(np.uint64)
 
-    # -- batched evaluation ----------------------------------------------
-
-    def evaluate_extensions(self, parent: tuple, exts: list[int]) -> np.ndarray:
-        """Exact pattern counts of parent + (e,) for each extension row
-        e > parent[-1], aligned with ``exts``."""
-        return self._count_pairs(np.array([parent]), np.zeros(len(exts), dtype=np.intp),
-                                 np.array(exts, dtype=np.int64))
-
     def count(self, tuples: np.ndarray) -> np.ndarray:
         """Exact pattern counts of an (N, s) array of distinct row tuples,
         s >= 2, aligned with its rows."""
         new = _run_starts(tuples[:, :-1])
-        return self._count_pairs(tuples[new, :-1], np.cumsum(new) - 1, tuples[:, -1])
-
-    def _count_pairs(self, parents: np.ndarray, parent_of: np.ndarray,
-                     exts: np.ndarray) -> np.ndarray:
-        """Exact pattern counts of the tuples parents[parent_of[i]] + (exts[i],),
-        for a nondecreasing ``parent_of``."""
-        size = parents.shape[1] + 1
+        parents, parent_of, exts = tuples[new, :-1], np.cumsum(new) - 1, tuples[:, -1]
+        size = tuples.shape[1]
         level = _level_stats(self.levels, size, exts.size)
         space = self.m ** size
         block = max(1, _BATCH_CELLS // (2 * space + 1))
@@ -419,7 +403,8 @@ def _parent_masks(bits: np.ndarray, parents: np.ndarray) -> np.ndarray:
 
 class _ProjectionLattice:
     """Exact pattern counts of row tuples of a short (W x samples) table,
-    by projection, with the interface of ``_GapEvaluator``.
+    by projection, through the ``count`` of ``_GapEvaluator``; its tuples
+    hold row 0, as the search's gap tuples do.
 
     Each sample's column is one W-digit code in base b (m, or m + 1 when
     the table holds the non-symbol m), row 0 most significant, and the full
@@ -431,8 +416,7 @@ class _ProjectionLattice:
     its highest missing row h, with h's axis ORed away.  ``count`` fills
     a level's missing tuples together: their ancestors one size up first,
     by the same rule, then one batched axis-OR per position of h.  A
-    tuple's count is its marked cells whose digits all lie below m; a tuple
-    without row 0 is counted from the marks of the tuple plus row 0.  So
+    tuple's count is its marked cells whose digits all lie below m.  So
     the marks take at most sum_s C(W - 1, s - 1) * b**s = b * (b + 1)**(W - 1)
     bytes.
     """
@@ -457,45 +441,21 @@ class _ProjectionLattice:
         full[0, codes] = True
         self._marks = {width: full}
 
-    def singleton_count(self, g: int) -> int:
-        """Distinct symbols in row g."""
-        return int(self._counts(np.array([[g]]))[0])
-
-    def evaluate_extensions(self, parent: tuple, exts: list[int]) -> np.ndarray:
-        """Exact pattern counts of parent + (e,) for each extension row
-        e > parent[-1], aligned with ``exts``."""
-        tuples = np.array([parent + (e,) for e in exts], dtype=np.int64)
-        return self.count(tuples.reshape(len(exts), len(parent) + 1))
-
     def count(self, tuples: np.ndarray) -> np.ndarray:
-        """Exact pattern counts of an (N, s) array of distinct row tuples,
-        aligned with its rows."""
-        _level_stats(self.levels, tuples.shape[1], len(tuples))["by_lattice"] += len(tuples)
-        return self._counts(tuples)
-
-    def _counts(self, tuples: np.ndarray) -> np.ndarray:
-        """``count`` without the level counters."""
+        """Exact pattern counts of an (N, s) array of distinct row tuples
+        that hold row 0, aligned with its rows."""
         size = tuples.shape[1]
+        _level_stats(self.levels, size, len(tuples))["by_lattice"] += len(tuples)
+        at = self._fill(tuples)
+        marks = self._marks[size]
         out = np.empty(len(tuples), dtype=np.int64)
-        lead = tuples[:, 0] == 0
-        # a tuple without row 0 folds row 0's axis out of the tuple plus row 0
-        for fold, sel in ((False, np.flatnonzero(lead)), (True, np.flatnonzero(~lead))):
-            if not sel.size:
-                continue
-            rows = tuples[sel]
-            if fold:
-                rows = np.hstack([np.zeros((sel.size, 1), dtype=rows.dtype), rows])
-            at = self._fill(rows)
-            marks = self._marks[rows.shape[1]]
-            step = max(1, _BATCH_CELLS // marks.shape[1])
-            for lo in range(0, sel.size, step):
-                got = marks[at[lo: lo + step]]
-                if fold:
-                    got = got.reshape(len(got), self.base, -1).any(axis=1)
-                if self.base > self.m:
-                    got = got.reshape((len(got),) + (self.base,) * size)
-                    got = got[(slice(None),) + (slice(self.m),) * size]
-                out[sel[lo: lo + step]] = np.count_nonzero(got.reshape(len(got), -1), axis=1)
+        step = max(1, _BATCH_CELLS // marks.shape[1])
+        for lo in range(0, len(tuples), step):
+            got = marks[at[lo: lo + step]]
+            if self.base > self.m:
+                got = got.reshape((len(got),) + (self.base,) * size)
+                got = got[(slice(None),) + (slice(self.m),) * size]
+            out[lo: lo + step] = np.count_nonzero(got.reshape(len(got), -1), axis=1)
         return out
 
     def _fill(self, tuples: np.ndarray) -> np.ndarray:
@@ -604,7 +564,8 @@ def max_free_set(win: SeqWindow, budget: FreeSearchBudget) -> FreeSearchResult:
         warnings.warn("shift horizon below m**max_size: top sizes cannot reach "
                       "coverage 1", stacklevel=2)
 
-    best_coords, profile, beam_limited = _search(ev, pool, budget)
+    singles = int(np.count_nonzero(np.bincount(table[0], minlength=m + 1)[:m]))
+    best_coords, profile, beam_limited = _search(ev, pool, budget, singles)
     best = None
     if best_coords is not None:
         best = is_free(win, CoordSet.of(best_coords), horizon)
@@ -677,12 +638,13 @@ def _repeat_cut(line: np.ndarray, lo: int, hi: int) -> int:
     return lo
 
 
-def _search(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget
+def _search(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget, singles: int
             ) -> tuple[tuple | None, tuple[SizeProfile, ...], bool]:
     """Level-wise search over positioned sets: (best set, profile, beam-limited).
 
     Each level is profiled from its sorted rows and their counts: the best
-    set is the first of highest count.  An interval pool's level-1 row
+    set is the first of highest count, and every level-1 set shows the
+    ``singles`` symbols of table row 0.  An interval pool's level-1 row
     (pool[0],) has every pool point as a sibling.  Until a beam cuts a
     level, a candidate is kept when dropping any column but its last two
     leaves a row of the level.
@@ -692,7 +654,7 @@ def _search(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget
     interval = span == len(pool)
     points = np.array(pool, dtype=np.int64)[:, None]
     level = points[:1] if interval else points
-    counts = np.full(len(level), ev.singleton_count(0))
+    counts = np.full(len(level), singles)
     profile, best, beam_limited = [], None, False
     while True:
         size, space = level.shape[1], ev.m ** level.shape[1]
@@ -719,11 +681,16 @@ def _search(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget
 def _join(rows: np.ndarray, sibs: np.ndarray) -> np.ndarray:
     """Every row extended by the last column of each later sibling of its
     run (rows sharing all but their last column), in lexicographic order.
-    The rows are the first rows of ``sibs``."""
-    n = len(rows)
+    The rows are the first rows of ``sibs``.  A level of more than
+    _LEVEL_CELLS cells is a capacity error, raised before it is built."""
+    n, size = rows.shape[0], rows.shape[1] + 1
     run = np.zeros(len(sibs), dtype=np.int64)
     np.cumsum((sibs[1:, :-1] != sibs[:-1, :-1]).any(axis=1), out=run[1:])
     width = np.searchsorted(run, run[:n], side="right") - np.arange(1, n + 1)
+    total = int(width.sum())
+    if total * size > _LEVEL_CELLS:
+        raise CapacityError(f"free-set level {size} would hold {total} candidates, past "
+                            "the 2**24-cell cap: set or lower [freeset] beam")
     parent = np.repeat(np.arange(n), width)
     # the t-th candidate joins its parent i to sibling t + i + 1 - (candidates before i)
     skip = np.repeat(np.arange(1, n + 1) - np.cumsum(width) + width, width)

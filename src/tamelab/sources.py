@@ -391,9 +391,8 @@ def _build_morse(source: SeqSource, box: Box) -> SeqWindow:
     """Digit-sum parity sequence with the mirror extension x(-n-1) = x(n)."""
     (lo, hi), = box
     n = np.arange(lo, hi, dtype=np.int64)
-    mirrored = np.where(n >= 0, n, ~n).astype(np.uint64)
-    out = (np.bitwise_count(mirrored) & 1).astype(np.uint8)
-    return SeqWindow((lo,), out, 2, source.digest, {})
+    np.invert(n, out=n, where=n < 0)  # in place: ~n = -n - 1 >= 0
+    return SeqWindow((lo,), np.bitwise_count(n) & 1, 2, source.digest, {})
 
 
 def _build_halfline(source: SeqSource, box: Box) -> SeqWindow:

@@ -1,6 +1,10 @@
 """Command-line harness: configs, artifacts, exit codes, golden file."""
 
 import hashlib
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tamelab
 from tamelab.classify import classify
 from tamelab.cli import COMMANDS, ExperimentConfig, main, run
 from tamelab.freeset import is_free
@@ -66,6 +71,25 @@ def test_capacity_error_exit_code(tmp_path):
     cfg = tmp_path / "big.cfg"
     cfg.write_text("[source]\nkind = morse\n\n[window]\nbox = 0:300000000\n")
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+
+def test_free_set_level_over_the_cell_cap_exits_3_before_allocating(tmp_path):
+    """On binary noise most small sets of a 99-point pool are free, so level
+    5 would join 3,612,280 candidates.  The search stops with a capacity
+    error before building it, within a 1 GB address space of its own."""
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("[source]\nkind = random\nseed = 3\nalphabet = 2\n\n[window]\n"
+                   "box = 0:324\n\n[freeset]\npool = 0:98\nmax_size = 7\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(tamelab.__file__).parents[1])}
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run([sys.executable, "-m", "tamelab.cli", "freeset", "--config", str(cfg),
+                           "--out", str(tmp_path)], env=env, preexec_fn=limit_address_space,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3, done.stderr
+    assert "level 5" in done.stderr and "[freeset] beam" in done.stderr
 
 
 def test_range_error_exit_code(tmp_path):

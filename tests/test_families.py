@@ -132,18 +132,33 @@ def test_independence_search_matches_brute_force_oracle(monkeypatch):
         assert np.array_equal(tables[0], symbols[:, first_columns(symbols)]), seed
 
 
+def spy_counts(monkeypatch, calls):
+    """Append each engine ``count`` call's tuples to ``calls``; the returned
+    set gathers the tuples found qualifying, all their splits shown."""
+    qualifying = set()
+    count = freeset._GapEvaluator.count
+
+    def spy(self, tuples):
+        calls.append(tuples.tolist())
+        got = count(self, tuples)
+        qualifying.update(t for t, c in zip(map(tuple, calls[-1]), got.tolist())
+                          if c == 1 << len(t))
+        return got
+
+    monkeypatch.setattr(freeset._GapEvaluator, "count", spy)
+    return qualifying
+
+
 def test_independence_search_stops_at_max_len(monkeypatch):
     """A depth-first search stops at its first witness of length max_len,
     after one engine call per member below that length."""
-    calls = []
-    evaluate = freeset._GapEvaluator.evaluate_extensions
 
-    def spy(self, parent, exts):
-        calls.append(parent)
-        assert len(calls) <= 6, "the search went on past its first full-length witness"
-        return evaluate(self, parent, exts)
+    class Calls(list):
+        def append(self, tuples):
+            super().append(tuples)
+            assert len(self) <= 6, "the search went on past its first full-length witness"
 
-    monkeypatch.setattr(freeset._GapEvaluator, "evaluate_extensions", spy)
+    spy_counts(monkeypatch, Calls())
     rng = np.random.default_rng(6)
     fs = FunctionSample(rng.integers(0, 2, (64, 4096)).astype(float))
     w = find_independent_subfamily(fs, 0.25, 0.75, max_len=6)
@@ -155,15 +170,11 @@ def test_independence_search_prunes_nodes_that_cannot_beat_the_best(monkeypatch)
     exceed the best length found ends its row loop.  On this family no
     subsequence reaches max_len, so the search is exhaustive up to the
     prune: it made 5,756 engine calls without it, and returns the same
-    witness."""
+    witness.  A node counts cand + (e,) only where indices + (e,)
+    qualified, as independence is hereditary, and makes no call when no
+    such row follows it: counting every later row took 26,605 tuples."""
     calls = []
-    evaluate = freeset._GapEvaluator.evaluate_extensions
-
-    def spy(self, parent, exts):
-        calls.append(parent)
-        return evaluate(self, parent, exts)
-
-    monkeypatch.setattr(freeset._GapEvaluator, "evaluate_extensions", spy)
+    qualifying = spy_counts(monkeypatch, calls)
     rng = np.random.default_rng(1)
     fs = FunctionSample(rng.integers(0, 2, (24, 48)).astype(float))
     w = find_independent_subfamily(fs, 0.25, 0.75, max_len=6)
@@ -171,7 +182,12 @@ def test_independence_search_prunes_nodes_that_cannot_beat_the_best(monkeypatch)
     assert [w.columns[mask] for mask in range(32)] == [
         29, 1, 24, 0, 2, 44, 15, 37, 14, 6, 12, 17, 16, 41, 4, 35,
         39, 27, 32, 3, 18, 33, 7, 34, 31, 5, 9, 21, 30, 19, 25, 8]
-    assert len(calls) == 3916
+    assert len(calls) == 3915
+    assert sum(map(len, calls)) == 20255
+    qualifying.update((g,) for g in range(fs.n_members)
+                      if (fs.values[g] < 0.25).any() and (fs.values[g] > 0.75).any())
+    for tuples in calls:
+        assert all(tup[:-2] + tup[-1:] in qualifying for tup in map(tuple, tuples)), tuples
 
 
 def test_witness_requires_two_members_and_valid_thresholds():

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from bisect import bisect_right
 
 import mpmath as mp
@@ -101,6 +102,20 @@ def test_morse_prefix_and_mirror():
     two_sided = materialize(SeqSource.morse(), (-8, 8))
     for n in range(8):
         assert two_sided.value_at(-n - 1) == two_sided.value_at(n)
+
+
+def test_morse_window_is_built_in_place():
+    """A window of 10**6 cells allocates its int64 indices and a few bytes
+    per cell beside them, with no int64 temporary."""
+    materialize(SeqSource.morse(), (0, 8))
+    tracemalloc.start()
+    try:
+        win = materialize(SeqSource.morse(), (-500_000, 500_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert win.line()[[0, 499_999, 500_000, -1]].tolist() == [1, 0, 0, 1]
+    assert peak < 12 * 10 ** 6
 
 
 def test_morse_substitution_invariance():
