@@ -128,14 +128,17 @@ def _entropy_probe(series: EntropySeries, alphabet: int) -> EntropySeries:
 
 
 def default_projection_families(win: SeqWindow, prefix: int) -> dict[str, list[int]]:
-    """Arithmetic, lacunary, and power-of-ten families inside the window."""
+    """Arithmetic, lacunary, and power-of-ten families inside the window:
+    start + 2i for i < 4 * prefix, start + 2**i for i < 2 * prefix and
+    start + 10**i for 0 < i < prefix, each stopped at the window's reach."""
     lo, hi = win.origin[0], win.origin[0] + win.extents[0] - 1
     reach = max(0, hi - max(lo, 0))
     start = max(lo, 0)
+    # 2**i <= reach exactly for i below its bit length, 10**i for i below its digits
     fams = {
-        "evens": [start + 2 * i for i in range(prefix * 4) if 2 * i <= reach],
-        "lacunary": [start + (1 << i) for i in range(prefix * 2) if (1 << i) <= reach],
-        "powers10": [start + 10 ** i for i in range(1, prefix) if 10 ** i <= reach],
+        "evens": [start + 2 * i for i in range(min(prefix * 4, reach // 2 + 1))],
+        "lacunary": [start + (1 << i) for i in range(min(prefix * 2, reach.bit_length()))],
+        "powers10": [start + 10 ** i for i in range(1, min(prefix, len(str(reach))))],
     }
     return {name: coords for name, coords in fams.items() if len(coords) >= 3}
 

@@ -280,9 +280,15 @@ class _Runner:
                 raise ArgumentError("certificate failed re-verification")
             self.write("certificate.txt", cert.dump())
             return
+        pool = self.config.typed("freeset", "pool", _range_spec, "0:15")
+        if pool:
+            # a range's least and greatest points are its ends: it is not built
+            lo, hi = (pool[0], pool[-1]) if isinstance(pool, range) else (min(pool), max(pool))
+            if lo < win.origin[0] or hi >= win.origin[0] + win.extents[0]:
+                raise ArgumentError("pool extends outside the window")
         budget = FreeSearchBudget(
             max_size=self.config.typed("freeset", "max_size", int, "12"),
-            pool=tuple(self.config.typed("freeset", "pool", _range_spec, "0:15")),
+            pool=tuple(pool),
             horizon=horizon,
             beam=self.config.typed("freeset", "beam", _opt_int, "none"),
         )
@@ -306,9 +312,7 @@ class _Runner:
         rows = ["instance,length,pool,oracle_max,search_max,agree"]
         for i in range(instances):
             length = int(rng.integers(16, 65))
-            line = rng.integers(0, 2, length).astype(np.uint8)
-            win = materialize(SeqSource.explicit(
-                SeqWindow((0,), line, 2, f"oracle-{i}")), (0, length))
+            win = SeqWindow((0,), rng.integers(0, 2, length).astype(np.uint8), 2, f"oracle-{i}")
             pool_size = int(rng.integers(2, 9))
             pool = tuple(sorted(rng.choice(length, size=pool_size,
                                            replace=False).tolist()))

@@ -31,14 +31,9 @@ when they at least halve the shifts and fit the table budget, as for the
 low-complexity codings studied here; otherwise it is the zero-copy view of
 every shift.
 
-A short pool is counted by projection instead.  Every tuple's pattern set
-is a projection of the table's column codes, so ``_ProjectionLattice``
-marks those codes once and fills a level's missing tuples from their
-ancestors one size up, one batched axis-OR per position of the row ORed
-away.  ``max_free_set`` takes it when its b**W cells (b the digit base, W
-the pool span) are no more than the table's samples and its marks fit the
-table budget; both evaluators count exactly, so the choice changes no
-result.
+A full table, whose columns show every W-word and no non-symbol, as de
+Bruijn windows and concatenation slots do over a short pool, is answered by
+``_FullEvaluator`` without counting; the choice changes no result.
 
 All claims are finite-scale: a certificate states the shift count it was
 computed over, and absence of a free set means absence at that horizon.
@@ -51,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, gcd
+from math import gcd
 
 import numpy as np
 
@@ -63,8 +58,8 @@ from .errors import (
     WitnessIntegrityError,
 )
 from .language import (
-    DENSE_CAP,
     CoordSet,
+    _check_capacity,
     first_occurrences,
     pattern_codes,
     patterns_on,
@@ -189,13 +184,13 @@ class SizeProfile:
 @dataclass(frozen=True)
 class FreeSearchResult:
     """Search outcome.  ``stats`` holds deterministic engine counters: the
-    evaluator that ran (``"lattice"`` or ``"scan"``), the kept first
+    evaluator that ran (``"full"`` or ``"scan"``), the kept first
     occurrences of the pool-span windows (``windows``, None exactly when the
     table is the view of every shift), the table's samples
     (``table_rows``), and per candidate size the candidates
     evaluated, the samples scanned for them (``rows``), and how many were
-    settled by scan, by bits and by the lattice (``by_scan + by_bits +
-    by_lattice`` is the candidates)."""
+    settled by scan, by bits and by the full table (``by_scan + by_bits +
+    by_full`` is the candidates)."""
 
     best: FreeSetCertificate | None
     profile: tuple[SizeProfile, ...]
@@ -401,96 +396,21 @@ def _parent_masks(bits: np.ndarray, parents: np.ndarray) -> np.ndarray:
     return masks
 
 
-class _ProjectionLattice:
-    """Exact pattern counts of row tuples of a short (W x samples) table,
-    by projection, through the ``count`` of ``_GapEvaluator``; its tuples
-    hold row 0, as the search's gap tuples do.
+class _FullEvaluator:
+    """Pattern counts of a full table: each s-word extends to a W-word, so
+    every tuple of s rows shows all m**s patterns."""
 
-    Each sample's column is one W-digit code in base b (m, or m + 1 when
-    the table holds the non-symbol m), row 0 most significant, and the full
-    tuple (0, ..., W - 1) marks the codes seen in b**W cells.  The marks of
-    the s-tuples holding row 0 are the rows of one (C(W - 1, s - 1), b**s)
-    bool array, allocated on first use; a tuple's row is the colex rank of
-    its row bitmask, and it is filled once it marks a cell, as every
-    tuple's marks do.  A missing tuple's marks are those of the tuple plus
-    its highest missing row h, with h's axis ORed away.  ``count`` fills
-    a level's missing tuples together: their ancestors one size up first,
-    by the same rule, then one batched axis-OR per position of h.  A
-    tuple's count is its marked cells whose digits all lie below m.  So
-    the marks take at most sum_s C(W - 1, s - 1) * b**s = b * (b + 1)**(W - 1)
-    bytes.
-    """
+    name = "full"
 
-    name = "lattice"
-
-    def __init__(self, table: np.ndarray, alphabet: int, base: int):
+    def __init__(self, alphabet: int):
         self.m = int(alphabet)
-        self.base = base
-        width, n = table.shape
-        codes = np.zeros(n, dtype=np.int64)
-        for row in table:
-            codes *= base
-            codes += row
-        self.width = width
         self.levels: dict[int, dict[str, int]] = {}
-        # _binom[a, i] = C(a, i): the colex rank of (0, r1, ..., rk) is the
-        # sum of C(r_i - 1, i)
-        self._binom = np.array([[comb(a, i) for i in range(width)] for a in range(width)],
-                               dtype=np.int64)
-        full = np.zeros((1, base ** width), dtype=bool)
-        full[0, codes] = True
-        self._marks = {width: full}
 
     def count(self, tuples: np.ndarray) -> np.ndarray:
-        """Exact pattern counts of an (N, s) array of distinct row tuples
-        that hold row 0, aligned with its rows."""
+        """m**s for each row of an (N, s) array of row tuples."""
         size = tuples.shape[1]
-        _level_stats(self.levels, size, len(tuples))["by_lattice"] += len(tuples)
-        at = self._fill(tuples)
-        marks = self._marks[size]
-        out = np.empty(len(tuples), dtype=np.int64)
-        step = max(1, _BATCH_CELLS // marks.shape[1])
-        for lo in range(0, len(tuples), step):
-            got = marks[at[lo: lo + step]]
-            if self.base > self.m:
-                got = got.reshape((len(got),) + (self.base,) * size)
-                got = got[(slice(None),) + (slice(self.m),) * size]
-            out[lo: lo + step] = np.count_nonzero(got.reshape(len(got), -1), axis=1)
-        return out
-
-    def _fill(self, tuples: np.ndarray) -> np.ndarray:
-        """The rows of the marks of tuples holding row 0, filling the
-        missing ones."""
-        size, b = tuples.shape[1], self.base
-        marks = self._marks.get(size)
-        if marks is None:
-            marks = self._marks[size] = np.zeros((comb(self.width - 1, size - 1), b ** size),
-                                                 dtype=bool)
-        at = self._binom[tuples[:, 1:] - 1, np.arange(1, size)].sum(axis=1)
-        step = max(1, _BATCH_CELLS // marks.shape[1])
-        filled = np.concatenate([marks[at[lo: lo + step]].any(axis=1)
-                                 for lo in range(0, len(at), step)])
-        dst, first = np.unique(at[~filled], return_index=True)
-        if dst.size:
-            # h sits just below the tuple's top run of rows ending at W - 1,
-            # which it joins in the ancestor
-            tup = tuples[~filled][first]
-            pos = size - (tup == np.arange(self.width - size, self.width)).sum(axis=1)
-            cols = np.arange(size + 1)
-            up = self._fill(np.where(cols < pos[:, None], np.pad(tup, ((0, 0), (0, 1))),
-                                     cols + self.width - size - 1))
-            src = self._marks[size + 1]
-            step = max(1, _BATCH_CELLS // src.shape[1])
-            for i in np.unique(pos).tolist():
-                group = np.flatnonzero(pos == i)
-                for lo in range(0, group.size, step):
-                    part = group[lo: lo + step]
-                    axes = src[up[part]].reshape(part.size, b ** i, b, -1)
-                    got = axes[:, :, 0]
-                    for digit in range(1, b):  # far faster than any(axis=2)
-                        got = got | axes[:, :, digit]
-                    marks[dst[part]] = got.reshape(part.size, -1)
-        return at
+        _level_stats(self.levels, size, len(tuples))["by_full"] += len(tuples)
+        return np.full(len(tuples), self.m ** size, dtype=np.int64)
 
 
 def _owners(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -513,21 +433,33 @@ def _run_starts(rows: np.ndarray) -> np.ndarray:
 def _level_stats(levels: dict, size: int, candidates: int) -> dict[str, int]:
     """The counters of one candidate size, with ``candidates`` added."""
     level = levels.setdefault(size, {"candidates": 0, "rows": 0, "by_scan": 0,
-                                     "by_bits": 0, "by_lattice": 0})
+                                     "by_bits": 0, "by_full": 0})
     level["candidates"] += candidates
     return level
 
 
 def _evaluator(table: np.ndarray, m: int):
-    """The projection lattice when its b**W cells are no more than the
-    table's samples and its marks, at most b * (b + 1)**(W - 1) bytes, fit
-    the table budget; the scan engine otherwise."""
+    """``_FullEvaluator`` when the table is full, decided only when its m**W
+    words are no more than its samples and the table budget; the scan
+    engine otherwise."""
     width, n = table.shape
-    if m ** width <= n:
-        base = m + int(table.max() == m)
-        if base ** width <= n and base * (base + 1) ** (width - 1) <= _TABLE_BYTES:
-            return _ProjectionLattice(table, m, base)
+    # past n's bit length m**W > n for m >= 2: the power is never built
+    if width < n.bit_length() and m ** width <= min(n, _TABLE_BYTES) and _is_full(table, m):
+        return _FullEvaluator(m)
     return _GapEvaluator(table, m)
+
+
+def _is_full(table: np.ndarray, m: int) -> bool:
+    """No non-symbol, and all m**W words among the columns: one bool mark
+    per word, from the codes of a block of columns at a time."""
+    if table.max() == m:
+        return False
+    seen = np.zeros(m ** table.shape[0], dtype=bool)
+    weights = m ** np.arange(table.shape[0], dtype=np.int64)
+    step = max(1, _BATCH_CELLS // (8 * table.shape[0]))
+    for lo in range(0, table.shape[1], step):
+        seen[weights @ table[:, lo: lo + step]] = True
+    return bool(seen.all())
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +480,7 @@ def max_free_set(win: SeqWindow, budget: FreeSearchBudget) -> FreeSearchResult:
     if win.rank != 1:
         raise DimensionError("free-set search operates on rank-1 windows")
     m = win.alphabet_size
-    if m ** budget.max_size > DENSE_CAP:
-        raise CapacityError(
-            f"pattern space {m}**{budget.max_size} exceeds the 2**24 cap")
+    _check_capacity(m, budget.max_size)
     horizon = budget.horizon
     pool = tuple(sorted(set(int(p) for p in budget.pool)))
     origin, length = win.origin[0], win.extents[0]

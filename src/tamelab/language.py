@@ -145,7 +145,9 @@ class PatternSet:
 
 
 def _check_capacity(alphabet: int, size: int) -> None:
-    if alphabet ** size > DENSE_CAP:
+    """CapacityError past 2**24 patterns, raised before a power past it is
+    built: m**25 > 2**24 for every m >= 2."""
+    if size > 24 and alphabet > 1 or alphabet ** size > DENSE_CAP:
         raise CapacityError(
             f"pattern space {alphabet}**{size} exceeds the 2**24 exact-code cap")
 

@@ -114,6 +114,24 @@ def test_default_projection_families_fit_window():
         assert all(lo <= c <= hi for c in coords)
 
 
+def test_default_projection_families_stop_at_the_window_reach():
+    """Each family stops at the window's reach, so any prefix past it gives
+    the families of a prefix just past it, which the unbounded definition
+    gives too."""
+    for box in ((0, 2001), (-50, 1000), (7, 12)):
+        win = materialize(SeqSource.morse(), box)
+        reach = box[1] - 1 - max(box[0], 0)
+        start, prefix = max(box[0], 0), reach + 1
+        expected = {
+            "evens": [start + 2 * i for i in range(4 * prefix) if 2 * i <= reach],
+            "lacunary": [start + 2 ** i for i in range(2 * prefix) if 2 ** i <= reach],
+            "powers10": [start + 10 ** i for i in range(1, prefix) if 10 ** i <= reach],
+        }
+        expected = {name: coords for name, coords in expected.items() if len(coords) >= 3}
+        assert default_projection_families(win, prefix) == expected, box
+        assert default_projection_families(win, 10 ** 6) == expected, box
+
+
 def test_report_text_and_csv_shapes():
     report = classify(materialize(SeqSource.char_halfline(), (-1000, 1000)))
     text = report.to_text()

@@ -73,23 +73,64 @@ def test_capacity_error_exit_code(tmp_path):
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
 
-def test_free_set_level_over_the_cell_cap_exits_3_before_allocating(tmp_path):
-    """On binary noise most small sets of a 99-point pool are free, so level
-    5 would join 3,612,280 candidates.  The search stops with a capacity
-    error before building it, within a 1 GB address space of its own."""
-    cfg = tmp_path / "wide.cfg"
-    cfg.write_text("[source]\nkind = random\nseed = 3\nalphabet = 2\n\n[window]\n"
-                   "box = 0:324\n\n[freeset]\npool = 0:98\nmax_size = 7\n")
+def run_in_child(tmp_path, command, config_text, timeout=60):
+    """``tamelab command`` on a config in a child process whose own address
+    space is capped at 1 GB (``RLIMIT_AS``, set in ``preexec_fn``), so a
+    runaway allocation fails with an exit code, not with the machine's
+    memory; the child must end within ``timeout`` seconds."""
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(config_text)
     env = {**os.environ, "PYTHONPATH": str(Path(tamelab.__file__).parents[1])}
 
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    done = subprocess.run([sys.executable, "-m", "tamelab.cli", "freeset", "--config", str(cfg),
+    return subprocess.run([sys.executable, "-m", "tamelab.cli", command, "--config", str(cfg),
                            "--out", str(tmp_path)], env=env, preexec_fn=limit_address_space,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_free_set_level_over_the_cell_cap_exits_3_before_allocating(tmp_path):
+    """On binary noise most small sets of a 99-point pool are free, so level
+    5 would join 3,612,280 candidates.  The search stops with a capacity
+    error before building it, within a 1 GB address space of its own."""
+    done = run_in_child(tmp_path, "freeset",
+                        "[source]\nkind = random\nseed = 3\nalphabet = 2\n\n[window]\n"
+                        "box = 0:324\n\n[freeset]\npool = 0:98\nmax_size = 7\n")
     assert done.returncode == 3, done.stderr
     assert "level 5" in done.stderr and "[freeset] beam" in done.stderr
+
+
+@pytest.mark.parametrize("alphabet", [2, 3])
+@pytest.mark.parametrize("max_size", [25, 10 ** 8, 2 ** 127])
+def test_huge_free_set_max_size_exits_3_before_its_pattern_space_is_built(tmp_path, alphabet,
+                                                                         max_size):
+    """m**max_size is past the 2**24 cap for every max_size > 24, so the
+    cap is decided without that power."""
+    done = run_in_child(tmp_path, "freeset",
+                        f"[source]\nkind = random\nseed = 1\nalphabet = {alphabet}\n\n"
+                        f"[window]\nbox = 0:40\n\n[freeset]\npool = 0:7\n"
+                        f"max_size = {max_size}\n", timeout=30)
+    assert done.returncode == 3, done.stderr
+    assert "2**24" in done.stderr
+
+
+def test_free_set_pool_outside_the_window_exits_5_before_it_is_built(tmp_path):
+    done = run_in_child(tmp_path, "freeset",
+                        "[source]\nkind = random\nseed = 1\nalphabet = 3\n\n[window]\n"
+                        "box = 0:40\n\n[freeset]\npool = 0:99999999\n", timeout=30)
+    assert done.returncode == 5, done.stderr
+    assert "pool extends outside the window" in done.stderr
+
+
+def test_classify_with_a_prefix_past_the_window_completes(tmp_path):
+    """The projection families stop at the window's reach, whatever the
+    prefix."""
+    done = run_in_child(tmp_path, "classify",
+                        "[source]\nkind = sturmian\nalphas = golden\n"
+                        "cuts = 0,one_minus_golden\nbase = 0\n\n[window]\nbox = 0:2000\n\n"
+                        "[classify]\nprefix = 1000000\n")
+    assert done.returncode == 0, done.stderr
 
 
 def test_range_error_exit_code(tmp_path):

@@ -5,7 +5,10 @@ with ``patterns_on`` over the same shift range, and tiny instances are
 checked against the brute-force oracle.  The instances cover both table
 constructions: distinct pool-span windows (Sturmian, concatenation) and
 every shift (seeded noise, de Bruijn), and both evaluators: the scan
-engine on every instance, the projection lattice on the short pools.
+engine on every instance, and the evaluator ``max_free_set`` chooses, which
+counts nothing on a full table.  On a full table every subset of the rows
+is free, so its free sets are the whole subset lattice: the tests named for
+the lattice check that rule.
 """
 
 import tracemalloc
@@ -155,19 +158,20 @@ CASES = [
     # the whole pool is free, so level 4 is a single row that joins nothing
     ("noise-single-row-level", lambda: materialize(SeqSource.random(8), (0, 91)),
      (1, 3, 8, 11), 5, None, "shifts"),
+    # 300 samples of 8 rows, more than the 256 words, of which about 177 show
+    ("noise-short-of-full", lambda: materialize(SeqSource.random(3, 2), (0, 400)),
+     tuple(range(0, 8)), 5, 300, "shifts"),
 ]
 
 
-def lattice(table, m):
-    """The projection lattice of a table, whatever its size."""
-    return freeset._ProjectionLattice(table, m, m + int(table.max() == m))
-
-
-# evaluator name -> the evaluator ``max_free_set`` is made to build
-EVALUATORS = {"scan": freeset._GapEvaluator, "lattice": lattice}
-
-# the cases whose pool is short enough for the lattice's kept marks
+# the cases whose pool is short enough to enumerate the table's words
 SHORT_CASES = [c for c in CASES if c[2][-1] - c[2][0] < 13]
+
+
+def shows_every_word(table, m):
+    """Whether the table holds no non-symbol m and its columns show every
+    word of its rows over the alphabet, by brute force."""
+    return m not in table and len(set(map(tuple, table.T.tolist()))) == m ** table.shape[0]
 
 
 def scanned_shifts(win, result):
@@ -177,8 +181,15 @@ def scanned_shifts(win, result):
 
 
 def check_profile(monkeypatch, evaluator, make, pool, max_size, horizon, table):
-    monkeypatch.setattr(freeset, "_evaluator", EVALUATORS[evaluator])
+    """The search's profile against the direct recount, with the scan
+    engine, or with the evaluator the search chooses when ``evaluator`` is
+    None."""
     win = make()
+    if evaluator is None:
+        full = shows_every_word(search_table(monkeypatch, win, pool, horizon), win.alphabet_size)
+        evaluator = "full" if full else "scan"
+    else:
+        monkeypatch.setattr(freeset, "_evaluator", freeset._GapEvaluator)
     result = search(win, FreeSearchBudget(max_size, pool, horizon))
     assert result.stats["evaluator"] == evaluator
     assert engine_profile(result) == reference_profile(win, pool, max_size, horizon)
@@ -203,7 +214,9 @@ def test_profile_matches_direct_recount(monkeypatch, name, make, pool, max_size,
                          ids=[c[0] for c in SHORT_CASES])
 def test_lattice_profile_matches_direct_recount(monkeypatch, name, make, pool, max_size,
                                                 horizon, table):
-    check_profile(monkeypatch, "lattice", make, pool, max_size, horizon, table)
+    """With the evaluator ``max_free_set`` chooses: the full-table one
+    exactly when the table shows every word."""
+    check_profile(monkeypatch, None, make, pool, max_size, horizon, table)
 
 
 def search_table(monkeypatch, win, pool, horizon):
@@ -233,51 +246,111 @@ def extension_tuples(parent, rows):
     return np.array([parent + (e,) for e in range(parent[-1] + 1, rows)])
 
 
-def assert_lattice_agrees(table, m):
-    """Both evaluators count every tuple of the table that holds row 0
-    alike, one parent's extensions at a time."""
-    scan, lat = freeset._GapEvaluator(table, m), lattice(table, m)
-    rows = table.shape[0]
+def assert_chosen_evaluator_agrees(table, m):
+    """``_evaluator`` counts with the full-table evaluator exactly when the
+    table shows every word and no non-symbol, and then it counts every
+    tuple of the table that holds row 0 as the scan engine does, one
+    parent's extensions at a time."""
+    ev = freeset._evaluator(table, m)
+    full = shows_every_word(table, m)
+    assert isinstance(ev, freeset._FullEvaluator if full else freeset._GapEvaluator)
+    if not full:
+        return
+    scan, rows = freeset._GapEvaluator(table, m), table.shape[0]
     for size in range(rows - 1):
         for rest in combinations(range(1, rows - 1), size):
             tuples = extension_tuples((0,) + rest, rows)
-            assert np.array_equal(lat.count(tuples), scan.count(tuples)), rest
+            assert np.array_equal(ev.count(tuples), scan.count(tuples)), rest
 
 
 @pytest.mark.parametrize("name,make,pool,max_size,horizon,table", CASES,
                          ids=[c[0] for c in CASES])
 def test_lattice_counts_equal_scan_counts(monkeypatch, name, make, pool, max_size, horizon,
                                           table):
-    """On the first 8 rows of each case's search table."""
+    """On each short case's whole search table and on the first 8 rows of
+    every case's: concatenation slots and de Bruijn windows make full
+    tables, and a view of every shift is padded with the non-symbol."""
     win = make()
-    assert_lattice_agrees(search_table(monkeypatch, win, pool, horizon)[:8], win.alphabet_size)
+    whole = search_table(monkeypatch, win, pool, horizon)
+    if name in {c[0] for c in SHORT_CASES}:
+        assert_chosen_evaluator_agrees(whole, win.alphabet_size)
+    assert_chosen_evaluator_agrees(whole[:8], win.alphabet_size)
+
+
+def every_word(m, width):
+    """A (width x m**width) table whose column j is the base-m digits of j."""
+    return (np.arange(m ** width) // m ** np.arange(width)[:, None] % m).astype(np.uint8)
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_lattice_counts_equal_scan_counts_with_non_symbol(m):
-    assert_lattice_agrees(non_symbol_table(m), m)
+    """A table that shows every word is full, and stays so with repeated
+    columns; one non-symbol anywhere makes it a scan table, as does a
+    missing word."""
+    words = every_word(m, 4)
+    for table in (words, np.hstack([words, words[:, ::3]])):
+        assert_chosen_evaluator_agrees(table, m)
+    for j in (0, words.shape[1] - 1):
+        for row in (0, 3):
+            marked = np.hstack([words, words[:, j: j + 1]])
+            marked[row, -1] = m
+            assert isinstance(freeset._evaluator(marked, m), freeset._GapEvaluator)
+    missing = words.copy()
+    missing[:, 0] = missing[:, 1]  # as many columns as words, word 0 not among them
+    assert isinstance(freeset._evaluator(missing, m), freeset._GapEvaluator)
+    assert isinstance(freeset._evaluator(non_symbol_table(m), m), freeset._GapEvaluator)
 
 
 def test_lattice_rule(monkeypatch):
-    """``max_free_set`` takes the lattice when its b**W cells are no more
-    than the table's samples and its kept marks, b * (b + 1)**(W - 1)
-    bytes at most, fit the table budget; past either bound it searches
-    with the scan engine and builds no lattice."""
+    """``max_free_set`` counts nothing on a full table: every level is
+    settled by the full-table evaluator.  It decides fullness only when the
+    m**W words are no more than the samples and the table budget; past
+    either it searches with the scan engine and finds the same profile."""
     win = materialize(SeqSource.de_bruijn(8), (0, 1000))  # 256 samples, one per period
-    fits = search(win, FreeSearchBudget.interval(0, 7, 4))  # 2**8 = 256 cells
-    assert fits.stats["evaluator"] == "lattice"
-    assert all(level["by_lattice"] == level["candidates"] > 0
+    fits = search(win, FreeSearchBudget.interval(0, 7, 4))  # all 2**8 words
+    assert fits.stats["evaluator"] == "full"
+    assert all(level["by_full"] == level["candidates"] > 0 and level["rows"] == 0
                for level in fits.stats["levels"].values())
     assert search(win, FreeSearchBudget.interval(0, 8, 4)).stats["evaluator"] == "scan"
 
     def refuse(*args):
-        raise AssertionError("a lattice was built past its memo bound")
+        raise AssertionError("fullness was decided past the table budget")
 
-    monkeypatch.setattr(freeset, "_ProjectionLattice", refuse)
-    monkeypatch.setattr(freeset, "_TABLE_BYTES", 2 * 3 ** 7 - 1)
-    scanned = search(win, FreeSearchBudget.interval(0, 7, 4))
+    with monkeypatch.context() as patch:
+        patch.setattr(freeset, "_is_full", refuse)
+        patch.setattr(freeset, "_TABLE_BYTES", 2 ** 8 - 1)
+        scanned = search(win, FreeSearchBudget.interval(0, 7, 4))
     assert scanned.stats["evaluator"] == "scan"
     assert engine_profile(scanned) == engine_profile(fits)
+
+
+class _NoPower(int):
+    """An alphabet size whose powers fail the test."""
+
+    def __pow__(self, other):
+        raise AssertionError(f"m**{other} was built")
+
+
+def test_lattice_index_is_bounded_on_a_base_1_table():
+    """Fullness is never decided with m**W past the samples' bit length, so
+    a tall table, such as a 1000-point pool's or an alphabet-1 one, goes to
+    the scan engine without that power; a short alphabet-1 table without
+    the non-symbol is full.  Deciding a 16-row table of 2**16 samples
+    allocates little more than its 2**16 marks and one block of column
+    codes."""
+    for table in (np.zeros((1000, 1000), dtype=np.uint8), np.zeros((27, 3), dtype=np.uint8)):
+        assert isinstance(freeset._evaluator(table, _NoPower(2)), freeset._GapEvaluator)
+    ones = freeset._evaluator(np.zeros((3, 40), dtype=np.uint8), 1)
+    assert isinstance(ones, freeset._FullEvaluator)
+    assert ones.count(np.array([[0, 1], [0, 2], [1, 2]])).tolist() == [1, 1, 1]
+    words = every_word(2, 16)
+    tracemalloc.start()
+    try:
+        assert isinstance(freeset._evaluator(words, 2), freeset._FullEvaluator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 16 + freeset._BATCH_CELLS + (1 << 20)
 
 
 # (name, window, pool, max_size, horizon, beam): each beam truncates a level
@@ -331,18 +404,16 @@ def recount_columns(table, m, tup):
     return len({col for col in zip(*table[list(tup)].tolist()) if m not in col})
 
 
-# the non-symbol tables, and an alphabet-1 table without the non-symbol,
-# whose lattice has base 1
+# the non-symbol tables, and an alphabet-1 table without the non-symbol
 @pytest.mark.parametrize("m, base_one", [(2, False), (3, False), (1, False), (1, True)],
                          ids=["2", "3", "1", "1-base1"])
-@pytest.mark.parametrize("path", sorted(ENGINE_PATHS) + ["lattice"])
+@pytest.mark.parametrize("path", sorted(ENGINE_PATHS))
 def test_non_symbol_at_any_digit_is_no_pattern(monkeypatch, path, m, base_one):
     """A sample where any row of a tuple shows the non-symbol m counts for
     no pattern of that tuple, whichever digit the row is: through one
-    ``count`` call per parent's extensions (on the lattice, per parent
-    holding row 0), and per level of the tuples holding row 0, in
-    lexicographic order or shuffled, in one block or split by a small cell
-    cap."""
+    ``count`` call per parent's extensions, and per level of the tuples
+    holding row 0, in lexicographic order or shuffled, in one block or
+    split by a small cell cap."""
     for name, value in ENGINE_PATHS.get(path, {}).items():
         monkeypatch.setattr(freeset, name, value)
     table = np.zeros((7, 40), dtype=np.uint8) if base_one else non_symbol_table(m)
@@ -350,11 +421,9 @@ def test_non_symbol_at_any_digit_is_no_pattern(monkeypatch, path, m, base_one):
     rng = np.random.default_rng(rows)
     for cells in (freeset._BATCH_CELLS, 64):
         monkeypatch.setattr(freeset, "_BATCH_CELLS", cells)
-        ev = lattice(table, m) if path == "lattice" else freeset._GapEvaluator(table, m)
+        ev = freeset._GapEvaluator(table, m)
         for size in range(2, 5):
             for parent in combinations(range(rows - 1), size - 1):
-                if path == "lattice" and parent[0]:
-                    continue
                 tuples = extension_tuples(parent, rows)
                 expected = [recount_columns(table, m, tup) for tup in tuples.tolist()]
                 assert ev.count(tuples).tolist() == expected, parent
@@ -371,29 +440,8 @@ def test_non_symbol_at_any_digit_is_no_pattern(monkeypatch, path, m, base_one):
         for size, level in ev.levels.items():
             if path != "bits" or 1 < m ** size <= 81:
                 assert level[settled_by] == level["candidates"], size
-            assert level["by_scan"] + level["by_bits"] + level["by_lattice"] == level["candidates"]
-
-
-def test_lattice_index_is_bounded_on_a_base_1_table():
-    """An alphabet-1 table without the non-symbol has base 1, so its lattice
-    is taken up to 27 rows, where its marks fill the table budget.  Tuples
-    are found by the colex rank of their row bitmask, with no table over
-    the 2**26 bitmasks: counting through every size allocates little more
-    than the marks."""
-    table = np.zeros((27, 3), dtype=np.uint8)
-    assert isinstance(freeset._evaluator(table, 1), freeset._ProjectionLattice)
-    assert isinstance(freeset._evaluator(np.zeros((28, 3), dtype=np.uint8), 1),
-                      freeset._GapEvaluator)
-    tracemalloc.start()
-    try:
-        ev = freeset._evaluator(table, 1)
-        tuples = np.array([[0, 26], [0, 1], [0, 13], [0, 25]])
-        assert ev.count(tuples).tolist() == [1, 1, 1, 1]
-        assert ev.count(np.array([[0, 5, 9, 26]])).tolist() == [1]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= freeset._TABLE_BYTES + (1 << 22)
+            assert level["by_scan"] + level["by_bits"] == level["candidates"]
+            assert level["by_full"] == 0
 
 
 def brute_table_columns(line, m, shifts, period, width):
@@ -478,11 +526,11 @@ def test_search_stats_account_for_every_candidate():
     # p(100) = 101 for the golden coding; the 99 windows past the end are
     # dropped, as the live part of each occurs earlier in the line
     assert result.stats["windows"] == 101
-    assert result.stats["evaluator"] == "scan"  # 2**100 cells: far past the lattice rule
+    assert result.stats["evaluator"] == "scan"  # 2**100 words: far past the full-table rule
     levels = result.stats["levels"]
     assert sorted(levels) == [p.size for p in result.profile[1:]]
     for level in levels.values():
-        assert level["by_scan"] + level["by_bits"] + level["by_lattice"] == level["candidates"]
+        assert level["by_scan"] + level["by_bits"] + level["by_full"] == level["candidates"]
     assert levels[3]["by_bits"] > 0  # no triple is free: the bit table proves it
 
 
