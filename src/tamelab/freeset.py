@@ -142,11 +142,14 @@ class FreeSetCertificate:
 class FreeSearchBudget:
     """Search limits: size cap, candidate pool, shift horizon, optional beam.
 
-    ``pool`` is an inclusive interval (lo, hi) or an explicit coordinate
-    list.  ``horizon`` caps the number of shifts sampled per candidate
-    (default: all shifts valid in the window).  ``beam`` caps the free
-    sets kept per level for joining; leaving it unset makes the search
-    exhaustive over the downward closure.
+    ``pool`` is a tuple of explicit coordinates: ``(0, 7)`` is the
+    two-point pool {0, 7}, and ``FreeSearchBudget.interval(0, 7, ...)``
+    the pool 0..7.  A pool whose points are contiguous is searched as an
+    interval pool, each set translated to start at its first point.
+    ``horizon`` caps the number of shifts sampled per candidate (default:
+    all shifts valid in the window).  ``beam`` caps the free sets kept per
+    level for joining; leaving it unset makes the search exhaustive over
+    the downward closure.
     """
 
     max_size: int

@@ -12,24 +12,25 @@ coordinate, with no shift array.  A coordinate set whose rank differs from
 the window's raises DimensionError.  Counting needs no codes: every count
 names patterns by int32 class ids, the dense ranks of the pairs (id of a
 smaller pattern, id of the part it adds) -- Karp-Miller-Rosenberg naming.
-``complexity`` grows windows by one symbol and n-boxes by one face per
-axis at each step, ``extend_classes`` grows a pattern along a coordinate
+``complexity`` grows windows by one symbol and n-boxes by one layer along
+each axis in turn, ``extend_classes`` grows a pattern along a coordinate
 sequence, and ``window_classes`` doubles window lengths.
 
-A rank-1 language is counted on its distinct windows when they are few,
-as for the low-complexity codings studied here.  Pad the line of length L
-with n_max - 1 copies of the non-symbol m, take the first occurrences S
-of its length-n_max windows (``first_occurrences``), and grow class ids
-on S alone, one column at a time; then p(n) is the class count at length
-n less n - 1.  This is exact for any set holding one copy of each
-length-n_max window.  Every length-n window at j <= L - n_max is a prefix
-of the length-n_max window at j, a copy of which S holds; every position
-j > L - n_max shows m at its own offset, so it is its own class and lies
-in S; and at length n exactly the n - 1 positions j > L - n show m, each
-a distinct class.  The path is taken when S less its n_max - 1 padded
-positions at least halves the L positions, and every doubling step of the
-probe ranks without a sort; otherwise the loop over all L positions runs,
-leaving as soon as every window is distinct.
+A line of length L is padded with n_max - 1 copies of the non-symbol m,
+and its ids grow one column at a time over the rows of the padded
+length-n_max windows, keeping at length n only the rows whose window lies
+in the line, so p(n) is the class count.  The rows are every position,
+or, when the distinct windows are few, as for the low-complexity codings
+studied here, only their first occurrences S (``first_occurrences``).
+This is exact for any set holding one copy of each length-n_max window:
+the length-n window at j <= L - n is a prefix of the padded window at j,
+whose first occurrence j' <= j lies in S, is kept and shows it too.  Each
+padded position j > L - n_max shows m at its own offset, so it is its own
+first occurrence: S ends with these n_max - 1 positions, and at length n
+the rows in the line are all of S but its last n - 1.  S is used when,
+less its padded positions, it at least halves the L positions, and every
+doubling step of the probe ranks without a sort.  Either way the loop
+leaves off ranking once every window is distinct.
 """
 
 from __future__ import annotations
@@ -352,75 +353,72 @@ def extend_classes(win: SeqWindow, offset: int,
     return _pair_classes(ids[:size], count, line[offset:], win.alphabet_size)
 
 
-def _sampled_line_counts(line: np.ndarray, alphabet: int, n_max: int) -> list[int] | None:
-    """p(1..n_max) of a line counted on the first occurrences of its
-    distinct windows (see the module docstring), or None when those in the
-    line do not at least halve its positions or the probe would sort.
+def _sample_rows(padded: np.ndarray, n_max: int) -> np.ndarray | None:
+    """First occurrences S of the windows of a padded line (see the module
+    docstring), or None when S less its padded positions does not at least
+    halve the line's or the probe would sort.
 
     A doubling step of ``window_classes`` at length k ranks without a sort
     while its classes number at most sqrt(2L); it goes on while they number
     at most limit + n_max - k, hence the limit.
     """
-    root = math.isqrt(2 * line.size)
+    size = padded.size - (n_max - 1)
+    root = math.isqrt(2 * size)
     limit = root - n_max
     if limit < 0:  # its last check, at k >= n_max / 2 with more than k classes, would fail
         return None
-    padded = np.full(line.size + n_max - 1, alphabet, dtype=np.uint8)
-    padded[: line.size] = line
     # A prefix's windows are the line's, so a prefix with too many of them
     # rules the line out, at a small part of the probe's cost.
     if window_classes(padded[: 2 * root + n_max], n_max, limit) is None:
         return None
     sample = first_occurrences(padded, n_max, limit)
-    if sample is None or 2 * (sample.size - (n_max - 1)) > line.size:
+    if sample is None or 2 * (sample.size - (n_max - 1)) > size:
         return None
-    ids, count = np.zeros(sample.size, np.int32), 1
+    return sample
+
+
+def _line_counts(line: np.ndarray, alphabet: int, n_max: int) -> list[int]:
+    """p(1..n_max) of a line, grown column by column (see the module docstring)."""
+    padded = np.full(line.size + n_max - 1, alphabet, dtype=np.uint8)
+    padded[: line.size] = line
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n_max)
+    sample = _sample_rows(padded, n_max)
+    if sample is not None:
+        windows = windows[sample]
+    ids, count = np.zeros(windows.shape[0], np.int32), 1
     counts = []
     for k in range(n_max):
-        if count < sample.size:  # once every window is distinct, longer ones are too
-            ids, count = _pair_classes(ids, count, padded[sample + k], alphabet + 1)
-        counts.append(count - k)
+        rows = windows.shape[0] - k  # the last k rows, in S too, run past the line
+        if count == ids.size:  # every window is distinct, so every longer one is
+            ids, count = ids[:rows], rows
+        else:
+            ids, count = _pair_classes(ids[:rows], count, windows[:rows, k], alphabet)
+        counts.append(count)
     return counts
 
 
 def _box_counts(symbols: np.ndarray, alphabet: int, n_max: int) -> list[int]:
     """p(1..n_max) on the n x ... x n boxes of a symbol array.
 
-    A line is counted on its distinct windows when they are few
-    (``_sampled_line_counts``).  Otherwise a box pairs the box one shorter
-    along its first longest axis with the one-thick face it adds there,
-    itself a box.  Step n keeps only the shapes it read, so two steps of
-    classes are held at once.
+    A line grows its windows one column at a time (``_line_counts``).  In
+    rank k >= 2 the box of shape s + e_i at t is the union of the boxes of
+    shape s at t and at t + e_i, so each step pairs the ids of the current
+    boxes with their neighbours' along each axis in turn.
     """
     if symbols.ndim == 1:
-        counts = _sampled_line_counts(symbols, alphabet, n_max)
-        if counts is not None:
-            return counts
-
-    def classes(shape):  # (ids of the boxes of this shape at every position, count)
-        if shape in before:
-            step[shape] = before[shape]
-        if shape not in step:
-            axis = shape.index(max(shape))
-            side = shape[axis]
-            shorter, count = classes(shape[:axis] + (side - 1,) + shape[axis + 1:])
-            out = tuple(e - s + 1 for e, s in zip(symbols.shape, shape))
-            if count == shorter.size:  # every shorter box is distinct, so every box is
-                size = math.prod(out)
-                step[shape] = np.arange(size, dtype=np.int32).reshape(out), size
+        return _line_counts(symbols, alphabet, n_max)
+    ids, count = _pair_classes(np.zeros(symbols.shape, np.int32), 1, symbols, alphabet)
+    counts = [count]
+    for _ in range(n_max - 1):
+        for axis in range(symbols.ndim):
+            lower = (slice(None),) * axis + (slice(None, -1),)
+            if count == ids.size:  # every box is distinct, so every larger one is
+                ids = ids[lower]
+                count = ids.size
             else:
-                face, face_count = classes(shape[:axis] + (1,) + shape[axis + 1:])
-                at = (slice(None),) * axis + (slice(side - 1, None),)
-                step[shape] = _pair_classes(shorter[tuple(slice(o) for o in out)], count,
-                                            face[at], face_count)
-        return step[shape]
-
-    step = {(1,) * symbols.ndim: _pair_classes(np.zeros(symbols.shape, np.int32), 1,
-                                               symbols, alphabet)}
-    counts = []
-    for n in range(1, n_max + 1):
-        before, step = step, {}
-        counts.append(classes((n,) * symbols.ndim)[1])
+                upper = (slice(None),) * axis + (slice(1, None),)
+                ids, count = _pair_classes(ids[lower], count, ids[upper], count)
+        counts.append(count)
     return counts
 
 

@@ -161,6 +161,16 @@ def test_explicit_pool_positioned_search():
     assert result.best.verify(win)
 
 
+def test_a_pool_tuple_is_explicit_coordinates():
+    win = materialize(SeqSource.de_bruijn(8), (0, 300))
+    two_points = search(win, FreeSearchBudget(4, (0, 7)))
+    assert [(e.size, e.free_count) for e in two_points.profile] == [(1, 2), (2, 1)]
+    assert two_points.best.coordset.coords == (0, 7)
+    interval = search(win, FreeSearchBudget.interval(0, 7, 4))
+    assert interval.max_free_size == 4
+    assert interval.profile[0].free_count == 1  # translates counted once
+
+
 def test_budget_validation():
     win = explicit([0, 1] * 8)
     with pytest.raises(ArgumentError):

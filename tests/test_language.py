@@ -1,6 +1,7 @@
 """Window languages: pattern sets, complexity, projections."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,7 +182,15 @@ def test_capacity_and_range_errors():
 def test_rank2_box_complexity_on_a_million_cells():
     # p(n) = n(n+1) for the golden x sqrt2 coding of Z^2, on 1000 x 1000
     win = materialize(golden_sqrt2_coding(), ((0, 1000), (0, 1000)))
-    assert complexity(win, 8).counts == (2, 6, 12, 20, 30, 42, 56, 72)
+    tracemalloc.start()
+    try:
+        counts = complexity(win, 8).counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == (2, 6, 12, 20, 30, 42, 56, 72)
+    # one step of int32 ids and their pair keys, not two steps of face classes
+    assert peak < 20 * 2 ** 20, peak
 
 
 def brute_box_counts(symbols, n_max):
@@ -203,14 +212,15 @@ def kernel_window(symbols, alphabet):
 PERIODIC = (np.tile(np.array([0, 1, 1, 0, 2], dtype=np.uint8), 12), 3)
 NOISE = (np.random.default_rng(5).integers(0, 5, 60).astype(np.uint8), 5)
 NOISE_2D = (np.random.default_rng(6).integers(0, 2, (9, 12)).astype(np.uint8), 2)
+NOISE_3D = (np.random.default_rng(7).integers(0, 3, (5, 6, 4)).astype(np.uint8), 3)
 
 
 @st.composite
 def kernel_cases(draw):
     alphabet = draw(st.integers(2, 5))
-    rank = draw(st.integers(1, 2))
-    shape = ((draw(st.integers(2, 60)),) if rank == 1
-             else (draw(st.integers(2, 12)), draw(st.integers(2, 12))))
+    rank = draw(st.integers(1, 3))
+    sides = {1: (2, 60), 2: (2, 12), 3: (2, 6)}[rank]
+    shape = tuple(draw(st.integers(*sides)) for _ in range(rank))
     return draw(arrays(np.uint8, shape, elements=st.integers(0, alphabet - 1))), alphabet
 
 
@@ -219,6 +229,7 @@ def kernel_cases(draw):
 @example(PERIODIC, None)
 @example(NOISE, None)
 @example(NOISE_2D, None)
+@example(NOISE_3D, None)
 def test_kernel_matches_brute_force_window_sets(case, data):
     symbols, alphabet = case
     win = kernel_window(symbols, alphabet)
@@ -239,7 +250,7 @@ def test_kernel_examples_take_every_branch(monkeypatch):
         return pair_classes(left, n_left, right, n_right)
 
     monkeypatch.setattr(language, "_pair_classes", spy)
-    for symbols, alphabet in (NOISE, NOISE_2D):
+    for symbols, alphabet in (NOISE, NOISE_2D, NOISE_3D):
         taken.clear()
         n_max = min(symbols.shape) - 1
         counts = complexity(kernel_window(symbols, alphabet), n_max).counts
@@ -329,14 +340,14 @@ def sampled_path_spy(monkeypatch):
     """Record, per ``_box_counts`` call on a line, whether it counted on
     the first occurrences of the distinct windows."""
     taken = []
-    sampled = language._sampled_line_counts
+    sample_rows = language._sample_rows
 
-    def spy(line, alphabet, n_max):
-        counts = sampled(line, alphabet, n_max)
-        taken.append(counts is not None)
-        return counts
+    def spy(padded, n_max):
+        rows = sample_rows(padded, n_max)
+        taken.append(rows is not None)
+        return rows
 
-    monkeypatch.setattr(language, "_sampled_line_counts", spy)
+    monkeypatch.setattr(language, "_sample_rows", spy)
     return taken
 
 
@@ -384,6 +395,11 @@ def test_low_complexity_lines_take_the_sampled_path(monkeypatch):
     assert taken == [True, False, False]
 
 
+def padded_line(line, alphabet, n_max):
+    """The line followed by n_max - 1 copies of the non-symbol."""
+    return np.concatenate([line, np.full(n_max - 1, alphabet, dtype=np.uint8)])
+
+
 def test_probe_ranks_without_sorting(monkeypatch):
     """Every doubling step over the whole line ranks without a sort, and a
     line whose prefix already shows too many windows takes none.  The
@@ -404,12 +420,12 @@ def test_probe_ranks_without_sorting(monkeypatch):
             (SeqSource.random(7, 2), 20, False, False)):
         line = materialize(source, (0, 1 << 17)).line()
         steps.clear()
-        counts = language._sampled_line_counts(line, 2, n_max)
-        assert (counts is not None) == sampled, source.kind
+        rows = language._sample_rows(padded_line(line, 2, n_max), n_max)
+        assert (rows is not None) == sampled, source.kind
         whole_line = [sort_free for size, sort_free in steps if size >= line.size]
         assert bool(whole_line) == whole_line_steps and all(whole_line), source.kind
         if source.kind == "de_bruijn":
-            assert counts == [2 ** n for n in range(1, 17)]
+            assert language._box_counts(line, 2, n_max) == [2 ** n for n in range(1, 17)]
     # one period shows every window once: S less its padding is the whole line
     one_period = materialize(SeqSource.de_bruijn(16), (0, (1 << 16) + 15)).line()
-    assert language._sampled_line_counts(one_period, 2, 16) is None
+    assert language._sample_rows(padded_line(one_period, 2, 16), 16) is None
