@@ -175,11 +175,12 @@ def find_independent_subfamily(fs: FunctionSample, a: float, b: float,
     first of each key kept in column order) form a table for
     ``freeset._GapEvaluator``: 0 below a, 1 above b, and the non-symbol 2
     between.  A subsequence qualifies when it shows all its low/high splits.
-    Depth-first over increasing row indices, each node counts in one call
-    its extensions by the later rows that qualified with its parent, as
-    independence is hereditary.  Returns the lexicographically first
-    witness of maximal length, with the first column of each split, or None
-    when no subsequence of length >= 2 qualifies over this sample.
+    Depth-first over increasing row indices, each node counts in one call,
+    before it recurses, the extensions of the children the bound prune
+    keeps: by the later rows that qualified with it, as independence is
+    hereditary.  Returns the lexicographically first witness of maximal
+    length, with the first column of each split, or None when no
+    subsequence of length >= 2 qualifies over this sample.
     """
     if not a < b:
         raise ArgumentError("thresholds require a < b")
@@ -198,20 +199,30 @@ def find_independent_subfamily(fs: FunctionSample, a: float, b: float,
 
     def extend(indices: tuple[int, ...], rows: np.ndarray):
         nonlocal best
+        n, size = len(rows), len(indices) + 2
+        # the pairs of rows r < e, for each of the first ``kept`` children r,
+        # those the bound prune keeps now: cand + (e,) is independent only if
+        # indices + (e,) is
+        kept = min(n - 1, len(indices) + n - len(best)) if size <= max_len else 0
+        pairs = kept * (2 * n - kept - 1) // 2
+        if pairs > 0:
+            child, ext = np.triu_indices(n, 1)
+            tuples = np.empty((pairs, size), dtype=np.int64)
+            tuples[:, :-2] = indices
+            tuples[:, -2] = rows[child[:pairs]]
+            tuples[:, -1] = rows[ext[:pairs]]
+            independent = ev.count(tuples) == 1 << size
+        end = 0
         for i, row in enumerate(rows.tolist()):
             cand = indices + (row,)
             # an independent extension of cand uses only the rows after it
-            if len(cand) + len(rows) - i - 1 <= len(best):
+            if len(cand) + n - i - 1 <= len(best):
                 return
             if len(cand) > max(len(best), 1):
                 best = cand
-            # cand + (e,) is independent only if indices + (e,) is
-            exts = rows[i + 1:]
-            if len(cand) < max_len and exts.size:
-                tuples = np.empty((exts.size, len(cand) + 1), dtype=np.int64)
-                tuples[:, :-1] = cand
-                tuples[:, -1] = exts
-                extend(cand, exts[ev.count(tuples) == 2 << len(cand)])
+            start, end = end, end + n - i - 1
+            if start < end <= pairs:
+                extend(cand, rows[i + 1:][independent[start:end]])
             if len(best) == max_len:
                 return
 

@@ -250,9 +250,10 @@ class _GapEvaluator:
     its live pairs in chunks, plans each chunk's parents once by their
     distinct prefixes, and builds their int32 codes one digit at a time
     over pieces of the epoch's samples, so a piece's cells stay within
-    _BATCH_CELLS / 8.  For pattern spaces up to 64 a packed bit table
-    settles what the first epoch leaves open.  Rows are read whole: keep
-    them contiguous.
+    _BATCH_CELLS / 8.  For pattern spaces up to 64 a word-major packed bit
+    table settles what the first epoch leaves open, or every pair when one
+    bit pass costs less than that epoch.  Rows are read whole: keep them
+    contiguous.
     """
 
     name = "scan"
@@ -264,19 +265,23 @@ class _GapEvaluator:
 
     @cached_property
     def bits(self) -> np.ndarray | None:
-        """uint64 words whose bit j of [s, g] is table[g, j] == s; None
-        when they would outgrow the table budget."""
+        """uint64 words, word-major: [w, s, g] holds, at the bit of each
+        sample j of word w, whether table[g, j] == s; None when they would
+        outgrow the table budget."""
         width, n = self.table.shape
-        nbytes = -(-n // 64) * 8
-        if self.m * width * nbytes > _TABLE_BYTES:
+        words = -(-n // 64)
+        if self.m * width * words * 8 > _TABLE_BYTES:
             return None
-        bits = np.zeros((self.m, width, nbytes), dtype=np.uint8)
+        bits = np.zeros((words, self.m, width, 8), dtype=np.uint8)
         step = max(1, _BATCH_CELLS // n)
         for g in range(0, width, step):
+            rows = self.table[g: g + step]
+            equal = np.zeros((len(rows), words * 64), dtype=bool)
             for s in range(self.m):
-                bits[s, g: g + step, : (n + 7) >> 3] = np.packbits(
-                    self.table[g: g + step] == s, axis=1)
-        return bits.view(np.uint64)
+                np.equal(rows, s, out=equal[:, :n])
+                bits[:, s, g: g + step] = np.packbits(equal, axis=1).reshape(
+                    len(rows), words, 8).swapaxes(0, 1)
+        return bits.view(np.uint64)[..., 0]
 
     def count(self, tuples: np.ndarray) -> np.ndarray:
         """Exact pattern counts of an (N, s) array of distinct row tuples,
@@ -310,7 +315,7 @@ class _GapEvaluator:
         live = np.arange(exts.size)
         j0, j1 = 0, min(max(16 * space, _QUICK_MIN), _QUICK_MAX, n)
         bits = self.bits if space <= _BITSET_SPACE_MAX else None
-        scan = bits is None or space * bits.shape[2] > j1
+        scan = bits is None or space * len(bits) > j1
         while scan and live.size:
             # a chunk of pairs shares one prefix plan of its parents; its cells
             # are built over pieces of the samples, _BATCH_CELLS / 8 at most
@@ -338,7 +343,7 @@ class _GapEvaluator:
             scan = bits is None
             j0, j1 = j1, min(j1 + min(3 * j1, _EPOCH_MAX), n)
         if live.size:
-            self._settle_bits(bits, parents, parent_of, exts, live, hits)
+            self._settle_bits(bits, parents, parent_of, exts, live, hits, j0 > 0)
             level["by_bits"] += int(live.size)
         return hits[:, :space_par, :m].sum(axis=(1, 2))
 
@@ -370,32 +375,41 @@ class _GapEvaluator:
             codes = deeper
         return np.minimum(codes, space_par * (m + 1), out=codes)
 
-    def _settle_bits(self, bits, parents, parent_of, exts, live, hits) -> None:
-        """Settle the codes still missing after the scan: one gathered
-        AND/any per open (pair, parent code), a chunk of pairs at a time,
-        against masks of the chunk's parents; a chunk's gathered words
-        stay within _BATCH_CELLS bytes."""
-        m, words = self.m, bits.shape[2]
+    def _settle_bits(self, bits, parents, parent_of, exts, live, hits, scanned) -> None:
+        """Settle the open codes, a chunk of pairs at a time, against masks
+        of the chunk's parents: with no scan, all codes of a pair at once
+        from its m gathered extension rows; after one, one gathered AND per
+        open (pair, parent code).  A chunk's words stay within _BATCH_CELLS
+        bytes."""
+        m, words = self.m, len(bits)
         space_par = m ** parents.shape[1]
         step = max(1, _BATCH_CELLS // (8 * space_par * m * words))
         for b in range(0, live.size, step):
             idx = live[b: b + step]
             ids, local = _owners(parent_of[idx])
             masks = _parent_masks(bits, parents[ids])
-            pair, code = np.nonzero(~hits[idx][:, :space_par, :m].all(axis=2))
-            i = idx[pair]
-            seen = (bits[:, exts[i]] & masks[code, local[pair]]).any(axis=2)
-            hits[i, code, :m] |= seen.T
+            if scanned:
+                pair, code = np.nonzero(~hits[idx][:, :space_par, :m].all(axis=2))
+                i = idx[pair]
+                rows = np.take(bits, exts[i], axis=2)
+                masks = np.take(masks.reshape(words, -1), code * len(ids) + local[pair], axis=1)
+                seen = (rows & masks[:, None]).any(axis=0)
+                hits[i, code, :m] |= seen.T
+            else:
+                rows = np.take(bits, exts[idx], axis=2)[:, None]
+                if len(ids) > 1:
+                    masks = np.take(masks, local, axis=2)
+                seen = (rows & masks[:, :, None]).any(axis=0)
+                hits[idx, :space_par, :m] = seen.transpose(2, 0, 1)
 
 
 def _parent_masks(bits: np.ndarray, parents: np.ndarray) -> np.ndarray:
-    """(m**k, P, words) masks whose bit j of [c, p] is set iff parent p
-    shows code c at sample j."""
-    # a single parent's rows are read as slices: views, not gathers
-    rows = [slice(g, g + 1) for g in parents[0].tolist()] if len(parents) == 1 else parents.T
-    masks = bits[:, rows[0]]
-    for g in rows[1:]:
-        masks = (bits[:, None, g] & masks).reshape(-1, len(parents), bits.shape[2])
+    """(words, m**k, P) masks whose bit of sample j at [w, c, p] is set iff
+    parent p shows code c at j."""
+    masks = np.take(bits, parents[:, 0], axis=2)
+    for g in parents.T[1:]:
+        masks = (np.take(bits, g, axis=2)[:, :, None] & masks[:, None]).reshape(
+            len(bits), -1, len(parents))
     return masks
 
 
@@ -678,7 +692,7 @@ def brute_force_free_oracle(win: SeqWindow, pool, max_size: int = 4,
         raise ArgumentError("oracle caps the pool at 8 coordinates")
     if horizon > 64:
         raise ArgumentError("oracle caps the horizon at 64 shifts")
-    line = win.line()
+    line = win.line().tolist()
     origin, length = win.origin[0], win.extents[0]
     m = win.alphabet_size
     out = []
@@ -689,9 +703,8 @@ def brute_force_free_oracle(win: SeqWindow, pool, max_size: int = 4,
             if hi < lo:
                 continue
             hi = min(hi, lo + horizon - 1)
-            seen = set()
-            for t in range(lo, hi + 1):
-                seen.add(tuple(int(line[a + t - origin]) for a in subset))
+            # the pattern at shift t reads line[a + t - origin] for each a
+            seen = set(zip(*(line[a + lo - origin: a + hi + 1 - origin] for a in subset)))
             if len(seen) == m ** size:
                 out.append(CoordSet.of(subset))
     return out

@@ -2,6 +2,7 @@
 
 import warnings
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -52,6 +53,32 @@ def test_period_two_pool_free_sets_are_singletons():
     # patterns on {0,1} are exactly {01, 10}: no free pair
     result = search(win, FreeSearchBudget(3, (0, 1, 2)))
     assert result.max_free_size == 1
+
+
+def test_oracle_matches_a_per_shift_enumeration():
+    """The oracle lists the subsets whose first ``horizon`` shifts keeping
+    the whole set in the window show every pattern, on windows with a
+    nonzero origin and horizons shorter than the line."""
+    rng = np.random.default_rng(17)
+    for i in range(40):
+        m, length = 2 + i % 2, int(rng.integers(20, 60))
+        origin = int(rng.integers(-30, 30))
+        line = rng.integers(0, m, length).astype(np.uint8)
+        win = materialize(SeqSource.explicit(SeqWindow((origin,), line, m, "o")),
+                          (origin, origin + length))
+        pool = sorted(rng.choice(np.arange(origin - 4, origin + length + 4), size=6,
+                                 replace=False).tolist())
+        horizon = int(rng.integers(4, length))
+        expected = []
+        for size in range(1, 4):
+            for subset in combinations(pool, size):
+                shifts = [t for t in range(-200, 200)
+                          if all(origin <= a + t < origin + length for a in subset)][:horizon]
+                seen = {tuple(int(line[a + t - origin]) for a in subset) for t in shifts}
+                if len(seen) == m ** size:
+                    expected.append(subset)
+        free = brute_force_free_oracle(win, pool, 3, horizon)
+        assert [c.coords for c in free] == expected, i
 
 
 def test_search_matches_oracle_on_random_tiny_instances():

@@ -393,10 +393,13 @@ def test_zero_copy_view_without_bit_table(monkeypatch, name):
     assert result.stats["table_rows"] == scanned_shifts(win, result)
 
 
-# monkeypatched engine caps: the scan alone, and a one-sample first epoch
-# that leaves every candidate to the bit table
+# monkeypatched engine caps: the scan alone; a one-sample first epoch that
+# leaves every candidate to the bit table; and a bit table only for pattern
+# spaces whose bit pass costs no more than a scan of every sample, so no
+# scan epoch runs before it
 ENGINE_PATHS = {"scan": {"_BITSET_SPACE_MAX": 0},
-                "bits": {"_QUICK_MAX": 1, "_BITSET_SPACE_MAX": 81}}
+                "bits": {"_QUICK_MAX": 1, "_BITSET_SPACE_MAX": 81},
+                "unscanned": {"_BITSET_SPACE_MAX": 32}}
 
 
 def recount_columns(table, m, tup):
@@ -435,11 +438,17 @@ def test_non_symbol_at_any_digit_is_no_pattern(monkeypatch, path, m, base_one):
                 expected = [recount_columns(table, m, tup) for tup in tuples.tolist()]
                 assert ev.count(tuples).tolist() == expected, (cells, size, shuffled)
         # the bits path's bit table takes pattern spaces up to 81, and its
-        # one-sample first scan epoch may already cover a space of 1
-        settled_by = f"by_{path}"
+        # one-sample first scan epoch may already cover a space of 1; the
+        # unscanned path's takes spaces up to 32, whose bit pass over 2
+        # words costs less than the first epoch, a scan of all 100 samples
         for size, level in ev.levels.items():
-            if path != "bits" or 1 < m ** size <= 81:
+            space = m ** size
+            if path == "unscanned":
+                assert (level["rows"] == 0) == (space <= 32), size
+                settled_by = "by_bits" if space <= 32 else "by_scan"
                 assert level[settled_by] == level["candidates"], size
+            elif path == "scan" or 1 < space <= 81:
+                assert level[f"by_{path}"] == level["candidates"], size
             assert level["by_scan"] + level["by_bits"] == level["candidates"]
             assert level["by_full"] == 0
 
