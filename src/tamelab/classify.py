@@ -21,7 +21,9 @@ Free-set brackets are interval pools starting at the window's origin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -34,7 +36,9 @@ from .sources import SeqWindow
 
 @dataclass(frozen=True)
 class ClassifyParams:
-    """Scale parameters and thresholds; defaults are conventions."""
+    """Scale parameters and thresholds; defaults are conventions.  The
+    thresholds and the slack are finite, and the brackets are strictly
+    increasing positive integers."""
 
     entropy_n_max: int = 200
     free_brackets: tuple[int, ...] = (8, 12, 16, 20, 24)
@@ -44,6 +48,16 @@ class ClassifyParams:
     density_threshold: float = 0.05
     entropy_threshold: float = 0.05
     free_slack: float = 1.0
+
+    def __post_init__(self):
+        for name in ("density_threshold", "entropy_threshold", "free_slack"):
+            if not math.isfinite(getattr(self, name)):
+                raise ArgumentError(f"{name} must be finite")
+        # nonnull_evidence reads the brackets as widening pools
+        brackets = self.free_brackets
+        if not all(isinstance(b, Integral) and b >= 1 for b in brackets) or any(
+                a >= b for a, b in zip(brackets, brackets[1:])):
+            raise ArgumentError("free_brackets must be strictly increasing positive integers")
 
 
 @dataclass(frozen=True)

@@ -306,6 +306,8 @@ class _Runner:
 
     def _freeset_oracle_check(self):
         instances = self.config.typed("freeset", "oracle_instances", int, "100")
+        if instances < 1:
+            raise ArgumentError("[freeset] oracle_instances must be >= 1")
         seed = self.config.typed("source", "seed", int, "1")
         rng = np.random.default_rng(seed)
         agree = 0

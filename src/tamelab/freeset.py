@@ -23,7 +23,9 @@ The evaluation engine, ``_GapEvaluator``, counts the patterns that tuples
 of rows show in a (rows x samples) uint8 table, where the non-symbol m
 marks a sample at which a row shows no symbol.  One call of its only
 counting method, ``count``, settles a level of the search, or a node's
-extensions in the independence search of ``families``.  The free-set table
+extensions in the independence search of ``families``, in one loop of
+epochs over the table's samples, marked by a packed bit table for pattern
+spaces up to 64 and by a byte scan above.  The free-set table
 (``_line_table``) is the first occurrences of the distinct pool-span
 windows (``language.first_occurrences``), less the windows running past
 the line's end whose live part occurs earlier in the line, gathered once,
@@ -67,14 +69,14 @@ from .language import (
 )
 from .sources import SeqWindow
 
-# The first scan epoch covers a multiple of the candidate pattern space
+# The first epoch covers a multiple of the candidate pattern space
 # (coupon-collection scale); later epochs grow geometrically, by at most
-# _EPOCH_MAX rows.
+# _EPOCH_MAX samples.
 _QUICK_MIN = 1 << 10
 _QUICK_MAX = 1 << 16
 _EPOCH_MAX = 1 << 14
-# Up to this pattern-space size, candidates the first epoch leaves open are
-# settled with packed-bit intersections, which makes non-coverage proofs
+# Up to this pattern-space size, epochs are marked with packed-bit
+# intersections in place of the byte scan, which makes non-coverage proofs
 # over long horizons cheap.
 _BITSET_SPACE_MAX = 64
 # Cell cap for one scan batch or block of hit flags, and byte cap for the
@@ -190,10 +192,10 @@ class FreeSearchResult:
     evaluator that ran (``"full"`` or ``"scan"``), the kept first
     occurrences of the pool-span windows (``windows``, None exactly when the
     table is the view of every shift), the table's samples
-    (``table_rows``), and per candidate size the candidates
-    evaluated, the samples scanned for them (``rows``), and how many were
-    settled by scan, by bits and by the full table (``by_scan + by_bits +
-    by_full`` is the candidates)."""
+    (``table_rows``), and per candidate size the candidates evaluated, the
+    samples byte-scanned for them (``rows``; bit epochs add none), and how
+    many were settled by scan, by bits and by the full table (``by_scan +
+    by_bits + by_full`` is the candidates)."""
 
     best: FreeSetCertificate | None
     profile: tuple[SizeProfile, ...]
@@ -246,14 +248,14 @@ class _GapEvaluator:
     non-symbol m.  ``count`` settles a whole level of tuples together, as
     (parent, extension) pairs: the parent is all but the last row, and
     pairs in lexicographic order share their parent's codes.  Each block of
-    pairs runs scan epochs over the samples in table order.  An epoch takes
-    its live pairs in chunks, plans each chunk's parents once by their
-    distinct prefixes, and builds their int32 codes one digit at a time
-    over pieces of the epoch's samples, so a piece's cells stay within
-    _BATCH_CELLS / 8.  For pattern spaces up to 64 a word-major packed bit
-    table settles what the first epoch leaves open, or every pair when one
-    bit pass costs less than that epoch.  Rows are read whole: keep them
-    contiguous.
+    pairs runs one loop of epochs over the samples in table order, and a
+    pair leaves it once it has shown every pattern.  For pattern spaces up
+    to _BITSET_SPACE_MAX an epoch ANDs a word-major packed bit table over
+    the epoch's words.  Otherwise it scans bytes: it takes its live pairs in
+    chunks, plans each chunk's parents once by their distinct prefixes, and
+    builds their int32 codes one digit at a time over pieces of the epoch's
+    samples, so a piece's cells stay within _BATCH_CELLS / 8.  Rows are read
+    whole: keep them contiguous.
     """
 
     name = "scan"
@@ -300,9 +302,9 @@ class _GapEvaluator:
 
     def _settle(self, parents: np.ndarray, parent_of: np.ndarray, exts: np.ndarray,
                 space: int, level: dict) -> np.ndarray:
-        """Scan epochs over a block of pairs at once; for small pattern
-        spaces the bit table settles what the first epoch leaves open, or
-        settles everything when one bit pass costs less than that epoch."""
+        """Epochs over a block of pairs in table order, marked by the bit table
+        or by a byte scan; after each epoch the pairs that showed every
+        pattern settle, and the last epoch settles the rest."""
         m = self.m
         space_par = space // m
         n = self.table.shape[1]
@@ -314,37 +316,37 @@ class _GapEvaluator:
         flat = hits.reshape(-1)
         live = np.arange(exts.size)
         j0, j1 = 0, min(max(16 * space, _QUICK_MIN), _QUICK_MAX, n)
-        bits = self.bits if space <= _BITSET_SPACE_MAX else None
-        scan = bits is None or space * len(bits) > j1
-        while scan and live.size:
-            # a chunk of pairs shares one prefix plan of its parents; its cells
-            # are built over pieces of the samples, _BATCH_CELLS / 8 at most
-            step = max(1, _BATCH_CELLS // (2 * (j1 - j0)))
-            for b in range(0, live.size, step):
-                idx = live[b: b + step]
-                ids, local = _owners(parent_of[idx])
-                plan = self._prefix_plan(parents[ids])
-                rows, offsets = exts[idx], (idx * hits[0].size).astype(np.int32)[:, None]
-                span = max(1, _BATCH_CELLS // (8 * idx.size))
-                for s0 in range(j0, j1, span):
-                    s1 = min(s0 + span, j1)
-                    cells = self._parent_cells(plan, s0, s1, space_par)
-                    if 1 < len(ids) < idx.size:
-                        cells = cells[local]
-                    # in place, unless one parent's row broadcasts over its pairs
-                    cells = np.add(cells, self.table[rows, s0:s1],
-                                   out=cells if len(cells) == idx.size else None)
-                    cells += offsets
-                    flat[cells.ravel()] = True
-            level["rows"] += live.size * (j1 - j0)
-            done = hits[live][:, :space_par, :m].all(axis=(1, 2)) | (j1 == n)
-            level["by_scan"] += int(done.sum())
+        bitwise = space <= _BITSET_SPACE_MAX and self.bits is not None
+        settled_by = "by_bits" if bitwise else "by_scan"
+        while live.size:
+            if bitwise:
+                self._settle_bits(j0, j1, parents, parent_of, exts, live, hits)
+            else:
+                step = max(1, _BATCH_CELLS // (2 * (j1 - j0)))
+                for b in range(0, live.size, step):
+                    idx = live[b: b + step]
+                    ids, local = _owners(parent_of[idx])
+                    plan = self._prefix_plan(parents[ids])
+                    rows, offsets = exts[idx], (idx * hits[0].size).astype(np.int32)[:, None]
+                    span = max(1, _BATCH_CELLS // (8 * idx.size))
+                    for s0 in range(j0, j1, span):
+                        s1 = min(s0 + span, j1)
+                        cells = self._parent_cells(plan, s0, s1, space_par)
+                        if 1 < len(ids) < idx.size:
+                            cells = cells[local]
+                        # in place, unless one parent's row broadcasts over its pairs
+                        cells = np.add(cells, self.table[rows, s0:s1],
+                                       out=cells if len(cells) == idx.size else None)
+                        cells += offsets
+                        flat[cells.ravel()] = True
+                level["rows"] += live.size * (j1 - j0)
+            if j1 == n:
+                level[settled_by] += int(live.size)
+                break
+            done = hits[live][:, :space_par, :m].all(axis=(1, 2))
+            level[settled_by] += int(done.sum())
             live = live[~done]
-            scan = bits is None
             j0, j1 = j1, min(j1 + min(3 * j1, _EPOCH_MAX), n)
-        if live.size:
-            self._settle_bits(bits, parents, parent_of, exts, live, hits, j0 > 0)
-            level["by_bits"] += int(live.size)
         return hits[:, :space_par, :m].sum(axis=(1, 2))
 
     def _prefix_plan(self, parents: np.ndarray) -> list:
@@ -375,32 +377,25 @@ class _GapEvaluator:
             codes = deeper
         return np.minimum(codes, space_par * (m + 1), out=codes)
 
-    def _settle_bits(self, bits, parents, parent_of, exts, live, hits, scanned) -> None:
-        """Settle the open codes, a chunk of pairs at a time, against masks
-        of the chunk's parents: with no scan, all codes of a pair at once
-        from its m gathered extension rows; after one, one gathered AND per
-        open (pair, parent code).  A chunk's words stay within _BATCH_CELLS
-        bytes."""
-        m, words = self.m, len(bits)
+    def _settle_bits(self, j0, j1, parents, parent_of, exts, live, hits) -> None:
+        """Mark the codes the live pairs show over the bit table's words of
+        samples [j0, j1), each pair's m extension rows ANDed against all its
+        parent's code masks, in chunks of at most _BATCH_CELLS bytes of words.
+        The first epoch's marks overwrite the still-zero hits, with no read."""
+        m, bits = self.m, self.bits[j0 // 64: -(-j1 // 64)]
         space_par = m ** parents.shape[1]
-        step = max(1, _BATCH_CELLS // (8 * space_par * m * words))
+        step = max(1, _BATCH_CELLS // (8 * space_par * m * len(bits)))
         for b in range(0, live.size, step):
             idx = live[b: b + step]
             ids, local = _owners(parent_of[idx])
             masks = _parent_masks(bits, parents[ids])
-            if scanned:
-                pair, code = np.nonzero(~hits[idx][:, :space_par, :m].all(axis=2))
-                i = idx[pair]
-                rows = np.take(bits, exts[i], axis=2)
-                masks = np.take(masks.reshape(words, -1), code * len(ids) + local[pair], axis=1)
-                seen = (rows & masks[:, None]).any(axis=0)
-                hits[i, code, :m] |= seen.T
-            else:
-                rows = np.take(bits, exts[idx], axis=2)[:, None]
-                if len(ids) > 1:
-                    masks = np.take(masks, local, axis=2)
-                seen = (rows & masks[:, :, None]).any(axis=0)
-                hits[idx, :space_par, :m] = seen.transpose(2, 0, 1)
+            if len(ids) > 1:
+                masks = np.take(masks, local, axis=2)
+            rows = np.take(bits, exts[idx], axis=2)[:, None]
+            seen = (rows & masks[:, :, None]).any(axis=0).transpose(2, 0, 1)
+            if j0:
+                seen |= hits[idx, :space_par, :m]
+            hits[idx, :space_par, :m] = seen
 
 
 def _parent_masks(bits: np.ndarray, parents: np.ndarray) -> np.ndarray:

@@ -148,3 +148,22 @@ def test_scale_is_the_params_and_the_window():
     assert "scale.window = (-300, 700)" in report.to_text().splitlines()
     assert report.source_digest == SeqSource.morse().digest
 
+
+
+@pytest.mark.parametrize("field, value", [
+    ("density_threshold", float("nan")),
+    ("entropy_threshold", float("inf")),
+    ("free_slack", float("nan")),
+    ("free_slack", float("-inf")),
+    ("free_brackets", (-3, 8)),
+    ("free_brackets", (0, 4)),
+    ("free_brackets", (8, 8)),
+    ("free_brackets", (8, 4)),
+    ("free_brackets", (4, 8.0)),
+])
+def test_params_reject_values_that_void_a_flag(field, value):
+    """A non-finite threshold or slack makes its comparison constant, and
+    nonnull_evidence reads the brackets as widening pools: each is refused,
+    naming its field."""
+    with pytest.raises(ArgumentError, match=field):
+        ClassifyParams(**{field: value})

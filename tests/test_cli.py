@@ -299,6 +299,30 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, section, key,
     assert f"malformed [{section}] {key} = " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, field", [
+    ("free_slack", "nan", "free_slack"),
+    ("density_threshold", "inf", "density_threshold"),
+    ("entropy_threshold", "-inf", "entropy_threshold"),
+    ("brackets", "-3,8", "free_brackets"),
+    ("brackets", "8,4", "free_brackets"),
+])
+def test_classify_values_that_void_a_flag_exit_5(tmp_path, capsys, key, value, field):
+    config = _config({**_BASE, "classify": {**_BASE["classify"], key: value}})
+    assert run("classify", config, tmp_path / "out") == 5
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("instances", ["0", "-5"])
+def test_oracle_check_with_no_instances_exits_5(tmp_path, capsys, instances):
+    """An oracle check over no instances proves nothing: it is an argument
+    error naming the key, not an agreement of 0/0 or a disagreement."""
+    config = _config({**_BASE, "freeset": {"oracle_check": "true",
+                                           "oracle_instances": instances}})
+    assert run("freeset", config, tmp_path / "out") == 5
+    assert "[freeset] oracle_instances" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "oracle_report.csv").exists()
+
+
 def test_classify_window_key_is_retired(tmp_path, capsys):
     """The run's window is [window] box; [classify] window is a config error."""
     config = _config({**_BASE, "classify": {**_BASE["classify"], "window": "0:64"}})

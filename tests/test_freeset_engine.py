@@ -30,6 +30,7 @@ from tamelab.sources import (
     concat_slot_coordinates,
     materialize,
 )
+from tamelab.torus import PI_FRAC, CutPartition, RotationSpec, TorusPoint, parse_fraction
 
 
 def search(win, budget):
@@ -393,10 +394,10 @@ def test_zero_copy_view_without_bit_table(monkeypatch, name):
     assert result.stats["table_rows"] == scanned_shifts(win, result)
 
 
-# monkeypatched engine caps: the scan alone; a one-sample first epoch that
-# leaves every candidate to the bit table; and a bit table only for pattern
-# spaces whose bit pass costs no more than a scan of every sample, so no
-# scan epoch runs before it
+# monkeypatched engine caps: the scan alone; the bit table for pattern
+# spaces up to 81, with epochs from one sample on, so that the word ranges
+# of neighbouring epochs repeat a word; and the bit table for spaces up to
+# 32, with the byte scan above them
 ENGINE_PATHS = {"scan": {"_BITSET_SPACE_MAX": 0},
                 "bits": {"_QUICK_MAX": 1, "_BITSET_SPACE_MAX": 81},
                 "unscanned": {"_BITSET_SPACE_MAX": 32}}
@@ -437,10 +438,8 @@ def test_non_symbol_at_any_digit_is_no_pattern(monkeypatch, path, m, base_one):
                     tuples = tuples[rng.permutation(len(tuples))]
                 expected = [recount_columns(table, m, tup) for tup in tuples.tolist()]
                 assert ev.count(tuples).tolist() == expected, (cells, size, shuffled)
-        # the bits path's bit table takes pattern spaces up to 81, and its
-        # one-sample first scan epoch may already cover a space of 1; the
-        # unscanned path's takes spaces up to 32, whose bit pass over 2
-        # words costs less than the first epoch, a scan of all 100 samples
+        # the bits path's bit table takes pattern spaces up to 81, the
+        # unscanned path's up to 32, and no byte is scanned for them
         for size, level in ev.levels.items():
             space = m ** size
             if path == "unscanned":
@@ -451,6 +450,55 @@ def test_non_symbol_at_any_digit_is_no_pattern(monkeypatch, path, m, base_one):
                 assert level[f"by_{path}"] == level["candidates"], size
             assert level["by_scan"] + level["by_bits"] == level["candidates"]
             assert level["by_full"] == 0
+
+
+def test_bit_table_settles_small_pattern_spaces_without_a_scan():
+    """On binary noise the levels of up to 64 patterns, free after a few
+    hundred samples, are settled by the bit table's first epoch with no
+    byte scanned; the larger levels are scanned."""
+    win = materialize(SeqSource.random(1), (0, 20000))
+    levels = search(win, FreeSearchBudget.interval(0, 15, 8)).stats["levels"]
+    assert sorted(levels) == list(range(2, 9))
+    for size, level in levels.items():
+        if 2 ** size <= freeset._BITSET_SPACE_MAX:
+            assert level["rows"] == 0 and level["by_bits"] == level["candidates"], size
+        else:
+            assert level["by_scan"] == level["candidates"], size
+
+
+def test_bit_epochs_settle_non_free_pairs_as_the_scan_does(monkeypatch):
+    """A coding by 3 cuts shows at most d|A| = 6 of the 9 patterns on a pair,
+    so its 1,999 pairs (0, g) stay open through the bit epochs over samples
+    [0, 1024) and [1024, 4096) and settle at the last.  Their counts equal
+    the scan path's and, on a sample of the pairs, those of patterns_on."""
+    cuts = CutPartition(tuple(parse_fraction(c) for c in ("0", "0.3", "0.7")))
+    src = SeqSource.sturmian(RotationSpec.circle(PI_FRAC), cuts, TorusPoint.zero())
+    win = materialize(src, (0, 100000))
+    table = search_table(monkeypatch, win, tuple(range(0, 2000)), None)
+    n = table.shape[1]
+    assert n > 4096
+    tuples = np.array([(0, g) for g in range(1, 2000)])
+    epochs = []
+    settle_bits = freeset._GapEvaluator._settle_bits
+
+    def spy(self, j0, j1, parents, parent_of, exts, live, hits):
+        epochs.append((j0, j1, live.size))
+        settle_bits(self, j0, j1, parents, parent_of, exts, live, hits)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(freeset._GapEvaluator, "_settle_bits", spy)
+        ev = freeset._GapEvaluator(table, 3)
+        counts = ev.count(tuples)
+    assert epochs == [(0, 1024, 1999), (1024, 4096, 1999), (4096, n, 1999)]
+    assert ev.levels[2] == {"candidates": 1999, "rows": 0, "by_scan": 0, "by_bits": 1999,
+                            "by_full": 0}
+    assert counts.tolist() == [6] * 1999
+    monkeypatch.setattr(freeset, "_BITSET_SPACE_MAX", 0)
+    scan = freeset._GapEvaluator(table, 3)
+    assert np.array_equal(scan.count(tuples), counts)
+    assert scan.levels[2]["by_scan"] == 1999
+    for g in range(1, 2000, 37):
+        assert patterns_on(win, CoordSet.of([0, g])).count == counts[g - 1], g
 
 
 def brute_table_columns(line, m, shifts, period, width):
