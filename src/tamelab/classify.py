@@ -37,8 +37,9 @@ from .sources import SeqWindow
 @dataclass(frozen=True)
 class ClassifyParams:
     """Scale parameters and thresholds; defaults are conventions.  The
-    thresholds and the slack are finite, and the brackets are strictly
-    increasing positive integers."""
+    thresholds and the slack are finite, the brackets are strictly
+    increasing positive integers, the sizes and the beam are at least 1,
+    and the projection prefix is at least 2, as a slope needs two counts."""
 
     entropy_n_max: int = 200
     free_brackets: tuple[int, ...] = (8, 12, 16, 20, 24)
@@ -53,6 +54,11 @@ class ClassifyParams:
         for name in ("density_threshold", "entropy_threshold", "free_slack"):
             if not math.isfinite(getattr(self, name)):
                 raise ArgumentError(f"{name} must be finite")
+        for name, least in (("entropy_n_max", 1), ("free_max_size", 1), ("beam", 1),
+                            ("projection_prefix", 2)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ArgumentError(f"{name} must be >= {least}")
         # nonnull_evidence reads the brackets as widening pools
         brackets = self.free_brackets
         if not all(isinstance(b, Integral) and b >= 1 for b in brackets) or any(

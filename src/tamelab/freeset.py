@@ -26,12 +26,10 @@ counting method, ``count``, settles a level of the search, or a node's
 extensions in the independence search of ``families``, in one loop of
 epochs over the table's samples, marked by a packed bit table for pattern
 spaces up to 64 and by a byte scan above.  The free-set table
-(``_line_table``) is the first occurrences of the distinct pool-span
-windows (``language.first_occurrences``), less the windows running past
-the line's end whose live part occurs earlier in the line, gathered once,
-when they at least halve the shifts and fit the table budget, as for the
-low-complexity codings studied here; otherwise it is the zero-copy view of
-every shift.
+(``_line_table``) is the sample of pool-span windows that
+``language.first_occurrences`` takes for low-complexity lines, gathered
+once when it fits the table budget, or else the zero-copy view of every
+shift.
 
 A full table, whose columns show every W-word and no non-symbol, as de
 Bruijn windows and concatenation slots do over a short pool, is answered by
@@ -528,29 +526,18 @@ def _line_table(line: np.ndarray, m: int, shifts: int, period: int | None,
     of the set.  It scans the shifts j < T(gs) = min(L - gs, horizon,
     period), and its code at j depends only on the window at j, which it
     shares with that window's first occurrence f <= j.  So the table has
-    two forms: the first occurrences, gathered once, when they at least
-    halve the shifts j < T(0) and fit the table budget; else the zero-copy
-    view of every such shift, in line order.  Windows running past the
-    line's end are padded with the non-symbol m.  At a sample beyond a
-    gap's last shift (f >= L - g, the only samples below T(0) that are not
-    below T(g)) the gap shows m, so every gap scans every sample, with no
-    per-gap masking.
-
-    A padded first occurrence j whose live part, the line from j on, also
-    occurs at some f < j adds no pattern: a tuple fitting in that live part
-    shows the same code at f, and any other shows m at j.  Those j form a
-    suffix of the padded ones, since the live part at j + 1 then occurs at
-    f + 1, so the table drops them from one binary search.
+    two forms: the first occurrences, gathered once, when
+    ``first_occurrences`` takes them and they fit the table budget; else
+    the zero-copy view of every shift j < T(0), in line order.  Windows running past the line's end
+    are padded with the non-symbol m.  At a sample beyond a gap's last
+    shift (f >= L - g, the only samples below T(0) that are not below
+    T(g)) the gap shows m, so every gap scans every sample, with no per-gap
+    masking.
     """
     t = min(shifts, period) if period else shifts
-    padded = np.full(t + width - 1, m, dtype=np.uint8)
-    live = min(line.size, padded.size)
-    padded[:live] = line[:live]
     # past this limit even the kept samples, at most width - 1 fewer, are too many
-    first = first_occurrences(padded, width, limit=t // 2 + width - 1)
-    if first is not None:
-        first = first[: np.searchsorted(first, _repeat_cut(padded[:live], live - width + 1, t))]
-    if first is None or 2 * first.size > t or width * first.size > _TABLE_BYTES:
+    padded, first = first_occurrences(line, m, width, t, limit=t // 2 + width - 1)
+    if first is None or width * first.size > _TABLE_BYTES:
         return np.lib.stride_tricks.sliding_window_view(padded, t), None
     # A golden-ratio stride spreads the samples over the line, so a scan
     # that stops once every pattern is seen stops early.
@@ -564,20 +551,6 @@ def _line_table(line: np.ndarray, m: int, shifts: int, period: int | None,
     for g in range(width):
         np.take(padded[g:], order, out=table[g])
     return table, n
-
-
-def _repeat_cut(line: np.ndarray, lo: int, hi: int) -> int:
-    """The least j in [lo, hi) whose tail line[j:] also occurs at some
-    f < j, or hi; the tails past the line are empty and occur at 0."""
-    lo, text = min(max(lo, 1), hi), line.tobytes()
-    while lo < hi:
-        mid = (lo + hi) // 2
-        # an occurrence ending before the line's last symbol starts before mid
-        if text.find(text[mid:], 0, len(text) - 1) != -1:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def _search(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget, singles: int

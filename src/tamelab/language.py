@@ -21,16 +21,16 @@ and its ids grow one column at a time over the rows of the padded
 length-n_max windows, keeping at length n only the rows whose window lies
 in the line, so p(n) is the class count.  The rows are every position,
 or, when the distinct windows are few, as for the low-complexity codings
-studied here, only their first occurrences S (``first_occurrences``).
-This is exact for any set holding one copy of each length-n_max window:
-the length-n window at j <= L - n is a prefix of the padded window at j,
-whose first occurrence j' <= j lies in S, is kept and shows it too.  Each
-padded position j > L - n_max shows m at its own offset, so it is its own
-first occurrence: S ends with these n_max - 1 positions, and at length n
-the rows in the line are all of S but its last n - 1.  S is used when,
-less its padded positions, it at least halves the L positions, and every
-doubling step of the probe ranks without a sort.  Either way the loop
-leaves off ranking once every window is distinct.
+studied here, only their first occurrences S less the padded ones whose
+live part occurs earlier (``first_occurrences``, which the free-set table
+shares).  This is exact: the length-n window at j <= L - n is a prefix of
+the padded window at j, whose first occurrence j' <= j shows it too, and
+if j' was dropped its live part, which holds the window, occurs at some
+f < j'.  Each padded position shows m at its own offset, so it is its own
+first occurrence, and the kept ones end S: at length n the rows are the
+positions of S at most L - n.  S is used when it at least halves the L
+positions and every doubling step of the probe ranks without a sort.
+Either way the loop leaves off ranking once every window is distinct.
 """
 
 from __future__ import annotations
@@ -315,22 +315,57 @@ def window_classes(symbols: np.ndarray, width: int,
     return ids
 
 
-def first_occurrences(padded: np.ndarray, width: int, limit: int) -> np.ndarray | None:
-    """Ascending first positions of the distinct length-``width`` windows of
-    ``padded``, or None once ``window_classes`` finds more than ``limit``.
+def first_occurrences(line: np.ndarray, m: int, width: int, t: int,
+                      limit: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The line's first t + width - 1 cells padded with the non-symbol m,
+    and the ascending first positions j < t of their distinct
+    length-``width`` windows, less the padded ones whose live part occurs
+    earlier; None in place of the positions when they do not at least
+    halve t, or once ``window_classes`` finds more than ``limit`` windows,
+    first on a prefix of 2 * limit + 3 * width cells (a prefix's windows
+    are the line's).  A negative limit takes no sample.
 
-    One ``np.minimum.at`` over the class ids finds them; the ids need not
-    be dense (the all-distinct exit of ``window_classes`` keeps the ids of
-    shorter windows), so the table spans ``ids.max() + 1``.
+    A padded first occurrence j whose live part, the line from j on, also
+    occurs at some f < j adds no pattern: a pattern fitting in that live
+    part shows at f too, and any other shows m at j.  Those j form a suffix
+    of the padded ones, since the live part at j + 1 then occurs at f + 1,
+    so one binary search drops them.  The class ids need not be dense
+    (``window_classes`` may stop refining), so the first-position table
+    spans ``ids.max() + 1``.
     """
-    ids = window_classes(padded, width, limit=limit)
+    padded = np.full(t + width - 1, m, dtype=np.uint8)
+    live = min(line.size, padded.size)
+    padded[:live] = line[:live]
+    if limit < 0:
+        return padded, None
+    prefix = 2 * limit + 3 * width
+    if prefix < padded.size and window_classes(padded[:prefix], width, limit) is None:
+        return padded, None
+    ids = window_classes(padded, width, limit)
     if ids is None:
-        return None
+        return padded, None
     first = np.full(int(ids.max()) + 1, ids.size, dtype=np.int64)
     np.minimum.at(first, ids, np.arange(ids.size, dtype=np.int64))
     is_first = np.zeros(ids.size + 1, dtype=bool)
     is_first[first] = True
-    return np.flatnonzero(is_first[:-1])
+    positions = np.flatnonzero(is_first[:-1])
+    positions = positions[: np.searchsorted(
+        positions, _repeat_cut(padded[:live], live - width + 1, t))]
+    return padded, positions if 2 * positions.size <= t else None
+
+
+def _repeat_cut(line: np.ndarray, lo: int, hi: int) -> int:
+    """The least j in [lo, hi) whose tail line[j:] also occurs at some
+    f < j, or hi; the tails past the line are empty and occur at 0."""
+    lo, text = min(max(lo, 1), hi), line.tobytes()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        # an occurrence ending before the line's last symbol starts before mid
+        if text.find(text[mid:], 0, len(text) - 1) != -1:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def extend_classes(win: SeqWindow, offset: int,
@@ -353,42 +388,23 @@ def extend_classes(win: SeqWindow, offset: int,
     return _pair_classes(ids[:size], count, line[offset:], win.alphabet_size)
 
 
-def _sample_rows(padded: np.ndarray, n_max: int) -> np.ndarray | None:
-    """First occurrences S of the windows of a padded line (see the module
-    docstring), or None when S less its padded positions does not at least
-    halve the line's or the probe would sort.
-
-    A doubling step of ``window_classes`` at length k ranks without a sort
-    while its classes number at most sqrt(2L); it goes on while they number
-    at most limit + n_max - k, hence the limit.
-    """
-    size = padded.size - (n_max - 1)
-    root = math.isqrt(2 * size)
-    limit = root - n_max
-    if limit < 0:  # its last check, at k >= n_max / 2 with more than k classes, would fail
-        return None
-    # A prefix's windows are the line's, so a prefix with too many of them
-    # rules the line out, at a small part of the probe's cost.
-    if window_classes(padded[: 2 * root + n_max], n_max, limit) is None:
-        return None
-    sample = first_occurrences(padded, n_max, limit)
-    if sample is None or 2 * (sample.size - (n_max - 1)) > size:
-        return None
-    return sample
-
-
 def _line_counts(line: np.ndarray, alphabet: int, n_max: int) -> list[int]:
-    """p(1..n_max) of a line, grown column by column (see the module docstring)."""
-    padded = np.full(line.size + n_max - 1, alphabet, dtype=np.uint8)
-    padded[: line.size] = line
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n_max)
-    sample = _sample_rows(padded, n_max)
+    """p(1..n_max) of a line, grown column by column (see the module docstring).
+
+    A doubling step of the probe at length k ranks without a sort while its
+    classes number at most sqrt(2L); it goes on while they number at most
+    limit + n_max - k, hence the limit.
+    """
+    size = line.size
+    padded, sample = first_occurrences(line, alphabet, n_max, size,
+                                       math.isqrt(2 * size) - n_max)
+    windows, end = np.lib.stride_tricks.sliding_window_view(padded, n_max), size
     if sample is not None:
-        windows = windows[sample]
+        windows, end = windows[sample], int(sample[-1]) + 1
     ids, count = np.zeros(windows.shape[0], np.int32), 1
     counts = []
     for k in range(n_max):
-        rows = windows.shape[0] - k  # the last k rows, in S too, run past the line
+        rows = windows.shape[0] - max(0, end - size + k)  # the rows j <= L - (k + 1)
         if count == ids.size:  # every window is distinct, so every longer one is
             ids, count = ids[:rows], rows
         else:

@@ -305,6 +305,12 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, section, key,
     ("entropy_threshold", "-inf", "entropy_threshold"),
     ("brackets", "-3,8", "free_brackets"),
     ("brackets", "8,4", "free_brackets"),
+    ("prefix", "-1", "projection_prefix"),
+    ("prefix", "0", "projection_prefix"),
+    ("prefix", "1", "projection_prefix"),
+    ("beam", "0", "beam"),
+    ("max_size", "0", "free_max_size"),
+    ("entropy_n_max", "0", "entropy_n_max"),
 ])
 def test_classify_values_that_void_a_flag_exit_5(tmp_path, capsys, key, value, field):
     config = _config({**_BASE, "classify": {**_BASE["classify"], key: value}})

@@ -1,6 +1,7 @@
 """Window languages: pattern sets, complexity, projections."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -340,14 +341,14 @@ def sampled_path_spy(monkeypatch):
     """Record, per ``_box_counts`` call on a line, whether it counted on
     the first occurrences of the distinct windows."""
     taken = []
-    sample_rows = language._sample_rows
+    sampler = language.first_occurrences
 
-    def spy(padded, n_max):
-        rows = sample_rows(padded, n_max)
+    def spy(*args):
+        padded, rows = sampler(*args)
         taken.append(rows is not None)
-        return rows
+        return padded, rows
 
-    monkeypatch.setattr(language, "_sample_rows", spy)
+    monkeypatch.setattr(language, "first_occurrences", spy)
     return taken
 
 
@@ -395,15 +396,16 @@ def test_low_complexity_lines_take_the_sampled_path(monkeypatch):
     assert taken == [True, False, False]
 
 
-def padded_line(line, alphabet, n_max):
-    """The line followed by n_max - 1 copies of the non-symbol."""
-    return np.concatenate([line, np.full(n_max - 1, alphabet, dtype=np.uint8)])
+def probe_rows(line, n_max):
+    """The sampled rows ``_line_counts`` would take, or None."""
+    size = line.size
+    return language.first_occurrences(line, 2, n_max, size, math.isqrt(2 * size) - n_max)[1]
 
 
 def test_probe_ranks_without_sorting(monkeypatch):
     """Every doubling step over the whole line ranks without a sort, and a
     line whose prefix already shows too many windows takes none.  The
-    halving test does not count the padded positions."""
+    halving test counts the padded positions it keeps."""
     steps = []
     pair_classes = language._pair_classes
 
@@ -415,17 +417,110 @@ def test_probe_ranks_without_sorting(monkeypatch):
     for source, n_max, sampled, whole_line_steps in (
             (SeqSource.fibonacci(), 200, True, True),
             (SeqSource.morse(), 32, True, True),
-            # S holds all 2**16 windows and the 15 padded positions: L / 2 + 15
+            # S holds all 2**16 windows; the 15 padded positions are dropped,
+            # as their live parts occur earlier: L / 2 rows
             (SeqSource.de_bruijn(16), 16, True, True),
             (SeqSource.random(7, 2), 20, False, False)):
         line = materialize(source, (0, 1 << 17)).line()
         steps.clear()
-        rows = language._sample_rows(padded_line(line, 2, n_max), n_max)
+        rows = probe_rows(line, n_max)
         assert (rows is not None) == sampled, source.kind
         whole_line = [sort_free for size, sort_free in steps if size >= line.size]
         assert bool(whole_line) == whole_line_steps and all(whole_line), source.kind
         if source.kind == "de_bruijn":
             assert language._box_counts(line, 2, n_max) == [2 ** n for n in range(1, 17)]
-    # one period shows every window once: S less its padding is the whole line
+    # one period shows every window once: S is every unpadded position
     one_period = materialize(SeqSource.de_bruijn(16), (0, (1 << 16) + 15)).line()
-    assert language._sample_rows(padded_line(one_period, 2, 16), 16) is None
+    assert probe_rows(one_period, 16) is None
+
+
+def brute_first_occurrences(line, m, width, t):
+    """First positions j < t of the distinct width-windows of the line's
+    first t + width - 1 cells padded with m, less each padded one whose
+    live part also starts at an earlier position of the line."""
+    live = min(len(line), t + width - 1)
+    padded = [int(v) for v in line[:live]] + [m] * (t + width - 1 - live)
+    seen, kept = set(), []
+    for j in range(t):
+        window = tuple(padded[j: j + width])
+        if window in seen:
+            continue
+        seen.add(window)
+        tail = padded[j:live]
+        if j + width > live and any(padded[f: f + len(tail)] == tail for f in range(j)):
+            continue
+        kept.append(j)
+    return padded, kept
+
+
+_GOLDEN_WORD = [0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0]
+# (line, alphabet, t, width): every padded tail repeats, none does, some do,
+# nothing is padded, a de Bruijn period, and a period past the end
+SAMPLER_LINES = [
+    (materialize(SeqSource.fibonacci(), (0, 20000)).line(), 2, 20000, 100),
+    (np.array([0] * 400 + [1], dtype=np.uint8), 2, 401, 6),
+    (np.array(_GOLDEN_WORD * 10 + [1, 1], dtype=np.uint8), 2, 212, 9),
+    (np.array(_GOLDEN_WORD * 10 + [1, 1], dtype=np.uint8), 2, 100, 9),
+    (materialize(SeqSource.de_bruijn(8), (0, 257)).line(), 2, 256, 3),
+    (np.resize(np.array([0, 1, 2, 2, 1], dtype=np.uint8), 300), 3, 300, 40),
+]
+
+
+def test_first_occurrences_match_brute_force():
+    """The positions are the brute-force first occurrences less the padded
+    ones whose tail repeats, None exactly when they would not halve t; a
+    negative limit takes no sample."""
+    rng = np.random.default_rng(21)
+    cases = list(SAMPLER_LINES)
+    for i in range(150):
+        m = int(rng.integers(1, 4))
+        line = rng.integers(0, m, int(rng.integers(1, 60))).astype(np.uint8)
+        if i % 3 == 0:  # low complexity: a repeated short block
+            line = np.resize(line[: int(rng.integers(1, 5))], line.size)
+        cases.append((line, m, int(rng.integers(1, line.size + 1)), int(rng.integers(1, 12))))
+    for i, (line, m, t, width) in enumerate(cases):
+        expected_padded, expected = brute_first_occurrences(line, m, width, t)
+        padded, positions = language.first_occurrences(line, m, width, t, t // 2 + width - 1)
+        assert padded.tolist() == expected_padded, i
+        if 2 * len(expected) > t:
+            assert positions is None, i
+        else:
+            assert positions.tolist() == expected, i
+        assert language.first_occurrences(line, m, width, t, -1)[1] is None, i
+
+
+@pytest.mark.parametrize("symbols, top", [([0] * 400 + [1], 16),
+                                          (_GOLDEN_WORD * 10 + [1, 1], 8)],
+                         ids=["new-symbol-at-end", "new-pair-at-end"])
+def test_sampled_counts_keep_padded_tails(symbols, top, monkeypatch):
+    """Lines whose padded windows are not all dropped, at every n_max the
+    sampled path takes: at length n the kept positions past L - n leave
+    the count."""
+    taken = sampled_path_spy(monkeypatch)
+    line = np.array(symbols, dtype=np.uint8)
+    data = line.tobytes()
+    brute = [len({data[j:j + n] for j in range(line.size - n + 1)}) for n in range(1, top + 1)]
+    for n_max in range(1, top + 1):
+        assert list(complexity(kernel_window(line, 2), n_max).counts) == brute[:n_max], n_max
+    assert all(taken) and len(taken) == top
+    assert probe_rows(line, top)[-1] > line.size - top
+
+
+def test_sampled_rows_of_preset_lines(monkeypatch):
+    """The sampled rows are the distinct windows, the padded ones dropped:
+    the de Bruijn line of order 16 shows each 16-word once a period, and
+    the golden coding shows p(30) = 31 words."""
+    sizes = []
+    sampler = language.first_occurrences
+
+    def spy(*args):
+        padded, rows = sampler(*args)
+        sizes.append(None if rows is None else rows.size)
+        return padded, rows
+
+    monkeypatch.setattr(language, "first_occurrences", spy)
+    de_bruijn = materialize(SeqSource.de_bruijn(16), (0, 1 << 17))
+    assert complexity(de_bruijn, 16).counts == tuple(2 ** n for n in range(1, 17))
+    golden = materialize(SeqSource.fibonacci(), (0, 100_000))
+    assert complexity(golden, 30).counts == tuple(range(2, 32))
+    assert sizes == [1 << 16, 31]
