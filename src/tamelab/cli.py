@@ -23,7 +23,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +213,29 @@ def _opt_int(value: str) -> int | None:
     return None if value in ("", "none") else int(value)
 
 
+def _cube_labels(dim: int) -> tuple[str, ...]:
+    """``str`` of each vertex of {0, 1}**dim in ``itertools.product``
+    order, built a digit at a time: ``(0, 0)``, ``(0, 1)``, ... and, for
+    one digit, ``(0,)``."""
+    if dim == 1:
+        return ("(0,)", "(1,)")
+    bodies = ["0", "1"]
+    for _ in range(dim - 1):
+        bodies = [body + digit for body in bodies for digit in (", 0", ", 1")]
+    return tuple(f"({body})" for body in bodies)
+
+
+# [classify] key -> ClassifyParams field, and the key's converter
+_CLASSIFY_KEYS = (("entropy_n_max", "entropy_n_max", int),
+                  ("max_size", "free_max_size", int),
+                  ("beam", "beam", int),
+                  ("prefix", "projection_prefix", int),
+                  ("density_threshold", "density_threshold", float),
+                  ("entropy_threshold", "entropy_threshold", float),
+                  ("free_slack", "free_slack", float),
+                  ("brackets", "free_brackets", lambda v: tuple(_int_list(v))))
+
+
 class _Runner:
     """Executes one command, collecting artifact files and the manifest."""
 
@@ -359,7 +381,7 @@ class _Runner:
                                     "cells, over the 2**24 cap")
             # vertex j's coordinates are the bits of j, most significant first
             values = (np.arange(2 ** dim) >> np.arange(dim - 1, -1, -1)[:, None] & 1).astype(float)
-            fs = FunctionSample(values, labels=tuple(map(str, product((0, 1), repeat=dim))))
+            fs = FunctionSample(values, labels=_cube_labels(dim))
         elif mode == "orbit":
             shifts = typed("family", "shifts", _range_spec, "0:63")
             points = typed("family", "points", _range_spec, "0:999")
@@ -402,18 +424,15 @@ class _Runner:
         if "window" in sec:
             raise ConfigError("[classify] window is retired: classify reads the "
                               "run's window, [window] box")
-        kwargs = {}
-        for key, name, conv in (("entropy_n_max", "entropy_n_max", int),
-                                ("max_size", "free_max_size", int),
-                                ("beam", "beam", int),
-                                ("prefix", "projection_prefix", int),
-                                ("density_threshold", "density_threshold", float),
-                                ("entropy_threshold", "entropy_threshold", float),
-                                ("free_slack", "free_slack", float),
-                                ("brackets", "free_brackets", lambda v: tuple(_int_list(v)))):
-            if key in sec:
-                kwargs[name] = self.config.typed("classify", key, conv)
-        report = classify(self.materialized(), ClassifyParams(**kwargs))
+        kwargs = {name: self.config.typed("classify", key, conv)
+                  for key, name, conv in _CLASSIFY_KEYS if key in sec}
+        try:
+            params = ClassifyParams(**kwargs)
+        except ArgumentError as exc:  # its message opens with the field's name
+            name, _, reason = str(exc).partition(" ")
+            keys = {field: key for key, field, _ in _CLASSIFY_KEYS}
+            raise ArgumentError(f"[classify] {keys.get(name, name)} {reason}") from None
+        report = classify(self.materialized(), params)
         if self.fmt == "csv":
             self.write("report.csv",
                        report.csv_row_header() + "\n" + report.to_csv_row() + "\n")

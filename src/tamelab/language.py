@@ -12,30 +12,27 @@ coordinate, with no shift array.  A coordinate set whose rank differs from
 the window's raises DimensionError.  Counting needs no codes: every count
 names patterns by int32 class ids, the dense ranks of the pairs (id of a
 smaller pattern, id of the part it adds) -- Karp-Miller-Rosenberg naming.
-``complexity`` grows windows by one symbol and n-boxes by one layer along
-each axis in turn, ``extend_classes`` grows a pattern along a coordinate
-sequence, and ``window_classes`` doubles window lengths.
+``complexity`` grows n-boxes of rank >= 2 by one layer along each axis in
+turn, ``extend_classes`` grows a pattern along a coordinate sequence, and
+``window_classes`` doubles window lengths.
 
-A line of length L is padded with n_max - 1 copies of the non-symbol m,
-and its ids grow one column at a time over the rows of the padded
-length-n_max windows, keeping at length n only the rows whose window lies
-in the line, so p(n) is the class count.  The rows are every position,
-or, when the distinct windows are few, as for the low-complexity codings
-studied here, only their first occurrences S less the padded ones whose
-live part occurs earlier (``first_occurrences``, which the free-set table
-shares).  This is exact: the length-n window at j <= L - n is a prefix of
-the padded window at j, whose first occurrence j' <= j shows it too, and
-if j' was dropped its live part, which holds the window, occurs at some
-f < j'.  Each padded position shows m at its own offset, so it is its own
-first occurrence, and the kept ones end S: at length n the rows are the
-positions of S at most L - n.  S is used when it at least halves the L
-positions and every doubling step of the probe ranks without a sort.
-Either way the loop leaves off ranking once every window is distinct.
+A line of length L is counted from one ranking (``_line_counts``), the
+suffix-array argument of Manber-Myers prefix doubling and Kasai's common
+prefixes: pad the line with n_max - 1 copies of the non-symbol m, name its
+length-n_max windows at j < L by ``window_classes``, whose ids are
+lexicographic ranks, and compare each distinct window with its neighbour
+in that order.  The distinct length-k windows are the distinct length-k
+prefixes, which change exactly where neighbours share fewer than k
+symbols, less the k - 1 prefixes at j > L - k that hold m, so one
+histogram of the common prefix lengths gives every p(k).
+``first_occurrences``, the first positions of the distinct windows,
+serves only the free-set table.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,6 +42,8 @@ from .errors import ArgumentError, CapacityError, DimensionError, ShiftRangeErro
 from .sources import SeqWindow
 
 DENSE_CAP = 1 << 24
+_LCP_ROWS = 1 << 15  # rank neighbours compared per block in _line_counts
+_LOW_HALF = 0 if sys.byteorder == "little" else 1  # uint32 index of an int64's low bits
 
 
 def _as_coord(c, rank: int):
@@ -228,8 +227,11 @@ def patterns_on(win: SeqWindow, A: CoordSet, shifts="all",
             np.stack(np.unravel_index(first, shape), axis=1) + lows)
         at = t[:, 0].tolist() if win.rank == 1 else map(tuple, t.tolist())
         witness = dict(zip(uniq.tolist(), at))
-    else:
-        uniq = np.unique(codes)
+    else:  # np.unique without flags hashes in numpy 2.4, several times slower than a sort
+        uniq = np.sort(codes)
+        keep = np.ones(uniq.size, dtype=bool)
+        np.not_equal(uniq[1:], uniq[:-1], out=keep[1:])
+        uniq = uniq[keep]
     return PatternSet(A, win.alphabet_size, uniq.astype(np.int64, copy=False),
                       int(codes.size), desc, witness)
 
@@ -267,23 +269,63 @@ class WindowLanguage:
 
 def _pair_classes(left: np.ndarray, n_left: int, right: np.ndarray,
                   n_right: int) -> tuple[np.ndarray, int]:
-    """Dense int32 ranks of the pairs (left[j], right[j]), and their count.
+    """Dense int32 ranks of the pairs (left[j], right[j]) in pair order, and
+    their count.
 
     ``left`` and ``right`` share a shape and hold ids below ``n_left`` and
     ``n_right``; the empty pattern is one class, ``np.zeros``, of count 1.
+    A small pair space is ranked by a table over it.  Otherwise the keys
+    left * n_right + right are sorted with their positions in their low
+    bits, or, where key and position do not fit one int64 word, in two
+    stable passes: by right, then by left.
     """
     space = n_left * n_right
-    keys = left.astype(np.int32 if space <= np.iinfo(np.int32).max else np.int64)
-    keys *= n_right
-    keys += right
-    if space <= 2 * keys.size:  # small pair space: rank without sorting
+    if space <= 2 * left.size:  # small pair space: rank without sorting
+        keys = left.astype(np.int32 if space <= np.iinfo(np.int32).max else np.int64)
+        keys *= n_right
+        keys += right
         seen = np.zeros(space, dtype=bool)
         seen[keys] = True
         rank = np.cumsum(seen, dtype=np.int32)
         rank -= 1
         return rank[keys], int(rank[-1]) + 1
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    return inverse.reshape(keys.shape).astype(np.int32), int(uniq.size)
+    if (space - 1).bit_length() + _position_bits(left.size) <= 63:
+        keys = left.astype(np.int64)
+        keys *= n_right
+        keys += right
+        keys, order = _sort_positions(keys.reshape(-1))
+        step = keys[1:] != keys[:-1]
+        del keys  # the words go before the ranks are built
+    else:
+        right = right.reshape(-1)
+        _, by_right = _sort_positions(right.astype(np.int64))
+        lefts, order = _sort_positions(left.reshape(-1)[by_right].astype(np.int64))
+        order = by_right[order]
+        rights = right[order]
+        step = (lefts[1:] != lefts[:-1]) | (rights[1:] != rights[:-1])
+    sorted_rank = np.zeros(step.size + 1, dtype=np.int32)
+    np.cumsum(step, out=sorted_rank[1:])
+    rank = np.empty(sorted_rank.size, dtype=np.int32)
+    rank[order] = sorted_rank
+    return rank.reshape(left.shape), int(sorted_rank[-1]) + 1
+
+
+def _position_bits(size: int) -> int:
+    return max(1, (size - 1).bit_length())
+
+
+def _sort_positions(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort nonnegative int64 keys in place, ties by position, and return
+    them with the positions they came from: one sort of the words
+    key << b | j, b bits holding every position j (fewer than 2**32 keys,
+    each below 2**(63 - b)), whose low halves are read as uint32."""
+    b = _position_bits(keys.size)
+    keys <<= b
+    keys |= np.arange(keys.size, dtype=np.uint32)
+    keys.sort()
+    order = keys.view(np.uint32)[_LOW_HALF::2] & np.uint32((1 << b) - 1)
+    keys >>= b
+    return keys, order
 
 
 def window_classes(symbols: np.ndarray, width: int,
@@ -389,34 +431,39 @@ def extend_classes(win: SeqWindow, offset: int,
 
 
 def _line_counts(line: np.ndarray, alphabet: int, n_max: int) -> list[int]:
-    """p(1..n_max) of a line, grown column by column (see the module docstring).
+    """p(1..n_max) of a line from one ranking of its padded windows (see
+    the module docstring).
 
-    A doubling step of the probe at length k ranks without a sort while its
-    classes number at most sqrt(2L); it goes on while they number at most
-    limit + n_max - k, hence the limit.
+    ``window_classes`` names the length-n_max windows of the line padded
+    with n_max - 1 copies of the non-symbol m at every position j < L; its
+    ids are lexicographic ranks, dense unless every window was distinct
+    before n_max, so one position per id is taken in id order from a table
+    of ``ids.max() + 1`` slots.  The distinct length-k prefixes of windows
+    in lexicographic order change exactly where neighbours share fewer
+    than k symbols, so 1 + #{LCP < k} counts them, and the k - 1 windows at
+    j > L - k, each holding m at its own offset, are dropped from that
+    count.  Neighbours are compared in blocks of ``_LCP_ROWS`` rows.
     """
     size = line.size
-    padded, sample = first_occurrences(line, alphabet, n_max, size,
-                                       math.isqrt(2 * size) - n_max)
-    windows, end = np.lib.stride_tricks.sliding_window_view(padded, n_max), size
-    if sample is not None:
-        windows, end = windows[sample], int(sample[-1]) + 1
-    ids, count = np.zeros(windows.shape[0], np.int32), 1
-    counts = []
-    for k in range(n_max):
-        rows = windows.shape[0] - max(0, end - size + k)  # the rows j <= L - (k + 1)
-        if count == ids.size:  # every window is distinct, so every longer one is
-            ids, count = ids[:rows], rows
-        else:
-            ids, count = _pair_classes(ids[:rows], count, windows[:rows, k], alphabet)
-        counts.append(count)
-    return counts
+    padded = np.full(size + n_max - 1, alphabet, dtype=np.uint8)
+    padded[:size] = line
+    ids = window_classes(padded, n_max)
+    slots = np.full(int(ids.max()) + 1, -1, dtype=np.int32)
+    slots[ids] = np.arange(size, dtype=np.int32)
+    ranked = slots[slots >= 0]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n_max)
+    lcps = np.zeros(n_max, dtype=np.int64)  # neighbours per common prefix length
+    for lo in range(0, ranked.size - 1, _LCP_ROWS):
+        rows = windows[ranked[lo: lo + _LCP_ROWS + 1]]
+        lcps += np.bincount((rows[1:] != rows[:-1]).argmax(axis=1), minlength=n_max)
+    below = np.cumsum(lcps)  # below[k - 1] = #{LCP < k}
+    return (below + 1 - np.arange(n_max)).tolist()
 
 
 def _box_counts(symbols: np.ndarray, alphabet: int, n_max: int) -> list[int]:
     """p(1..n_max) on the n x ... x n boxes of a symbol array.
 
-    A line grows its windows one column at a time (``_line_counts``).  In
+    A line is counted from one ranking of its windows (``_line_counts``).  In
     rank k >= 2 the box of shape s + e_i at t is the union of the boxes of
     shape s at t and at t + e_i, so each step pairs the ids of the current
     boxes with their neighbours' along each axis in turn.

@@ -1,6 +1,7 @@
 """Command-line harness: configs, artifacts, exit codes, golden file."""
 
 import hashlib
+import itertools
 import os
 import resource
 import subprocess
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tamelab
-from tamelab.classify import classify
-from tamelab.cli import COMMANDS, ExperimentConfig, main, run
+from tamelab.classify import ClassifyParams, classify
+from tamelab.cli import COMMANDS, ExperimentConfig, _cube_labels, _int_list, main, run
+from tamelab.errors import ArgumentError
 from tamelab.freeset import is_free
 from tamelab.language import CoordSet, patterns_on
 from tamelab.presets import PRESETS
@@ -313,9 +315,20 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, section, key,
     ("entropy_n_max", "0", "entropy_n_max"),
 ])
 def test_classify_values_that_void_a_flag_exit_5(tmp_path, capsys, key, value, field):
+    """The library names the field; the command names the config key."""
     config = _config({**_BASE, "classify": {**_BASE["classify"], key: value}})
     assert run("classify", config, tmp_path / "out") == 5
-    assert field in capsys.readouterr().err
+    assert f"classify: error: [classify] {key} must" in capsys.readouterr().err
+    parsed = (tuple(_int_list(value)) if key == "brackets"
+              else float(value) if isinstance(getattr(ClassifyParams, field), float)
+              else int(value))
+    with pytest.raises(ArgumentError, match=f"^{field} must"):
+        ClassifyParams(**{field: parsed})
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_cube_labels_are_the_vertex_tuples(dim):
+    assert _cube_labels(dim) == tuple(str(t) for t in itertools.product((0, 1), repeat=dim))
 
 
 @pytest.mark.parametrize("instances", ["0", "-5"])

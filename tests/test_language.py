@@ -18,7 +18,7 @@ from tamelab.language import (
     patterns_on,
     project,
 )
-from tamelab.sources import SeqSource, SeqWindow, materialize
+from tamelab.sources import SeqSource, SeqWindow, concat_block_bounds, materialize
 
 
 def explicit(symbols, origin=0):
@@ -337,19 +337,23 @@ def rotation_coding(letters):
                               TorusPoint.zero())
 
 
-def sampled_path_spy(monkeypatch):
-    """Record, per ``_box_counts`` call on a line, whether it counted on
-    the first occurrences of the distinct windows."""
-    taken = []
-    sampler = language.first_occurrences
+def ranking_spy(monkeypatch):
+    """Record, per ``window_classes`` call, the row length, the width and
+    the number of distinct ids; a call to ``first_occurrences`` fails."""
+    calls = []
+    classes = language.window_classes
 
-    def spy(*args):
-        padded, rows = sampler(*args)
-        taken.append(rows is not None)
-        return padded, rows
+    def spy(symbols, width, limit=None):
+        ids = classes(symbols, width, limit)
+        calls.append((symbols.size, width, None if ids is None else np.unique(ids).size))
+        return ids
 
-    monkeypatch.setattr(language, "first_occurrences", spy)
-    return taken
+    def no_sample(*args):
+        raise AssertionError("rank-1 counts take no sample")
+
+    monkeypatch.setattr(language, "window_classes", spy)
+    monkeypatch.setattr(language, "first_occurrences", no_sample)
+    return calls
 
 
 def low_complexity_line(name, length):
@@ -367,37 +371,37 @@ def low_complexity_line(name, length):
 @pytest.mark.parametrize("name", ["tile", "rotation2", "rotation3", "rotation4", "morse",
                                   "halfline"])
 def test_sampled_counts_match_brute_force_window_sets(name, monkeypatch):
-    """Every n_max on a short line, where the sampled path gives way to the
-    loop, and every n_max the sampled path can take on a long one."""
-    taken = sampled_path_spy(monkeypatch)
+    """Every n_max on a short line and every n_max up to 89 on a long one,
+    each counted from one ranking of the padded n_max-windows."""
+    calls = ranking_spy(monkeypatch)
     for length, top in ((200, 199), (4000, 89)):  # 89 = isqrt(2 * 4000)
         symbols, alphabet = low_complexity_line(name, length)
         data = symbols.tobytes()
         brute = [len({data[j:j + n] for j in range(length - n + 1)})
                  for n in range(1, top + 1)]
         win = kernel_window(symbols, alphabet)
-        taken.clear()
+        calls.clear()
         for n_max in range(1, top + 1):
             assert list(complexity(win, n_max).counts) == brute[:n_max], (length, n_max)
-        if length == 200:
-            assert taken[0] and not taken[-1]
-        else:
-            assert all(taken[:16])
+        # the distinct padded windows: p(n_max) live ones, n_max - 1 padded
+        assert calls == [(length + n - 1, n, brute[n - 1] + n - 1)
+                         for n in range(1, top + 1)]
 
 
-def test_low_complexity_lines_take_the_sampled_path(monkeypatch):
-    taken = sampled_path_spy(monkeypatch)
+def test_line_counts_rank_the_padded_windows_once(monkeypatch):
+    calls = ranking_spy(monkeypatch)
     golden = materialize(SeqSource.fibonacci(), (0, 100_000))
     assert complexity(golden, 200).counts == tuple(range(2, 202))
     random_line = materialize(SeqSource.random(7, 2), (0, 100_000))
     assert count_contiguous(random_line, 20) > 2 ** 16
     de_bruijn = materialize(SeqSource.de_bruijn(12), (0, 1 << 13))
     assert complexity(de_bruijn, 12).counts == tuple(2 ** n for n in range(1, 13))
-    assert taken == [True, False, False]
+    assert [size for size, _, _ in calls] == [100_199, 100_019, (1 << 13) + 11]
 
 
 def probe_rows(line, n_max):
-    """The sampled rows ``_line_counts`` would take, or None."""
+    """The first occurrences of a line's padded n_max-windows under the
+    limit sqrt(2L) - n_max, which probes a prefix first, or None."""
     size = line.size
     return language.first_occurrences(line, 2, n_max, size, math.isqrt(2 * size) - n_max)[1]
 
@@ -493,34 +497,107 @@ def test_first_occurrences_match_brute_force():
                                           (_GOLDEN_WORD * 10 + [1, 1], 8)],
                          ids=["new-symbol-at-end", "new-pair-at-end"])
 def test_sampled_counts_keep_padded_tails(symbols, top, monkeypatch):
-    """Lines whose padded windows are not all dropped, at every n_max the
-    sampled path takes: at length n the kept positions past L - n leave
-    the count."""
-    taken = sampled_path_spy(monkeypatch)
+    """Lines whose padded windows do not all repeat earlier, at every n_max:
+    at length n the n - 1 windows past L - n leave the count, and the
+    first occurrences keep a padded position."""
+    calls = ranking_spy(monkeypatch)
     line = np.array(symbols, dtype=np.uint8)
     data = line.tobytes()
     brute = [len({data[j:j + n] for j in range(line.size - n + 1)}) for n in range(1, top + 1)]
     for n_max in range(1, top + 1):
         assert list(complexity(kernel_window(line, 2), n_max).counts) == brute[:n_max], n_max
-    assert all(taken) and len(taken) == top
+    assert [width for _, width, _ in calls] == list(range(1, top + 1))
+    monkeypatch.undo()
     assert probe_rows(line, top)[-1] > line.size - top
 
 
-def test_sampled_rows_of_preset_lines(monkeypatch):
-    """The sampled rows are the distinct windows, the padded ones dropped:
-    the de Bruijn line of order 16 shows each 16-word once a period, and
-    the golden coding shows p(30) = 31 words."""
-    sizes = []
-    sampler = language.first_occurrences
-
-    def spy(*args):
-        padded, rows = sampler(*args)
-        sizes.append(None if rows is None else rows.size)
-        return padded, rows
-
-    monkeypatch.setattr(language, "first_occurrences", spy)
+def test_ranked_windows_of_preset_lines(monkeypatch):
+    """One position per distinct padded window is ranked: the de Bruijn
+    line of order 16 shows each 16-word once a period, the golden coding
+    shows p(30) = 31 words, and each adds its n_max - 1 padded windows."""
+    calls = ranking_spy(monkeypatch)
     de_bruijn = materialize(SeqSource.de_bruijn(16), (0, 1 << 17))
     assert complexity(de_bruijn, 16).counts == tuple(2 ** n for n in range(1, 17))
     golden = materialize(SeqSource.fibonacci(), (0, 100_000))
     assert complexity(golden, 30).counts == tuple(range(2, 32))
-    assert sizes == [1 << 16, 31]
+    assert [distinct for _, _, distinct in calls] == [(1 << 16) + 15, 31 + 29]
+
+
+def unique_ranks(left, n_right, right):
+    """Dense ranks of the pairs in pair order, by ``np.unique``."""
+    keys = left.astype(np.int64) * n_right + right
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return inverse.reshape(left.shape), uniq.size
+
+
+@pytest.mark.parametrize("n_left, n_right, rows, wide", [
+    (1000, 1000, 1024, False),          # one packed sort
+    (1 << 27, 1 << 27, 1024, True),     # 54 key bits + 10 position bits
+    ((1 << 31) - 1, (1 << 31) - 1, 1024, True),
+    (70_000, 70_000, 100_000, False),
+], ids=["dense-ids", "wide-2^27", "wide-int32", "many-rows"])
+def test_pair_classes_sort_path_matches_unique(n_left, n_right, rows, wide):
+    """Ranks and counts equal ``np.unique``'s over the whole int32 id range,
+    on one packed word per pair or, past 63 bits, in two passes; repeats
+    share a rank, and non-contiguous rank-2 slices keep their shape."""
+    rng = np.random.default_rng(n_left % 97 + rows)
+    for shape in ((rows,), (rows // 32, 32)):
+        # few values per side, drawn near both ends of the id range
+        left = rng.choice(np.r_[rng.integers(0, n_left, 40), n_left - 1, 0], shape)
+        right = rng.choice(np.r_[rng.integers(0, n_right, 40), n_right - 1, 0], shape)
+        left, right = left.astype(np.int32), right.astype(np.int32)
+        if len(shape) == 2:
+            left, right = left[:, 1:], right[:, :-1]
+        bits = (n_left * n_right - 1).bit_length() + language._position_bits(left.size)
+        assert n_left * n_right > 2 * left.size and (bits > 63) == wide
+        ids, count = language._pair_classes(left, n_left, right, n_right)
+        expected, expected_count = unique_ranks(left, n_right, right)
+        assert ids.dtype == np.int32 and ids.shape == left.shape
+        assert count == expected_count and np.array_equal(ids, expected)
+
+
+def repeat_lines():
+    """Lines on 1..16 letters with long repeats: a block copied over the
+    line's second half, a short period, and a tail repeating the head."""
+    rng = np.random.default_rng(2001)
+    for i in range(120):
+        m = int(rng.integers(1, 17))
+        size = int(rng.integers(2, 120))
+        line = rng.integers(0, m, size).astype(np.uint8)
+        if i % 3 == 0:
+            line = np.resize(line[: int(rng.integers(1, 7))], size)
+        elif i % 3 == 1:
+            line[size // 2:] = line[: size - size // 2]
+        else:
+            cut = int(rng.integers(1, size))
+            line[cut:] = np.resize(line[: max(1, cut // 2)], size - cut)
+        yield line, m
+
+
+def test_rank1_counts_match_brute_force_on_repeats():
+    """p(1..n_max) from one ranking equals the brute-force window sets up
+    to n_max = L - 1, where repeats make long common prefixes."""
+    for i, (line, m) in enumerate(repeat_lines()):
+        data = line.tobytes()
+        brute = [len({data[j:j + n] for j in range(line.size - n + 1)})
+                 for n in range(1, line.size)]
+        n_max = line.size - 1
+        assert list(complexity(kernel_window(line, m), n_max).counts) == brute, i
+        assert language._line_counts(line, m, max(1, n_max // 2)) == brute[: max(1, n_max // 2)], i
+
+
+def test_line_counts_memory_on_concat12():
+    """The concat12 line at n_max 48 ranks in packed int64 words sorted in
+    place, freed before the ranks are built, and compares neighbours in
+    bounded blocks: 6.7 MB, where packing into a copy or keeping the words
+    peaks above 9 MB."""
+    end = concat_block_bounds(12)[-1][1]
+    line = materialize(SeqSource.concat_nonnull(), (0, end + 1)).line()
+    tracemalloc.start()
+    try:
+        counts = language._line_counts(line, 2, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[:12] == [2 ** n for n in range(1, 13)]
+    assert peak < 8 * 2 ** 20, peak
