@@ -30,6 +30,8 @@ MAX_FAMILY_ROWS = 64
 MAX_WITNESS_LEN = 12
 # Cell cap for one block of sign-vector sums in ``l1_lower_bound``.
 _L1_CELLS = 1 << 21
+# Cell cap for one block of rows in ``FunctionSample.csv_rows`` (or one row).
+_CSV_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,13 +65,23 @@ class FunctionSample:
         return self.values.shape[1]
 
     def csv_rows(self) -> list[str]:
+        # a block of rows at a time, each distinct value formatted once, keyed
+        # by its bit pattern: 0.0 and -0.0 are equal but format differently
         header = ",".join(map(str, self.labels or range(self.n_points)))
-        # each distinct value is formatted once, keyed by its bit pattern:
-        # 0.0 and -0.0 are equal but format differently
-        keys, inverse = np.unique(np.ascontiguousarray(self.values).view(np.uint64),
-                                  return_inverse=True)
-        text = np.array([format(v, ".12g") for v in keys.view(float).tolist()], dtype=object)
-        return [header] + [",".join(row) for row in text[inverse.reshape(self.values.shape)]]
+        bits = np.ascontiguousarray(self.values).view(np.uint64)
+        step = max(1, _CSV_CELLS // self.n_points)
+        text: dict[int, str] = {}  # kept across blocks, up to _CSV_CELLS texts
+        rows = [header]
+        for lo in range(0, self.n_members, step):
+            keys, inverse = np.unique(bits[lo:lo + step], return_inverse=True)
+            if len(text) > _CSV_CELLS:
+                text.clear()
+            for key, value in zip(keys.tolist(), keys.view(float).tolist()):
+                if key not in text:
+                    text[key] = format(value, ".12g")
+            cells = np.array([text[key] for key in keys.tolist()], dtype=object)
+            rows += map(",".join, cells[inverse.reshape(-1, self.n_points)])
+        return rows
 
     @classmethod
     def from_csv_rows(cls, rows: list[str]) -> "FunctionSample":

@@ -27,6 +27,9 @@ symbols, less the k - 1 prefixes at j > L - k that hold m, so one
 histogram of the common prefix lengths gives every p(k).
 ``first_occurrences``, the first positions of the distinct windows,
 serves only the free-set table.
+
+Distinct codes and their first positions, for ``patterns_on``, ``project``
+and ``first_occurrences``, come from ``_first_positions``.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ from .sources import SeqWindow
 
 DENSE_CAP = 1 << 24
 _LCP_ROWS = 1 << 15  # rank neighbours compared per block in _line_counts
+# Positions per np.minimum.at call in _first_positions: a 64 KiB index block
+# stays below glibc's 128 KiB mmap threshold, which freeing a larger block
+# raises, leaving later arrays of that size on the heap.
+_FIRST_BLOCK = 1 << 14
 _LOW_HALF = 0 if sys.byteorder == "little" else 1  # uint32 index of an int64's low bits
 
 
@@ -199,8 +206,9 @@ def patterns_on(win: SeqWindow, A: CoordSet, shifts="all",
     ``shifts`` is either "all" (every shift keeping A + t inside the
     window) or an explicit iterable of shifts (ints for rank 1, tuples
     otherwise).  Shifts are processed in ascending order, so the optional
-    witness per code is the smallest shift showing it.  A coordinate set
-    whose rank differs from the window's raises DimensionError.
+    witness per code, its first position, is the smallest shift showing
+    it.  A coordinate set whose rank differs from the window's raises
+    DimensionError.
     """
     _check_capacity(win.alphabet_size, A.size)
     bounds = valid_shift_bounds(win, A)
@@ -219,21 +227,37 @@ def patterns_on(win: SeqWindow, A: CoordSet, shifts="all",
         tarr = tarr[np.lexsort(tarr.T[::-1])]
         codes = pattern_codes(win, A, tarr)
         desc = "explicit"
+    uniq, first = _first_positions(codes, win.alphabet_size ** A.size)
     witness = None
     if want_witness:
-        uniq, first = np.unique(codes, return_index=True)
         # a box's codes run over its shifts in C order
         t = tarr[first] if tarr is not None else (
             np.stack(np.unravel_index(first, shape), axis=1) + lows)
         at = t[:, 0].tolist() if win.rank == 1 else map(tuple, t.tolist())
         witness = dict(zip(uniq.tolist(), at))
-    else:  # np.unique without flags hashes in numpy 2.4, several times slower than a sort
-        uniq = np.sort(codes)
-        keep = np.ones(uniq.size, dtype=bool)
-        np.not_equal(uniq[1:], uniq[:-1], out=keep[1:])
-        uniq = uniq[keep]
-    return PatternSet(A, win.alphabet_size, uniq.astype(np.int64, copy=False),
-                      int(codes.size), desc, witness)
+    return PatternSet(A, win.alphabet_size, uniq, int(codes.size), desc, witness)
+
+
+def _first_positions(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes in [0, space), ascending as int64, and the first
+    position of each: a table of the space when it is at most twice the
+    codes, lowered ``_FIRST_BLOCK`` positions at a time (no further once a
+    table within one block is full), else one sort of the words
+    code << b | j, in which each code's run starts at its first position."""
+    size = codes.size
+    if space <= 2 * size:
+        first = np.full(space, size, dtype=np.int32)  # positions below 2**31, as ids
+        for lo in range(0, size, _FIRST_BLOCK):
+            hi = min(lo + _FIRST_BLOCK, size)
+            np.minimum.at(first, codes[lo:hi], np.arange(lo, hi, dtype=np.int32))
+            if space <= _FIRST_BLOCK and first.max() < size:
+                break  # every code is seen, and later positions come after
+        uniq = np.flatnonzero(first < size)
+        return uniq, first[uniq]
+    words, order = _sort_positions(codes.astype(np.int64))
+    start = np.ones(size, dtype=bool)
+    np.not_equal(words[1:], words[:-1], out=start[1:])
+    return words[start], order[start]
 
 
 def _box_codes(win: SeqWindow, A: CoordSet, lows: list[int], shape: tuple) -> np.ndarray:
@@ -363,9 +387,7 @@ def first_occurrences(line: np.ndarray, m: int, width: int, t: int,
     and the ascending first positions j < t of their distinct
     length-``width`` windows, less the padded ones whose live part occurs
     earlier; None in place of the positions when they do not at least
-    halve t, or once ``window_classes`` finds more than ``limit`` windows,
-    first on a prefix of 2 * limit + 3 * width cells (a prefix's windows
-    are the line's).  A negative limit takes no sample.
+    halve t, or once ``window_classes`` finds more than ``limit`` windows.
 
     A padded first occurrence j whose live part, the line from j on, also
     occurs at some f < j adds no pattern: a pattern fitting in that live
@@ -378,19 +400,10 @@ def first_occurrences(line: np.ndarray, m: int, width: int, t: int,
     padded = np.full(t + width - 1, m, dtype=np.uint8)
     live = min(line.size, padded.size)
     padded[:live] = line[:live]
-    if limit < 0:
-        return padded, None
-    prefix = 2 * limit + 3 * width
-    if prefix < padded.size and window_classes(padded[:prefix], width, limit) is None:
-        return padded, None
     ids = window_classes(padded, width, limit)
     if ids is None:
         return padded, None
-    first = np.full(int(ids.max()) + 1, ids.size, dtype=np.int64)
-    np.minimum.at(first, ids, np.arange(ids.size, dtype=np.int64))
-    is_first = np.zeros(ids.size + 1, dtype=bool)
-    is_first[first] = True
-    positions = np.flatnonzero(is_first[:-1])
+    positions = np.sort(_first_positions(ids, int(ids.max()) + 1)[1])
     positions = positions[: np.searchsorted(
         positions, _repeat_cut(padded[:live], live - width + 1, t))]
     return padded, positions if 2 * positions.size <= t else None
@@ -518,8 +531,8 @@ def project(ps: PatternSet, A_sub: CoordSet) -> PatternSet:
     for i in keep:
         new_codes += (codes // (m ** i)) % m * weight
         weight *= m
-    uniq, first = np.unique(new_codes, return_index=True)
+    uniq, first = _first_positions(new_codes, weight)
     witness = None
     if ps.witness is not None:
-        witness = {int(c): ps.witness[int(ps.codes[i])] for c, i in zip(uniq, first)}
+        witness = {c: ps.witness[int(ps.codes[i])] for c, i in zip(uniq.tolist(), first)}
     return PatternSet(A_sub, m, uniq, ps.shift_count, ps.shift_range, witness)

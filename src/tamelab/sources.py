@@ -373,12 +373,11 @@ def _build_ip(source: SeqSource, box: Box) -> SeqWindow:
     base = source.base
     out = np.zeros(hi - lo, dtype=np.uint8)
     # the units digit must be zero, higher digits 0/1; the exponent-cap
-    # precondition keeps every admissible n below base**cap.  cells and rest
-    # are the positive cells still admissible and their undivided digits.
-    n = np.arange(max(lo, 1), max(hi, 1), dtype=np.int64)
-    cells = np.flatnonzero(n % base == 0)
-    rest = n[cells] // base
-    cells += len(out) - len(n)
+    # precondition keeps every admissible n below base**cap.  Only the
+    # positive multiples n = q * base are enumerated: cells and rest are
+    # those still admissible and their undivided digits, first q itself.
+    rest = np.arange(-(-max(lo, 1) // base), -(-max(hi, 1) // base), dtype=np.int64)
+    cells = rest * base - lo
     while rest.any():
         rest, digit = np.divmod(rest, base)
         keep = digit <= 1

@@ -1,5 +1,6 @@
 """Function-family diagnostics: independence, l1, eps-NS, variation."""
 
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -360,6 +361,45 @@ def test_family_csv_round_trip():
     # equal values with different bit patterns keep their own text
     signed = FunctionSample(np.array([[0.0, -0.0, 0.1], [-0.0, 1 / 3, 0.0]]))
     assert signed.csv_rows()[1:] == ["0,-0,0.1", "-0,0.333333333333,0"]
+
+
+def whole_sample_csv_rows(fs):
+    """Every distinct bit pattern of the sample formatted once, as one
+    ``np.unique`` over the whole sample."""
+    header = ",".join(map(str, fs.labels or range(fs.n_points)))
+    keys, inverse = np.unique(fs.values.view(np.uint64), return_inverse=True)
+    text = np.array([format(v, ".12g") for v in keys.view(float).tolist()], dtype=object)
+    return [header] + [",".join(row) for row in text[inverse.reshape(fs.values.shape)]]
+
+
+def test_csv_rows_match_whole_sample_formatting():
+    """Signed zeros, a cube of 2**16 columns (one row per block), few
+    distinct values over many blocks, and all-distinct floats whose texts
+    outgrow the kept ones."""
+    rng = np.random.default_rng(11)
+    dim = 16
+    cube = (np.arange(2 ** dim) >> np.arange(dim - 1, -1, -1)[:, None] & 1).astype(float)
+    signed = rng.choice([0.0, -0.0, 1.0, -1.0], (300, 700))
+    for values in (signed, cube, rng.integers(0, 5, (500, 999)) * 0.1,
+                   rng.standard_normal((40, 5000)) * 10.0 ** rng.integers(-20, 20, (40, 5000)),
+                   rng.standard_normal((3, 1))):
+        fs = FunctionSample(values)
+        assert fs.csv_rows() == whole_sample_csv_rows(fs)
+    assert FunctionSample(signed).csv_rows()[1].count("-0,") > 0
+
+
+def test_csv_rows_memory_on_fib100k_sample():
+    """fib100k's 64 x 10,000 family is formatted in blocks of rows: 4 MiB,
+    where one ``np.unique`` over the whole sample peaked at 25 MiB."""
+    fs = orbit_family_sample(SeqSource.fibonacci(), range(64), range(10_000))
+    tracemalloc.start()
+    try:
+        rows = fs.csv_rows()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 65 and rows == whole_sample_csv_rows(fs)
+    assert peak < 7 * 2 ** 20, peak
 
 
 def test_cover_must_partition_columns():

@@ -1,5 +1,6 @@
 """Free-set search: certificates, level-wise search, oracle agreement."""
 
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -186,6 +187,22 @@ def test_explicit_pool_positioned_search():
     assert result.max_free_size == 3
     assert result.best.coordset.coords == (10, 100, 1000)
     assert result.best.verify(win)
+
+
+def test_ip_certificate_memory():
+    """The ip10 window's set {10, 100, 1000} is certified from its int32
+    codes and an eight-slot first-position table: 8 MiB, where
+    ``np.unique(return_index=True)`` peaked at 42 MiB."""
+    win = materialize(SeqSource.ip_indicator(10, 7), (-1_000_000, 1_000_000))
+    tracemalloc.start()
+    try:
+        cert = is_free(win, CoordSet.of([10, 100, 1000]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.is_free and cert.verify(win)
+    assert cert.witnesses == {0: -1_000_010, 1: 90, 2: -90, 3: 1000, 4: -990, 5: 100, 6: 10, 7: 0}
+    assert peak < 12 * 2 ** 20, peak
 
 
 def test_a_pool_tuple_is_explicit_coordinates():

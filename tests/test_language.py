@@ -1,7 +1,6 @@
 """Window languages: pattern sets, complexity, projections."""
 
 import itertools
-import math
 import tracemalloc
 
 import numpy as np
@@ -337,6 +336,89 @@ def rotation_coding(letters):
                               TorusPoint.zero())
 
 
+def unique_witnesses(win, A, shifts):
+    """Codes and their smallest shifts by ``np.unique(return_index=True)``
+    over the shifts in lexicographic order."""
+    tarr = np.array(shifts, dtype=np.int64).reshape(len(shifts), win.rank)
+    tarr = tarr[np.lexsort(tarr.T[::-1])]
+    uniq, first = np.unique(language.pattern_codes(win, A, tarr), return_index=True)
+    at = tarr[first, 0].tolist() if win.rank == 1 else map(tuple, tarr[first].tolist())
+    return uniq.tolist(), dict(zip(uniq.tolist(), at))
+
+
+# (origin, shape, alphabet, coordinates, whether every valid shift sorts,
+# m**|A| > 2 N): tables within a block and past it, 2**20 binary patterns
+# over 3,000 shifts, and rank-2 boxes on both branches
+WITNESS_CASES = [
+    ((-40,), (3000,), 2, [0, 3, 4, 9], False),
+    ((7,), (90_000,), 16, [0, 2, 5, 6], False),
+    ((-5,), (70_000,), 16, [0, 3, 4, 11], False),
+    ((0,), (3019,), 2, list(range(20)), True),
+    ((-40,), (3000,), 16, [1, 2, 4, 8], True),
+    ((-40,), (3000,), 3, [-2, 0, 5], False),
+    ((3, -4), (60, 71), 2, [(0, 0), (0, 3), (2, -1), (5, 0)], False),
+    ((3, -4), (60, 71), 4, [(0, 0), (0, 3), (1, 1), (1, 3), (2, -1), (5, 0), (5, 2)], True),
+]
+
+
+@pytest.mark.parametrize("origin, shape, alphabet, coords, sorts", WITNESS_CASES)
+def test_witnesses_match_unique_reference(origin, shape, alphabet, coords, sorts,
+                                          monkeypatch):
+    """An unsorted list of valid shifts with repeats and every valid
+    shift (the box path) give the codes and first shifts of
+    ``np.unique(return_index=True)``, on the branch the pattern space
+    picks, and a projection keeps the witness of its least code."""
+    sorted_calls = []
+    sort_positions = language._sort_positions
+
+    def spy(keys):
+        sorted_calls.append(keys.size)
+        return sort_positions(keys)
+
+    monkeypatch.setattr(language, "_sort_positions", spy)
+    rng = np.random.default_rng(len(coords) * alphabet)
+    win = SeqWindow(origin, rng.integers(0, alphabet, shape).astype(np.uint8), alphabet, "w")
+    A = CoordSet.of(coords, rank=len(shape))
+    bounds = language.valid_shift_bounds(win, A)
+    every = itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
+    every = [t[0] for t in every] if win.rank == 1 else list(every)
+    listed = [every[i] for i in rng.integers(0, len(every), len(every) // 2)]
+    for shifts, expected in ((listed, listed), ("all", every)):
+        sorted_calls.clear()
+        ps = patterns_on(win, A, shifts=shifts, want_witness=True)
+        codes, witness = unique_witnesses(win, A, expected)
+        assert ps.codes.dtype == np.int64 and ps.codes.tolist() == codes
+        assert ps.witness == witness
+        assert bool(sorted_calls) == (alphabet ** len(coords) > 2 * len(expected))
+    assert bool(sorted_calls) == sorts
+    # a projected code keeps the witness of the least code it comes from,
+    # which shows the projected code at that shift
+    sub = CoordSet(A.coords[1::2])
+    at = np.array([ps.witness[c] for c in codes], dtype=np.int64).reshape(len(codes), -1)
+    uniq, first = np.unique(language.pattern_codes(win, sub, at), return_index=True)
+    projected = project(ps, sub)
+    assert projected.codes.tolist() == uniq.tolist()
+    assert projected.witness == {c: witness[codes[i]] for c, i in zip(uniq.tolist(), first)}
+
+
+@pytest.mark.parametrize("size, space", [(200_000, 8), (200_000, 1 << 14), (200_000, 7),
+                                         (200_000, 300_000), (70_000, 1 << 16),
+                                         (3000, 1 << 20), (1, 1)])
+def test_first_positions_match_unique(size, space):
+    """Both branches; tables within a block, full after one block or
+    several, or never full as the codes miss a slot; tables past a block."""
+    rng = np.random.default_rng(size + space)
+    for dtype in (np.int32, np.int64):
+        codes = rng.integers(0, space, size).astype(dtype)
+        if space == 7:
+            codes[codes == 3] = 4
+        uniq, first = language._first_positions(codes, space)
+        expected, expected_first = np.unique(codes, return_index=True)
+        assert uniq.dtype == np.int64
+        assert uniq.tolist() == expected.tolist()
+        assert first.tolist() == expected_first.tolist()
+
+
 def ranking_spy(monkeypatch):
     """Record, per ``window_classes`` call, the row length, the width and
     the number of distinct ids; a call to ``first_occurrences`` fails."""
@@ -399,17 +481,17 @@ def test_line_counts_rank_the_padded_windows_once(monkeypatch):
     assert [size for size, _, _ in calls] == [100_199, 100_019, (1 << 13) + 11]
 
 
-def probe_rows(line, n_max):
-    """The first occurrences of a line's padded n_max-windows under the
-    limit sqrt(2L) - n_max, which probes a prefix first, or None."""
+def sample_rows(line, width):
+    """The first occurrences of a line's padded width-windows under the
+    free-set table's limit L // 2 + width - 1, or None."""
     size = line.size
-    return language.first_occurrences(line, 2, n_max, size, math.isqrt(2 * size) - n_max)[1]
+    return language.first_occurrences(line, 2, width, size, size // 2 + width - 1)[1]
 
 
-def test_probe_ranks_without_sorting(monkeypatch):
-    """Every doubling step over the whole line ranks without a sort, and a
-    line whose prefix already shows too many windows takes none.  The
-    halving test counts the padded positions it keeps."""
+def test_sampler_ranks_low_complexity_lines_without_sorting(monkeypatch):
+    """Every doubling step of a low-complexity line ranks without a sort,
+    and a noise line takes no sample.  The halving test counts the padded
+    positions it keeps."""
     steps = []
     pair_classes = language._pair_classes
 
@@ -418,24 +500,24 @@ def test_probe_ranks_without_sorting(monkeypatch):
         return pair_classes(left, n_left, right, n_right)
 
     monkeypatch.setattr(language, "_pair_classes", spy)
-    for source, n_max, sampled, whole_line_steps in (
-            (SeqSource.fibonacci(), 200, True, True),
-            (SeqSource.morse(), 32, True, True),
+    for source, width, sampled in (
+            (SeqSource.fibonacci(), 200, True),
+            (SeqSource.morse(), 32, True),
             # S holds all 2**16 windows; the 15 padded positions are dropped,
             # as their live parts occur earlier: L / 2 rows
-            (SeqSource.de_bruijn(16), 16, True, True),
-            (SeqSource.random(7, 2), 20, False, False)):
+            (SeqSource.de_bruijn(16), 16, True),
+            (SeqSource.random(7, 2), 20, False)):
         line = materialize(source, (0, 1 << 17)).line()
         steps.clear()
-        rows = probe_rows(line, n_max)
+        rows = sample_rows(line, width)
         assert (rows is not None) == sampled, source.kind
-        whole_line = [sort_free for size, sort_free in steps if size >= line.size]
-        assert bool(whole_line) == whole_line_steps and all(whole_line), source.kind
+        assert steps and all(sort_free for _, sort_free in steps) == sampled, source.kind
         if source.kind == "de_bruijn":
-            assert language._box_counts(line, 2, n_max) == [2 ** n for n in range(1, 17)]
+            assert rows.size == 1 << 16
+            assert language._box_counts(line, 2, width) == [2 ** n for n in range(1, 17)]
     # one period shows every window once: S is every unpadded position
     one_period = materialize(SeqSource.de_bruijn(16), (0, (1 << 16) + 15)).line()
-    assert probe_rows(one_period, 16) is None
+    assert sample_rows(one_period, 16) is None
 
 
 def brute_first_occurrences(line, m, width, t):
@@ -470,10 +552,22 @@ SAMPLER_LINES = [
 ]
 
 
-def test_first_occurrences_match_brute_force():
+def test_first_occurrences_match_brute_force(monkeypatch):
     """The positions are the brute-force first occurrences less the padded
-    ones whose tail repeats, None exactly when they would not halve t; a
-    negative limit takes no sample."""
+    ones whose tail repeats, None exactly when they would not halve t; the
+    ranking stops early only past the limit t // 2 + width - 1 of distinct
+    windows, and some lines reach it."""
+    stops = []
+    classes = language.window_classes
+
+    def spy(symbols, width, limit=None):
+        ids = classes(symbols, width, limit)
+        if ids is None:
+            stops.append((len({symbols[j: j + width].tobytes()
+                               for j in range(symbols.size - width + 1)}), limit))
+        return ids
+
+    monkeypatch.setattr(language, "window_classes", spy)
     rng = np.random.default_rng(21)
     cases = list(SAMPLER_LINES)
     for i in range(150):
@@ -490,7 +584,7 @@ def test_first_occurrences_match_brute_force():
             assert positions is None, i
         else:
             assert positions.tolist() == expected, i
-        assert language.first_occurrences(line, m, width, t, -1)[1] is None, i
+    assert stops and all(count > limit for count, limit in stops)
 
 
 @pytest.mark.parametrize("symbols, top", [([0] * 400 + [1], 16),
@@ -508,7 +602,7 @@ def test_sampled_counts_keep_padded_tails(symbols, top, monkeypatch):
         assert list(complexity(kernel_window(line, 2), n_max).counts) == brute[:n_max], n_max
     assert [width for _, width, _ in calls] == list(range(1, top + 1))
     monkeypatch.undo()
-    assert probe_rows(line, top)[-1] > line.size - top
+    assert sample_rows(line, top)[-1] > line.size - top
 
 
 def test_ranked_windows_of_preset_lines(monkeypatch):

@@ -184,6 +184,43 @@ def test_ip_indicator_huge_cap_builds_no_power():
         materialize(SeqSource.ip_indicator(3, _Unpowered(62)), (0, 100))
 
 
+def _ip_symbol(n, base):
+    """1 when n > 0 has units digit 0 and every other digit 0 or 1."""
+    if n <= 0 or n % base:
+        return 0
+    n //= base
+    while n:
+        n, digit = divmod(n, base)
+        if digit > 1:
+            return 0
+    return 1
+
+
+@pytest.mark.parametrize("base", range(2, 11))
+def test_ip_builder_matches_digit_oracle(base):
+    """Boxes across 0, ending at or below 1, and ending at base**cap."""
+    cap = 40 if base == 2 else 12
+    top = base ** cap
+    for box in [(-37, 500), (-3 * base, 7 * base + 1), (-50, 1), (-50, 0), (0, 1), (1, base),
+                (top - 40 * base - 3, top), (top - 1, top)]:
+        win = materialize(SeqSource.ip_indicator(base, cap), box)
+        assert win.line().tolist() == [_ip_symbol(n, base) for n in range(*box)], box
+
+
+def test_ip_window_builds_only_the_multiples_of_its_base():
+    """The ip10 window of 2 * 10**6 cells allocates its bytes and int64
+    words for the 10**5 positive multiples of 10, not for every cell."""
+    materialize(SeqSource.ip_indicator(10, 7), (0, 8))
+    tracemalloc.start()
+    try:
+        win = materialize(SeqSource.ip_indicator(10, 7), (-1_000_000, 1_000_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(win.line().sum()) == 2 ** 5 - 1  # sums of distinct powers 10 .. 10**5
+    assert peak < 7 * 2 ** 20, peak
+
+
 def test_concat_first_block_hand_expansion():
     win = materialize(SeqSource.concat_nonnull(), (-3, 9))
     # w1 = u1 v1 = "00" + "10" + "0000" at positions 1..8
