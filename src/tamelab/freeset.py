@@ -11,25 +11,18 @@ re-verify against the window.
 Coverage over the full valid shift range of a window depends only on the
 gap vector of A, not its placement: translating A by c translates its
 valid shift range by -c and reproduces the same pattern multiset.  One
-level-wise loop serves both kinds of pool.  It holds each level as one
-(N, s) array of positioned sets in lexicographic order, so the join, the
-prune and the level's profile are whole-array steps.  An interval pool
-holds every translate of a set that fits in it, so it keeps only the sets
-containing its first point and reports that leftmost placement; an
-explicit pool keeps every placement.  A level's distinct gap tuples are
-counted by one evaluator call.
-
-The evaluation engine, ``_GapEvaluator``, counts the patterns that tuples
-of rows show in a (rows x samples) uint8 table, where the non-symbol m
-marks a sample at which a row shows no symbol.  One call of its only
-counting method, ``count``, settles a level of the search, or a node's
-extensions in the independence search of ``families``, in one loop of
-epochs over the table's samples, marked by a packed bit table for pattern
-spaces up to 64 and by a byte scan above.  The free-set table
-(``_line_table``) is the sample of pool-span windows that
-``language.first_occurrences`` takes for low-complexity lines, gathered
-once when it fits the table budget, or else the zero-copy view of every
-shift.
+level-wise loop serves both kinds of pool.  Each set of a level carries
+the index, in the level below, of each of its subsets one point smaller,
+so the join pairs rows by parent index and the prune looks subsets up by
+int64 (parent index, last point) keys.  An interval pool holds every
+translate of a set that fits in it, so it keeps only the sets containing
+its first point and reports that leftmost placement; an explicit pool
+keeps every placement.  A level's distinct gap tuples are counted by one
+call of ``count``, the only counting method of the engine
+``_GapEvaluator``, which also serves the independence search of
+``families``.  The free-set table (``_line_table``) is the sample of
+pool-span windows that ``language.first_occurrences`` takes for
+low-complexity lines, or else the zero-copy view of every shift.
 
 A full table, whose columns show every W-word and no non-symbol, as de
 Bruijn windows and concatenation slots do over a short pool, is answered by
@@ -246,14 +239,15 @@ class _GapEvaluator:
     non-symbol m.  ``count`` settles a whole level of tuples together, as
     (parent, extension) pairs: the parent is all but the last row, and
     pairs in lexicographic order share their parent's codes.  Each block of
-    pairs runs one loop of epochs over the samples in table order, and a
-    pair leaves it once it has shown every pattern.  For pattern spaces up
-    to _BITSET_SPACE_MAX an epoch ANDs a word-major packed bit table over
-    the epoch's words.  Otherwise it scans bytes: it takes its live pairs in
-    chunks, plans each chunk's parents once by their distinct prefixes, and
-    builds their int32 codes one digit at a time over pieces of the epoch's
-    samples, so a piece's cells stay within _BATCH_CELLS / 8.  Rows are read
-    whole: keep them contiguous.
+    pairs runs one loop of epochs over the samples in table order into a
+    code-major (codes, digits, pairs) hit table, which a pair leaves once
+    it has shown every pattern.  For pattern spaces up to _BITSET_SPACE_MAX
+    an epoch ANDs a word-major packed bit table over its words.  Otherwise
+    it scans bytes: it takes its live pairs in chunks, plans each chunk's
+    parents once by their distinct prefixes, and builds their int32 codes
+    one digit at a time over pieces of the epoch's samples, so a piece's
+    cells stay within _BATCH_CELLS / 8.  Rows are read whole: keep them
+    contiguous.
     """
 
     name = "scan"
@@ -287,31 +281,30 @@ class _GapEvaluator:
         """Exact pattern counts of an (N, s) array of distinct row tuples,
         s >= 2, aligned with its rows."""
         new = _run_starts(tuples[:, :-1])
-        parents, parent_of, exts = tuples[new, :-1], np.cumsum(new) - 1, tuples[:, -1]
+        parents, parent_of = tuples[new, :-1], np.cumsum(new, dtype=np.int32) - 1
         size = tuples.shape[1]
-        level = _level_stats(self.levels, size, exts.size)
+        level = _level_stats(self.levels, size, len(tuples))
         space = self.m ** size
         block = max(1, _BATCH_CELLS // (2 * space + 1))
-        out = np.empty(exts.size, dtype=np.int64)
-        for lo in range(0, exts.size, block):
-            out[lo: lo + block] = self._settle(parents, parent_of[lo: lo + block],
-                                               exts[lo: lo + block], space, level)
+        out = np.full(len(tuples), space, dtype=np.int64)
+        for lo in range(0, len(tuples), block):
+            self._settle(parents, parent_of[lo: lo + block], tuples[lo: lo + block, -1], space,
+                         level, out[lo: lo + block])
         return out
 
     def _settle(self, parents: np.ndarray, parent_of: np.ndarray, exts: np.ndarray,
-                space: int, level: dict) -> np.ndarray:
+                space: int, level: dict, out: np.ndarray) -> None:
         """Epochs over a block of pairs in table order, marked by the bit table
         or by a byte scan; after each epoch the pairs that showed every
-        pattern settle, and the last epoch settles the rest."""
-        m = self.m
+        pattern settle, keeping the count ``out`` holds, and the last epoch
+        writes the counts of the rest."""
+        m, n = self.m, self.table.shape[1]
         space_par = space // m
-        n = self.table.shape[1]
-        # hits[i, c, d]: pair i shows parent code c with extension digit d.  A
-        # parent code holding the non-symbol is clamped to c = space_par, and
-        # an extension's non-symbol is d = m: both are no patterns.  A block's
+        # hits[c, d, i]: live pair i shows parent code c with extension digit
+        # d; a code holding the non-symbol is clamped to c = space_par, and an
+        # extension's non-symbol is d = m: both are no patterns.  A block's
         # hits hold about _BATCH_CELLS cells, so int32 indexes them.
-        hits = np.zeros((exts.size, space_par + 1, m + 1), dtype=bool)
-        flat = hits.reshape(-1)
+        hits = np.zeros((space_par + 1, m + 1, exts.size), dtype=bool)
         live = np.arange(exts.size)
         j0, j1 = 0, min(max(16 * space, _QUICK_MIN), _QUICK_MAX, n)
         bitwise = space <= _BITSET_SPACE_MAX and self.bits is not None
@@ -320,12 +313,13 @@ class _GapEvaluator:
             if bitwise:
                 self._settle_bits(j0, j1, parents, parent_of, exts, live, hits)
             else:
+                flat = hits.reshape(-1)
                 step = max(1, _BATCH_CELLS // (2 * (j1 - j0)))
                 for b in range(0, live.size, step):
                     idx = live[b: b + step]
                     ids, local = _owners(parent_of[idx])
                     plan = self._prefix_plan(parents[ids])
-                    rows, offsets = exts[idx], (idx * hits[0].size).astype(np.int32)[:, None]
+                    rows, pair = exts[idx], np.arange(b, b + idx.size, dtype=np.int32)[:, None]
                     span = max(1, _BATCH_CELLS // (8 * idx.size))
                     for s0 in range(j0, j1, span):
                         s1 = min(s0 + span, j1)
@@ -335,17 +329,19 @@ class _GapEvaluator:
                         # in place, unless one parent's row broadcasts over its pairs
                         cells = np.add(cells, self.table[rows, s0:s1],
                                        out=cells if len(cells) == idx.size else None)
-                        cells += offsets
+                        cells *= live.size
+                        cells += pair
                         flat[cells.ravel()] = True
                 level["rows"] += live.size * (j1 - j0)
             if j1 == n:
                 level[settled_by] += int(live.size)
+                out[live] = hits[:space_par, :m].sum(axis=(0, 1))
                 break
-            done = hits[live][:, :space_par, :m].all(axis=(1, 2))
+            done = hits[:space_par, :m].all(axis=(0, 1))
             level[settled_by] += int(done.sum())
-            live = live[~done]
+            if done.any():
+                live, hits = live[~done], np.compress(~done, hits, axis=2)
             j0, j1 = j1, min(j1 + min(3 * j1, _EPOCH_MAX), n)
-        return hits[:, :space_par, :m].sum(axis=(1, 2))
 
     def _prefix_plan(self, parents: np.ndarray) -> list:
         """Per depth d, the table rows of the parents' distinct d-prefixes,
@@ -376,10 +372,10 @@ class _GapEvaluator:
         return np.minimum(codes, space_par * (m + 1), out=codes)
 
     def _settle_bits(self, j0, j1, parents, parent_of, exts, live, hits) -> None:
-        """Mark the codes the live pairs show over the bit table's words of
-        samples [j0, j1), each pair's m extension rows ANDed against all its
-        parent's code masks, in chunks of at most _BATCH_CELLS bytes of words.
-        The first epoch's marks overwrite the still-zero hits, with no read."""
+        """Mark the codes the live pairs (hits' pairs, in order) show over the
+        bit table's words of samples [j0, j1), each pair's m extension rows
+        ANDed against its parent's code masks, in chunks of at most
+        _BATCH_CELLS bytes of words; the first epoch overwrites zero hits."""
         m, bits = self.m, self.bits[j0 // 64: -(-j1 // 64)]
         space_par = m ** parents.shape[1]
         step = max(1, _BATCH_CELLS // (8 * space_par * m * len(bits)))
@@ -390,10 +386,10 @@ class _GapEvaluator:
             if len(ids) > 1:
                 masks = np.take(masks, local, axis=2)
             rows = np.take(bits, exts[idx], axis=2)[:, None]
-            seen = (rows & masks[:, :, None]).any(axis=0).transpose(2, 0, 1)
+            seen = (rows & masks[:, :, None]).any(axis=0)
             if j0:
-                seen |= hits[idx, :space_par, :m]
-            hits[idx, :space_par, :m] = seen
+                seen |= hits[:space_par, :m, b: b + step]
+            hits[:space_par, :m, b: b + step] = seen
 
 
 def _parent_masks(bits: np.ndarray, parents: np.ndarray) -> np.ndarray:
@@ -528,11 +524,11 @@ def _line_table(line: np.ndarray, m: int, shifts: int, period: int | None,
     shares with that window's first occurrence f <= j.  So the table has
     two forms: the first occurrences, gathered once, when
     ``first_occurrences`` takes them and they fit the table budget; else
-    the zero-copy view of every shift j < T(0), in line order.  Windows running past the line's end
-    are padded with the non-symbol m.  At a sample beyond a gap's last
-    shift (f >= L - g, the only samples below T(0) that are not below
-    T(g)) the gap shows m, so every gap scans every sample, with no per-gap
-    masking.
+    the zero-copy view of every shift j < T(0), in line order.  Windows
+    running past the line's end are padded with the non-symbol m.  At a
+    sample beyond a gap's last shift (f >= L - g, the only samples below
+    T(0) that are not below T(g)) the gap shows m, so every gap scans every
+    sample, with no per-gap masking.
     """
     t = min(shifts, period) if period else shifts
     # past this limit even the kept samples, at most width - 1 fewer, are too many
@@ -557,92 +553,95 @@ def _search(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget, singles: i
             ) -> tuple[tuple | None, tuple[SizeProfile, ...], bool]:
     """Level-wise search over positioned sets: (best set, profile, beam-limited).
 
-    Each level is profiled from its sorted rows and their counts: the best
-    set is the first of highest count, and every level-1 set shows the
-    ``singles`` symbols of table row 0.  An interval pool's level-1 row
-    (pool[0],) has every pool point as a sibling.  Until a beam cuts a
-    level, a candidate is kept when dropping any column but its last two
-    leaves a row of the level.
+    A level is an (N, s) int32 array of sets in lexicographic order, as
+    offsets from pool[0], with an int32 array of drop ids per column k: the
+    index among the kept rows below of the row less column k, translated
+    back to pool[0] on an interval pool.  The last is the parent; once a
+    beam cuts a level no other is read.  A level's best set is its first of
+    highest count.  Every level-1 set shows the ``singles`` symbols of
+    table row 0, and an interval pool's (pool[0],) joins every pool point.
     """
-    base = pool[0]
-    span = pool[-1] - base + 1
+    base, span = pool[0], pool[-1] - pool[0] + 1
     interval = span == len(pool)
-    points = np.array(pool, dtype=np.int64)[:, None]
+    points = np.array([p - base for p in pool], dtype=np.int32)[:, None]
     level = points[:1] if interval else points
-    counts = np.full(len(level), singles)
+    counts, drops = np.full(len(level), singles), []
     profile, best, beam_limited = [], None, False
     while True:
         size, space = level.shape[1], ev.m ** level.shape[1]
-        rows = level[counts == space]
+        free = counts == space
+        rows = level[free]
         diam = int((rows[:, -1] - rows[:, 0]).min()) if len(rows) else None
-        profile.append(SizeProfile(size, Fraction(int(counts.max()), space),
-                                   CoordSet.of(level[counts.argmax()].tolist()), len(rows), diam))
+        top = CoordSet.of([base + p for p in level[counts.argmax()].tolist()])
+        profile.append(SizeProfile(size, Fraction(int(counts.max()), space), top, len(rows), diam))
         if len(rows):
-            best = tuple(rows[0].tolist())
+            best = tuple(base + p for p in rows[0].tolist())
         if size == budget.max_size or not len(rows):
             break
+        drops = [d[free] for d in drops]
         if budget.beam is not None and len(rows) > budget.beam:
-            rows = rows[: budget.beam]
+            rows, drops = rows[: budget.beam], [d[: budget.beam] for d in drops]
             beam_limited = True
-        level = _join(rows, points if interval and size == 1 else rows)
-        if not beam_limited:  # the subset prune is sound only on a complete level
-            level = _prune(level, rows, base, interval)
-        if not len(level):
+        sibs = points if interval and size == 1 else rows
+        parent = drops[-1] if drops else np.zeros(len(sibs), dtype=np.int32)
+        i, j = _join(parent, len(rows), size + 1)
+        # the subset prune is sound only on a complete level
+        i, j, found = (_prune(i, j, rows, drops, span, interval)
+                       if size > 1 and not beam_limited else (i, j, []))
+        if not i.size:
             break
+        level = np.empty((i.size, size + 1), dtype=np.int32)
+        level[:, :-1], level[:, -1] = rows[i], sibs[j, -1]
+        drops = [i, i] if interval and size == 1 else found + [j, i]
         counts = _count(ev, level, interval)
     return best, tuple(profile), beam_limited
 
 
-def _join(rows: np.ndarray, sibs: np.ndarray) -> np.ndarray:
-    """Every row extended by the last column of each later sibling of its
-    run (rows sharing all but their last column), in lexicographic order.
-    The rows are the first rows of ``sibs``.  A level of more than
-    _LEVEL_CELLS cells is a capacity error, raised before it is built."""
-    n, size = rows.shape[0], rows.shape[1] + 1
-    run = np.zeros(len(sibs), dtype=np.int64)
-    np.cumsum((sibs[1:, :-1] != sibs[:-1, :-1]).any(axis=1), out=run[1:])
-    width = np.searchsorted(run, run[:n], side="right") - np.arange(1, n + 1)
+def _join(parent: np.ndarray, n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """int32 index pairs (i, j) of each row i < n and each later row j of its
+    (nondecreasing) parent id, in the joined level's order.  Past
+    _LEVEL_CELLS cells the level is a capacity error, raised before a pair."""
+    width = np.searchsorted(parent, parent[:n], side="right") - np.arange(1, n + 1)
     total = int(width.sum())
     if total * size > _LEVEL_CELLS:
         raise CapacityError(f"free-set level {size} would hold {total} candidates, past "
                             "the 2**24-cell cap: set or lower [freeset] beam")
-    parent = np.repeat(np.arange(n), width)
-    # the t-th candidate joins its parent i to sibling t + i + 1 - (candidates before i)
-    skip = np.repeat(np.arange(1, n + 1) - np.cumsum(width) + width, width)
-    return np.hstack([rows[parent], sibs[np.arange(parent.size) + skip, -1:]])
+    # the t-th pair joins row i to sibling t + i + 1 - (pairs before i)
+    skip = np.arange(1, n + 1) - np.cumsum(width) + width
+    return (np.repeat(np.arange(n, dtype=np.int32), width),
+            np.arange(total, dtype=np.int32) + np.repeat(skip.astype(np.int32), width))
 
 
-def _key(rows: np.ndarray, base: int) -> np.ndarray:
-    """One bytes key per row, big-endian uint32 of ``rows - base``: keys
-    sort as their rows do."""
-    return (rows - base).astype(">u4", order="C").view(f"S{4 * rows.shape[1]}").ravel()
-
-
-def _prune(level: np.ndarray, rows: np.ndarray, base: int, interval: bool) -> np.ndarray:
-    """The candidates whose subsets without column k, for every k below the
-    parents' last, are rows of the complete sorted level ``rows``; an
-    interval pool's subset is translated to ``base`` first."""
-    keys = _key(rows, base)
+def _prune(i: np.ndarray, j: np.ndarray, rows: np.ndarray, drops: list, span: int,
+           interval: bool) -> tuple[np.ndarray, np.ndarray, list]:
+    """The pairs whose set less column k, for each k below the rows' last, is
+    a row of the complete level ``rows``, with those rows' indices: a lookup
+    per k of the ascending key parent * span + last, parent drops[k][i] and
+    last rows[j, -1], less rows[i, 1] at k = 0 on an interval pool."""
+    keys, found = np.multiply(drops[-1], span, dtype=np.int64) + rows[:, -1], []
     for k in range(rows.shape[1] - 1):
-        sub = level[:, [j for j in range(level.shape[1]) if j != k]]
-        if interval:
-            sub += base - sub[:, :1]
-        want = _key(sub, base)
-        keep = keys[np.searchsorted(keys, want).clip(max=len(keys) - 1)] == want
-        level = level[keep]
-    return level
+        want = np.multiply(drops[k][i], span, dtype=np.int64)
+        want += rows[j, -1]
+        if interval and k == 0:
+            want -= rows[i, 1]
+        at = np.searchsorted(keys, want)
+        keep = keys.take(at, mode="clip") == want
+        i, j, found = i[keep], j[keep], [f[keep] for f in found] + [at[keep].astype(np.int32)]
+    return i, j, found
 
 
 def _count(ev: _GapEvaluator, level: np.ndarray, interval: bool) -> np.ndarray:
     """Pattern counts of the candidates, from one evaluator call on their
-    distinct gap tuples in sorted order: placements of one gap tuple are
-    counted once.  An interval pool's candidates all start at its first
-    point, so their gap tuples are already distinct and sorted."""
-    gaps = level - level[:, :1]
+    distinct gap tuples in sorted order.  An interval pool's candidates all
+    hold pool[0], so their offsets are those tuples, distinct and sorted."""
     if interval:
-        return ev.count(gaps)
-    _, first, inverse = np.unique(_key(gaps, 0), return_index=True, return_inverse=True)
-    return ev.count(gaps[first])[inverse]
+        return ev.count(level)
+    gaps = level - level[:, :1]
+    order = np.lexsort(gaps.T[:0:-1])
+    new = _run_starts(gaps[order])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ev.count(gaps[order[new]])[inverse]
 
 
 def brute_force_free_oracle(win: SeqWindow, pool, max_size: int = 4,

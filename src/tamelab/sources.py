@@ -396,8 +396,9 @@ def _build_morse(source: SeqSource, box: Box) -> SeqWindow:
 
 def _build_halfline(source: SeqSource, box: Box) -> SeqWindow:
     (lo, hi), = box
-    n = np.arange(lo, hi, dtype=np.int64)
-    return SeqWindow((lo,), (n >= 0).astype(np.uint8), 2, source.digest, {})
+    out = np.zeros(hi - lo, dtype=np.uint8)
+    out[max(0, -lo):] = 1
+    return SeqWindow((lo,), out, 2, source.digest, {})
 
 
 def concat_block_bounds(n_max: int) -> list[tuple[int, int]]:

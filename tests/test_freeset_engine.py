@@ -11,6 +11,7 @@ is free, so its free sets are the whole subset lattice: the tests named for
 the lattice check that rule.
 """
 
+import hashlib
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -648,3 +649,184 @@ def test_budget_rejects_a_nonpositive_horizon():
 def test_budget_rejects_a_beam_below_one():
     with pytest.raises(ArgumentError):
         FreeSearchBudget(2, (0, 1), beam=0)
+
+
+class _HashedEvaluator:
+    """Counts that call a gap tuple free by a seeded hash of it, so that
+    levels of any shape can be joined and pruned with no window."""
+
+    def __init__(self, seed, percent):
+        self.m, self.seed, self.percent = 2, seed, percent
+
+    def free(self, gaps):
+        digest = hashlib.blake2b(repr((self.seed, gaps)).encode(), digest_size=2).digest()
+        return int.from_bytes(digest, "little") % 100 < self.percent
+
+    def count(self, tuples):
+        space = 2 ** tuples.shape[1]
+        return np.array([space if self.free(tuple(t)) else 0 for t in tuples.tolist()])
+
+
+def apriori_levels(pool, max_size, free):
+    """The candidates of each size s >= 2 by set-based apriori-gen: unions of
+    two free (s-1)-sets that share all but their last point, each of whose
+    (s-1)-subsets is free.  An interval pool keeps the sets holding its
+    first point, each subset translated back to it, and its size-2
+    candidates are that point with each later one."""
+    base = pool[0]
+    interval = pool[-1] - base + 1 == len(pool)
+
+    def placed(sub):
+        return tuple(a - sub[0] + base for a in sub) if interval else sub
+
+    def is_free(c):
+        return free(tuple(a - c[0] for a in c))
+
+    free_sets = {(base,)} if interval else {(p,) for p in pool}
+    levels = {}
+    for s in range(2, max_size + 1):
+        if interval and s == 2:
+            cands = {(base, p) for p in pool[1:]} if free_sets else set()
+        else:
+            cands = {a + b[-1:] for a in free_sets for b in free_sets
+                     if a[:-1] == b[:-1] and a[-1] < b[-1]}
+            cands = {c for c in cands
+                     if all(placed(c[:k] + c[k + 1:]) in free_sets for k in range(s))}
+        if not cands:
+            break
+        levels[s] = cands
+        free_sets = {c for c in cands if is_free(c)}
+        if not free_sets:
+            break
+    return levels
+
+
+def test_join_and_prune_match_set_based_apriori_gen(monkeypatch):
+    """On random levels, from hashed freeness, every level's candidates are
+    exactly apriori-gen's, for interval pools (whose size-3 prune reads the
+    pair without the first point translated back to it) and explicit ones,
+    each reaching size 6 on some seed."""
+    depths = {"interval": 0, "explicit": 0}
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        base = int(rng.integers(-50, 50))
+        span = int(rng.integers(8, 15))
+        explicit = rng.choice(np.arange(base, base + 3 * span), span, replace=False)
+        pools = {"interval": tuple(range(base, base + span)),
+                 "explicit": tuple(sorted(explicit.tolist()))}
+        for kind, pool in pools.items():
+            ev = _HashedEvaluator(seed, 90)
+            seen = {}
+            count = freeset._count
+
+            def spy(ev, level, interval):
+                seen[level.shape[1]] = {tuple(pool[0] + int(a) for a in row) for row in level}
+                return count(ev, level, interval)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(freeset, "_count", spy)
+                _, profile, limited = freeset._search(ev, pool, FreeSearchBudget(6, pool), 2)
+            expected = apriori_levels(pool, 6, ev.free)
+            assert seen == expected, (seed, kind)
+            assert not limited and [p.size for p in profile] == [1] + sorted(expected)
+            for entry in profile[1:]:
+                assert entry.free_count == sum(ev.free(tuple(a - c[0] for a in c))
+                                               for c in expected[entry.size])
+            depths[kind] = max(depths[kind], max(expected, default=0))
+    assert depths == {"interval": 6, "explicit": 6}
+
+
+@pytest.mark.parametrize("beam", [None, 1, 3])
+def test_interval_pool_search_agrees_with_brute_force_oracle(beam):
+    """On interval pools the search keeps the sets holding the first point:
+    unbeamed, each level's free count is the oracle's count of free sets
+    starting there, and the largest free size is the oracle's; with a beam
+    the search finds no set the oracle does not.  Either way the profile is
+    the direct recount's."""
+    rng = np.random.default_rng(41)
+    for i in range(40):
+        length = int(rng.integers(16, 65))
+        m = 2 if i % 3 else 3
+        line = rng.integers(0, m, length).astype(np.uint8)
+        win = materialize(SeqSource.explicit(SeqWindow((0,), line, m, f"i{i}")),
+                          (0, length))
+        lo = int(rng.integers(0, length - 8))
+        pool = tuple(range(lo, lo + int(rng.integers(3, 9))))
+        max_size = 4 if m == 2 else 3
+        oracle = brute_force_free_oracle(win, pool, max_size, 64)
+        result = search(win, FreeSearchBudget(max_size, pool, horizon=64, beam=beam))
+        found = {c.coords for c in oracle}
+        if result.best is not None:
+            assert result.best.coordset.coords in found and result.best.verify(win)
+        if beam is None:
+            assert result.max_free_size == max((c.size for c in oracle), default=0)
+            for entry in result.profile:
+                assert entry.free_count == sum(c.size == entry.size and c.coords[0] == lo
+                                               for c in oracle)
+        else:
+            assert result.max_free_size <= max((c.size for c in oracle), default=0)
+        assert engine_profile(result) == reference_profile(win, pool, max_size, 64, beam)
+
+
+@pytest.mark.parametrize("path", ["bits", "scan"])
+def test_pairs_settling_at_different_epochs_leave_the_hit_table(monkeypatch, path):
+    """On a zero line, a pair of ones at distance g shows (1, 1) to the gap g
+    at that shift, so the pairs (p, g) settle in the epoch holding the
+    event for g - p, or at the last.  Settled pairs leave the hit table
+    between epochs, so the live pairs are no longer a prefix of the block,
+    and their marks still land on them: every count equals patterns_on's."""
+    events = {1: 100, 5: 300, 9: 500, 2: 1500, 6: 2000, 10: 2500, 13: 3000,
+              3: 5000, 7: 8000, 11: 12000}
+    n = 20000
+    line = np.zeros(n + 15, dtype=np.uint8)
+    for g, q in events.items():
+        line[[q, q + g]] = 1
+    table = np.lib.stride_tricks.sliding_window_view(line, n)
+    tuples = np.array([(p, g) for p in (0, 1) for g in range(p + 1, 16)])
+    first = [events.get(g - p) for p, g in tuples.tolist()]
+    epochs = [(0, 1024), (1024, 4096), (4096, 16384), (16384, n)]
+    # the pairs still live in each epoch: those whose event is not before it
+    lives = [[k for k, q in enumerate(first) if q is None or q >= j0] for j0, _ in epochs]
+    assert [len(live) for live in lives] == [29, 23, 15, 9]
+    if path == "scan":
+        monkeypatch.setattr(freeset, "_BITSET_SPACE_MAX", 0)
+    seen = []
+    settle_bits = freeset._GapEvaluator._settle_bits
+
+    def spy(self, j0, j1, parents, parent_of, exts, live, hits):
+        seen.append((j0, j1, live.tolist()))
+        settle_bits(self, j0, j1, parents, parent_of, exts, live, hits)
+
+    monkeypatch.setattr(freeset._GapEvaluator, "_settle_bits", spy)
+    ev = freeset._GapEvaluator(table, 2)
+    counts = ev.count(tuples)
+    win = materialize(SeqSource.explicit(SeqWindow((0,), line, 2, "events")), (0, line.size))
+    assert counts.tolist() == [patterns_on(win, CoordSet.of(t), shifts=range(n)).count
+                               for t in tuples.tolist()]
+    assert counts.tolist() == [3 if q is None else 4 for q in first]
+    if path == "bits":
+        assert seen == [(j0, j1, live) for (j0, j1), live in zip(epochs, lives)]
+        assert ev.levels[2]["by_bits"] == len(tuples) and ev.levels[2]["rows"] == 0
+    else:
+        assert not seen and ev.levels[2]["by_scan"] == len(tuples)
+        assert ev.levels[2]["rows"] == sum(len(live) * (j1 - j0)
+                                           for (j0, j1), live in zip(epochs, lives))
+
+
+def test_fib100k_search_memory():
+    """fib100k's level 3 joins 289,941 pairs of its 762 free pairs and keeps
+    227,610 triples, none free.  The level is held as int32 index pairs and
+    drop ids, and its candidates' points are gathered only once they pass
+    the prune, so the search stays well below the 21.8 MiB that int64 rows
+    and byte keys for every joined triple took."""
+    win = materialize(SeqSource.fibonacci(), (0, 100_000))
+    budget = FreeSearchBudget.interval(0, 999, 11)
+    tracemalloc.start()
+    try:
+        result = search(win, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(p.size, p.free_count) for p in result.profile] == [(1, 1), (2, 762), (3, 0)]
+    assert result.stats["levels"][3]["candidates"] == 227_610
+    assert peak < 17 * 2 ** 20, peak

@@ -244,6 +244,26 @@ def test_halfline_window():
     assert win.line().tolist() == [0, 0, 1, 1, 1]
 
 
+@pytest.mark.parametrize("box", [(-7, 5), (-1, 1), (-9, 0), (-9, -3), (0, 6), (4, 11)])
+def test_halfline_window_is_the_indicator_of_the_nonnegatives(box):
+    win = materialize(SeqSource.char_halfline(), box)
+    assert win.origin == (box[0],)
+    assert win.line().tolist() == [int(n >= 0) for n in range(*box)]
+
+
+def test_halfline_window_memory():
+    """A window of 10**6 cells allocates its bytes and no per-cell index."""
+    materialize(SeqSource.char_halfline(), (0, 8))
+    tracemalloc.start()
+    try:
+        win = materialize(SeqSource.char_halfline(), (-500_000, 500_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(win.line().sum()) == 500_000 and win.line()[499_999] == 0
+    assert peak < 2 * 2 ** 20, peak
+
+
 def test_de_bruijn_greedy_periods():
     assert de_bruijn_period(2).tolist() == [0, 0, 1, 1]
     assert de_bruijn_period(1).tolist() == [0, 1]
