@@ -150,10 +150,12 @@ def _entropy_probe(series: EntropySeries, alphabet: int) -> EntropySeries:
 def default_projection_families(win: SeqWindow, prefix: int) -> dict[str, list[int]]:
     """Arithmetic, lacunary, and power-of-ten families inside the window:
     start + 2i for i < 4 * prefix, start + 2**i for i < 2 * prefix and
-    start + 10**i for 0 < i < prefix, each stopped at the window's reach."""
+    start + 10**i for 0 < i < prefix, each stopped at the window's reach.
+    They start at 0, or at the window's origin when it lies past 0 or
+    wholly before it."""
     lo, hi = win.origin[0], win.origin[0] + win.extents[0] - 1
-    reach = max(0, hi - max(lo, 0))
-    start = max(lo, 0)
+    start = max(lo, 0) if hi >= 0 else lo
+    reach = hi - start
     # 2**i <= reach exactly for i below its bit length, 10**i for i below its digits
     fams = {
         "evens": [start + 2 * i for i in range(min(prefix * 4, reach // 2 + 1))],

@@ -20,13 +20,15 @@ its first point and reports that leftmost placement; an explicit pool
 keeps every placement.  A level's distinct gap tuples are counted by one
 call of ``count``, the only counting method of the engine
 ``_GapEvaluator``, which also serves the independence search of
-``families``.  The free-set table (``_line_table``) is the sample of
-pool-span windows that ``language.first_occurrences`` takes for
-low-complexity lines, or else the zero-copy view of every shift.
-
-A full table, whose columns show every W-word and no non-symbol, as de
-Bruijn windows and concatenation slots do over a short pool, is answered by
-``_FullEvaluator`` without counting; the choice changes no result.
+``families``.  The free-set table (``_line_table``) comes from one
+ranking of the line's pool-span windows by ``language.window_classes``:
+their first occurrences, less the padded ones whose live part repeats, are
+the table when they at least halve the shifts and fit the table budget,
+and else it is the zero-copy view of every shift.  The same ranking tells
+whether the table is full: its kept windows are all m**W words and none
+is padded, as de Bruijn windows and concatenation slots over a short pool
+are.  A full table is answered by ``_FullEvaluator`` without counting;
+the choice changes no result.
 
 All claims are finite-scale: a certificate states the shift count it was
 computed over, and absence of a free set means absence at that horizon.
@@ -53,10 +55,11 @@ from .errors import (
 from .language import (
     CoordSet,
     _check_capacity,
-    first_occurrences,
+    _first_positions,
     pattern_codes,
     patterns_on,
     valid_shift_bounds,
+    window_classes,
 )
 from .sources import SeqWindow
 
@@ -180,9 +183,10 @@ class SizeProfile:
 @dataclass(frozen=True)
 class FreeSearchResult:
     """Search outcome.  ``stats`` holds deterministic engine counters: the
-    evaluator that ran (``"full"`` or ``"scan"``), the kept first
-    occurrences of the pool-span windows (``windows``, None exactly when the
-    table is the view of every shift), the table's samples
+    evaluator that ran (``"full"`` when the kept first occurrences of the
+    pool-span windows are all m**W words and none is padded, in either
+    table form, else ``"scan"``), their count (``windows``, None exactly
+    when the table is the view of every shift), the table's samples
     (``table_rows``), and per candidate size the candidates evaluated, the
     samples byte-scanned for them (``rows``; bit epochs add none), and how
     many were settled by scan, by bits and by the full table (``by_scan +
@@ -444,30 +448,6 @@ def _level_stats(levels: dict, size: int, candidates: int) -> dict[str, int]:
     return level
 
 
-def _evaluator(table: np.ndarray, m: int):
-    """``_FullEvaluator`` when the table is full, decided only when its m**W
-    words are no more than its samples and the table budget; the scan
-    engine otherwise."""
-    width, n = table.shape
-    # past n's bit length m**W > n for m >= 2: the power is never built
-    if width < n.bit_length() and m ** width <= min(n, _TABLE_BYTES) and _is_full(table, m):
-        return _FullEvaluator(m)
-    return _GapEvaluator(table, m)
-
-
-def _is_full(table: np.ndarray, m: int) -> bool:
-    """No non-symbol, and all m**W words among the columns: one bool mark
-    per word, from the codes of a block of columns at a time."""
-    if table.max() == m:
-        return False
-    seen = np.zeros(m ** table.shape[0], dtype=bool)
-    weights = m ** np.arange(table.shape[0], dtype=np.int64)
-    step = max(1, _BATCH_CELLS // (8 * table.shape[0]))
-    for lo in range(0, table.shape[1], step):
-        seen[weights @ table[:, lo: lo + step]] = True
-    return bool(seen.all())
-
-
 # ---------------------------------------------------------------------------
 # level-wise search
 # ---------------------------------------------------------------------------
@@ -494,8 +474,8 @@ def max_free_set(win: SeqWindow, budget: FreeSearchBudget) -> FreeSearchResult:
         raise ArgumentError("pool extends outside the window")
     width = pool[-1] - pool[0] + 1
     shifts = min(length, horizon) if horizon else length
-    table, windows = _line_table(win.line(), m, shifts, win.meta.get("period"), width)
-    ev = _evaluator(table, m)
+    table, windows, full = _line_table(win.line(), m, shifts, win.meta.get("period"), width)
+    ev = _FullEvaluator(m) if full else _GapEvaluator(table, m)
     if m ** budget.max_size > shifts:
         warnings.warn("shift horizon below m**max_size: top sizes cannot reach "
                       "coverage 1", stacklevel=2)
@@ -514,30 +494,47 @@ def max_free_set(win: SeqWindow, budget: FreeSearchBudget) -> FreeSearchResult:
 
 
 def _line_table(line: np.ndarray, m: int, shifts: int, period: int | None,
-                width: int) -> tuple[np.ndarray, int | None]:
-    """The (width x samples) table of a line's windows of that width, and
-    its sample count, None when the table is every shift.
+                width: int) -> tuple[np.ndarray, int | None, bool]:
+    """The (width x samples) table of a line's windows of that width, its
+    sample count, None when the table is every shift, and whether it is
+    full, all from one ranking of the windows by ``window_classes``.
 
     A gap tuple (0, g2, ..., gs) with gs < width stands for any placement
     of the set.  It scans the shifts j < T(gs) = min(L - gs, horizon,
     period), and its code at j depends only on the window at j, which it
-    shares with that window's first occurrence f <= j.  So the table has
-    two forms: the first occurrences, gathered once, when
-    ``first_occurrences`` takes them and they fit the table budget; else
-    the zero-copy view of every shift j < T(0), in line order.  Windows
-    running past the line's end are padded with the non-symbol m.  At a
-    sample beyond a gap's last shift (f >= L - g, the only samples below
-    T(0) that are not below T(g)) the gap shows m, so every gap scans every
-    sample, with no per-gap masking.
+    shares with that window's first occurrence f <= j.  Windows running
+    past the line's end are padded with the non-symbol m.  A padded first
+    occurrence j whose live part, the line from j on, also occurs at some
+    f < j adds no pattern: a pattern fitting in that live part shows at f
+    too, and any other shows m at j.  Those j form a suffix of the padded
+    ones, since the live part at j + 1 then occurs at f + 1, so one binary
+    search (``_repeat_cut``) drops them.  The kept first occurrences are
+    the table, gathered once, when they at least halve T(0) and fit the
+    table budget; else the table is the zero-copy view of every shift
+    j < T(0), in line order.  At a sample beyond a gap's last shift
+    (f >= L - g, the only samples below T(0) that are not below T(g)) the
+    gap shows m, so every gap scans every sample, with no per-gap masking.
+
+    Both forms show the same patterns, so either is full when the kept
+    windows are all m**W words and none is padded.  The class ids need not
+    be dense (``window_classes`` may stop refining), so the first-position
+    table spans ``ids.max() + 1``.
     """
     t = min(shifts, period) if period else shifts
-    # past this limit even the kept samples, at most width - 1 fewer, are too many
-    padded, first = first_occurrences(line, m, width, t, limit=t // 2 + width - 1)
-    if first is None or width * first.size > _TABLE_BYTES:
-        return np.lib.stride_tricks.sliding_window_view(padded, t), None
+    padded = np.full(t + width - 1, m, dtype=np.uint8)
+    live = min(line.size, padded.size)
+    padded[:live] = line[:live]
+    ids = window_classes(padded, width)
+    first = np.sort(_first_positions(ids, int(ids.max()) + 1)[1])
+    first = first[: np.searchsorted(first, _repeat_cut(padded[:live], live - width + 1, t))]
+    n = first.size
+    # past n's bit length m**W > n for m >= 2: the power is never built
+    full = (bool(first[-1] <= live - width) and (m == 1 or width < n.bit_length())
+            and n == m ** width)
+    if 2 * n > t or width * n > _TABLE_BYTES:
+        return np.lib.stride_tricks.sliding_window_view(padded, t), None, full
     # A golden-ratio stride spreads the samples over the line, so a scan
     # that stops once every pattern is seen stops early.
-    n = first.size
     stride = round(n * 0.6180339887) or 1
     while gcd(stride, n) != 1:
         stride += 1
@@ -546,7 +543,21 @@ def _line_table(line: np.ndarray, m: int, shifts: int, period: int | None,
     table = np.empty((width, n), dtype=np.uint8)
     for g in range(width):
         np.take(padded[g:], order, out=table[g])
-    return table, n
+    return table, n, full
+
+
+def _repeat_cut(line: np.ndarray, lo: int, hi: int) -> int:
+    """The least j in [lo, hi) whose tail line[j:] also occurs at some
+    f < j, or hi; the tails past the line are empty and occur at 0."""
+    lo, text = min(max(lo, 1), hi), line.tobytes()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        # an occurrence ending before the line's last symbol starts before mid
+        if text.find(text[mid:], 0, len(text) - 1) != -1:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _search(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget, singles: int

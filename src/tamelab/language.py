@@ -24,12 +24,11 @@ lexicographic ranks, and compare each distinct window with its neighbour
 in that order.  The distinct length-k windows are the distinct length-k
 prefixes, which change exactly where neighbours share fewer than k
 symbols, less the k - 1 prefixes at j > L - k that hold m, so one
-histogram of the common prefix lengths gives every p(k).
-``first_occurrences``, the first positions of the distinct windows,
-serves only the free-set table.
+histogram of the common prefix lengths gives every p(k).  The free-set
+table (``freeset._line_table``) takes its sample from the same ranking.
 
 Distinct codes and their first positions, for ``patterns_on``, ``project``
-and ``first_occurrences``, come from ``_first_positions``.
+and the free-set table, come from ``_first_positions``.
 """
 
 from __future__ import annotations
@@ -352,8 +351,7 @@ def _sort_positions(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys, order
 
 
-def window_classes(symbols: np.ndarray, width: int,
-                   limit: int | None = None) -> np.ndarray | None:
+def window_classes(symbols: np.ndarray, width: int) -> np.ndarray:
     """Class ids of the length-``width`` windows of a symbol row.
 
     Entry j names ``symbols[j:j + width]``: two entries are equal exactly
@@ -361,9 +359,6 @@ def window_classes(symbols: np.ndarray, width: int,
     windows of length k + d as pairs of length-k names d apart (d <= k),
     ranked densely in pair order at each step; once every window is
     distinct, longer windows are too and the names stop being refined.
-    With a ``limit``, returns None as soon as more than ``limit`` distinct
-    length-``width`` windows are certain: refining only splits classes, so
-    the windows of length k already give width - k fewer than that count.
     """
     if not 1 <= width <= symbols.size:
         raise ArgumentError("window width must lie in 1..len(symbols)")
@@ -371,56 +366,12 @@ def window_classes(symbols: np.ndarray, width: int,
                                int(symbols.max()) + 1)
     k = 1
     while k < width:
-        if limit is not None and n_cls - (width - k) > limit:
-            return None
         if n_cls == ids.size:
             return ids[: symbols.size - width + 1]
         d = min(k, width - k)
         ids, n_cls = _pair_classes(ids[:-d], n_cls, ids[d:], n_cls)
         k += d
     return ids
-
-
-def first_occurrences(line: np.ndarray, m: int, width: int, t: int,
-                      limit: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The line's first t + width - 1 cells padded with the non-symbol m,
-    and the ascending first positions j < t of their distinct
-    length-``width`` windows, less the padded ones whose live part occurs
-    earlier; None in place of the positions when they do not at least
-    halve t, or once ``window_classes`` finds more than ``limit`` windows.
-
-    A padded first occurrence j whose live part, the line from j on, also
-    occurs at some f < j adds no pattern: a pattern fitting in that live
-    part shows at f too, and any other shows m at j.  Those j form a suffix
-    of the padded ones, since the live part at j + 1 then occurs at f + 1,
-    so one binary search drops them.  The class ids need not be dense
-    (``window_classes`` may stop refining), so the first-position table
-    spans ``ids.max() + 1``.
-    """
-    padded = np.full(t + width - 1, m, dtype=np.uint8)
-    live = min(line.size, padded.size)
-    padded[:live] = line[:live]
-    ids = window_classes(padded, width, limit)
-    if ids is None:
-        return padded, None
-    positions = np.sort(_first_positions(ids, int(ids.max()) + 1)[1])
-    positions = positions[: np.searchsorted(
-        positions, _repeat_cut(padded[:live], live - width + 1, t))]
-    return padded, positions if 2 * positions.size <= t else None
-
-
-def _repeat_cut(line: np.ndarray, lo: int, hi: int) -> int:
-    """The least j in [lo, hi) whose tail line[j:] also occurs at some
-    f < j, or hi; the tails past the line are empty and occur at 0."""
-    lo, text = min(max(lo, 1), hi), line.tobytes()
-    while lo < hi:
-        mid = (lo + hi) // 2
-        # an occurrence ending before the line's last symbol starts before mid
-        if text.find(text[mid:], 0, len(text) - 1) != -1:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def extend_classes(win: SeqWindow, offset: int,

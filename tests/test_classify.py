@@ -132,6 +132,23 @@ def test_default_projection_families_stop_at_the_window_reach():
         assert default_projection_families(win, 10 ** 6) == expected, box
 
 
+def test_projection_families_of_a_window_left_of_0():
+    """A window wholly before 0 anchors its families at its origin, so it
+    gets all three, inside it, as the mirrored window right of 0 does, and
+    its report lists a probe of each."""
+    left = materialize(SeqSource.morse(), (-6000, -1000))
+    right = materialize(SeqSource.morse(), (1000, 6000))
+    fams = default_projection_families(left, 12)
+    assert set(fams) == {"evens", "lacunary", "powers10"}
+    assert all(-6000 <= c < -1000 for coords in fams.values() for c in coords)
+    assert fams == {name: [c - 7000 for c in coords]
+                    for name, coords in default_projection_families(right, 12).items()}
+    params = ClassifyParams(entropy_n_max=4, free_brackets=(4,), free_max_size=2)
+    text = classify(left, params).to_text()
+    assert [line.split()[1] for line in text.splitlines()
+            if line.startswith("projection ")] == ["evens", "lacunary", "powers10"]
+
+
 def test_report_text_and_csv_shapes():
     report = classify(materialize(SeqSource.char_halfline(), (-1000, 1000)))
     text = report.to_text()

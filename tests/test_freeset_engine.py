@@ -182,16 +182,31 @@ def scanned_shifts(win, result):
     return min(result.horizon, period) if period else result.horizon
 
 
+def line_tables(monkeypatch, scan=False):
+    """Record the arguments and result of each ``_line_table`` call; with
+    ``scan``, report every table as not full, so the scan engine counts."""
+    calls = []
+    line_table = freeset._line_table
+
+    def spy(*args):
+        table, windows, full = line_table(*args)
+        calls.append((args, table, windows, full))
+        return table, windows, full and not scan
+
+    monkeypatch.setattr(freeset, "_line_table", spy)
+    return calls
+
+
 def check_profile(monkeypatch, evaluator, make, pool, max_size, horizon, table):
     """The search's profile against the direct recount, with the scan
     engine, or with the evaluator the search chooses when ``evaluator`` is
     None."""
     win = make()
     if evaluator is None:
-        full = shows_every_word(search_table(monkeypatch, win, pool, horizon), win.alphabet_size)
+        full = brute_full(*search_line_table(monkeypatch, win, pool, horizon))
         evaluator = "full" if full else "scan"
     else:
-        monkeypatch.setattr(freeset, "_evaluator", freeset._GapEvaluator)
+        line_tables(monkeypatch, scan=True)
     result = search(win, FreeSearchBudget(max_size, pool, horizon))
     assert result.stats["evaluator"] == evaluator
     assert engine_profile(result) == reference_profile(win, pool, max_size, horizon)
@@ -221,18 +236,33 @@ def test_lattice_profile_matches_direct_recount(monkeypatch, name, make, pool, m
     check_profile(monkeypatch, None, make, pool, max_size, horizon, table)
 
 
+def search_line_table(monkeypatch, win, pool, horizon):
+    """The arguments and result of the ``_line_table`` call ``max_free_set``
+    makes for a pool."""
+    with monkeypatch.context() as patch:
+        calls = line_tables(patch)
+        search(win, FreeSearchBudget(1, pool, horizon))
+    return calls[0]
+
+
 def search_table(monkeypatch, win, pool, horizon):
     """The table ``max_free_set`` builds for a pool."""
-    tables = []
+    return search_line_table(monkeypatch, win, pool, horizon)[1]
 
-    def keep(table, m):
-        tables.append(table)
-        return freeset._GapEvaluator(table, m)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(freeset, "_evaluator", keep)
-        search(win, FreeSearchBudget(1, pool, horizon))
-    return tables[0]
+def brute_full(args, table, windows, full):
+    """Whether a ``_line_table`` call's kept windows show every word and no
+    non-symbol, by brute force, checked against the call's ``full``.  The
+    search's own table agrees whenever it holds no non-symbol, and always
+    in the sample form; only a view may hold padded windows whose live
+    part repeats, which show nothing new."""
+    line, m, shifts, period, width = args
+    kept = brute_table_columns(line, m, shifts, period, width)
+    expected = shows_every_word(np.array(kept, dtype=np.uint8).T, m)
+    assert full == expected
+    if windows is not None or m not in table:
+        assert shows_every_word(table, m) == expected
+    return expected
 
 
 def non_symbol_table(m, rows=7, n=100):
@@ -248,21 +278,28 @@ def extension_tuples(parent, rows):
     return np.array([parent + (e,) for e in range(parent[-1] + 1, rows)])
 
 
-def assert_chosen_evaluator_agrees(table, m):
-    """``_evaluator`` counts with the full-table evaluator exactly when the
-    table shows every word and no non-symbol, and then it counts every
-    tuple of the table that holds row 0 as the scan engine does, one
-    parent's extensions at a time."""
-    ev = freeset._evaluator(table, m)
-    full = shows_every_word(table, m)
-    assert isinstance(ev, freeset._FullEvaluator if full else freeset._GapEvaluator)
-    if not full:
+def assert_full_counts_agree(table, m):
+    """On a table that shows every word and no non-symbol, the full-table
+    evaluator counts every tuple that holds row 0 as the scan engine does,
+    one parent's extensions at a time."""
+    if not shows_every_word(table, m):
         return
-    scan, rows = freeset._GapEvaluator(table, m), table.shape[0]
+    full, scan, rows = freeset._FullEvaluator(m), freeset._GapEvaluator(table, m), table.shape[0]
     for size in range(rows - 1):
         for rest in combinations(range(1, rows - 1), size):
             tuples = extension_tuples((0,) + rest, rows)
-            assert np.array_equal(ev.count(tuples), scan.count(tuples)), rest
+            assert np.array_equal(full.count(tuples), scan.count(tuples)), rest
+
+
+def line_rule(line, m, shifts, width):
+    """``_line_table``'s fullness of a line, checked against brute force,
+    with the full-table counts checked on its table when it is full."""
+    args = (line, m, shifts, None, width)
+    table, windows, full = freeset._line_table(*args)
+    brute_full(args, table, windows, full)
+    if full:
+        assert_full_counts_agree(table, m)
+    return full
 
 
 @pytest.mark.parametrize("name,make,pool,max_size,horizon,table", CASES,
@@ -271,56 +308,88 @@ def test_lattice_counts_equal_scan_counts(monkeypatch, name, make, pool, max_siz
                                           table):
     """On each short case's whole search table and on the first 8 rows of
     every case's: concatenation slots and de Bruijn windows make full
-    tables, and a view of every shift is padded with the non-symbol."""
+    tables, and a view of every shift is padded with the non-symbol.  The
+    first 8 rows show the windows of a pool of span 8, whose fullness the
+    same line gives."""
     win = make()
-    whole = search_table(monkeypatch, win, pool, horizon)
+    args, whole, windows, full = search_line_table(monkeypatch, win, pool, horizon)
+    brute_full(args, whole, windows, full)
     if name in {c[0] for c in SHORT_CASES}:
-        assert_chosen_evaluator_agrees(whole, win.alphabet_size)
-    assert_chosen_evaluator_agrees(whole[:8], win.alphabet_size)
+        assert_full_counts_agree(whole, win.alphabet_size)
+    line, m, shifts, period, width = args
+    first8 = freeset._line_table(line, m, shifts, period, min(8, width))
+    brute_full((line, m, shifts, period, min(8, width)), *first8)
+    assert first8[2] == shows_every_word(whole[:8], m) or m in whole[:8]
+    assert_full_counts_agree(whole[:8], m)
 
 
-def every_word(m, width):
-    """A (width x m**width) table whose column j is the base-m digits of j."""
-    return (np.arange(m ** width) // m ** np.arange(width)[:, None] % m).astype(np.uint8)
+def de_bruijn_line(m, order):
+    """A line showing every ``order``-word over m symbols exactly once: the
+    greedy prefer-largest de Bruijn word, its first order - 1 symbols
+    repeated at its end."""
+    line, seen = [0] * order, {(0,) * order}
+    while True:
+        tail = tuple(line[len(line) - order + 1:])
+        s = next((s for s in range(m - 1, -1, -1) if tail + (s,) not in seen), None)
+        if s is None:
+            return np.array(line, dtype=np.uint8)
+        seen.add(tail + (s,))
+        line.append(s)
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_lattice_counts_equal_scan_counts_with_non_symbol(m):
-    """A table that shows every word is full, and stays so with repeated
-    columns; one non-symbol anywhere makes it a scan table, as does a
-    missing word."""
-    words = every_word(m, 4)
-    for table in (words, np.hstack([words, words[:, ::3]])):
-        assert_chosen_evaluator_agrees(table, m)
-    for j in (0, words.shape[1] - 1):
-        for row in (0, 3):
-            marked = np.hstack([words, words[:, j: j + 1]])
-            marked[row, -1] = m
-            assert isinstance(freeset._evaluator(marked, m), freeset._GapEvaluator)
+    """A line showing every 4-word is full: in the view of its m**4 shifts,
+    read past its end, where its padded windows repeat and show nothing
+    new, and in the sample of two periods, whose windows repeat.  A missing
+    word makes it a scan table, as does a kept window holding the
+    non-symbol: on m >= 2 such a window always leaves a word out, and on
+    the alphabet 1 it is the one window of a line shorter than the width."""
+    words = de_bruijn_line(m, 4)
+    assert words.size == m ** 4 + 3
+    twice = np.concatenate([words[:-3], words])
+    for line, shifts in ((words, m ** 4), (words, words.size), (twice, 2 * m ** 4)):
+        assert line_rule(line, m, shifts, 4)
+    table, windows, _ = freeset._line_table(words, m, words.size, None, 4)
+    assert windows is None and m in table  # the view holds its padded windows
+    assert freeset._line_table(twice, m, 2 * m ** 4, None, 4)[1] == m ** 4
     missing = words.copy()
-    missing[:, 0] = missing[:, 1]  # as many columns as words, word 0 not among them
-    assert isinstance(freeset._evaluator(missing, m), freeset._GapEvaluator)
-    assert isinstance(freeset._evaluator(non_symbol_table(m), m), freeset._GapEvaluator)
+    missing[m ** 4 // 2] = (missing[m ** 4 // 2] + 1) % m
+    assert not line_rule(missing, m, m ** 4, 4)
+    assert not line_rule(np.array([0] * 20 + [m - 1], dtype=np.uint8), m, 21, 4)
+    assert not line_rule(np.random.default_rng(m).integers(0, m, 100).astype(np.uint8), m,
+                         100, 7)
+    assert line_rule(np.zeros(6, dtype=np.uint8), 1, 3, 4)
+    assert not line_rule(np.zeros(3, dtype=np.uint8), 1, 1, 4)
 
 
 def test_lattice_rule(monkeypatch):
     """``max_free_set`` counts nothing on a full table: every level is
-    settled by the full-table evaluator.  It decides fullness only when the
-    m**W words are no more than the samples and the table budget; past
-    either it searches with the scan engine and finds the same profile."""
+    settled by the full-table evaluator, and no scan engine is built.  It
+    is full only when the m**W words are no more than the samples; past
+    that it searches with the scan engine.  Fullness comes from the ranking
+    in either table form, so a sample past the table budget, read as the
+    view, stays full; the scan engine finds the same profile."""
     win = materialize(SeqSource.de_bruijn(8), (0, 1000))  # 256 samples, one per period
     fits = search(win, FreeSearchBudget.interval(0, 7, 4))  # all 2**8 words
     assert fits.stats["evaluator"] == "full"
     assert all(level["by_full"] == level["candidates"] > 0 and level["rows"] == 0
                for level in fits.stats["levels"].values())
     assert search(win, FreeSearchBudget.interval(0, 8, 4)).stats["evaluator"] == "scan"
+    sampled = search(win, FreeSearchBudget.interval(0, 3, 4))
+    assert sampled.stats["evaluator"] == "full" and sampled.stats["windows"] == 16
 
     def refuse(*args):
-        raise AssertionError("fullness was decided past the table budget")
+        raise AssertionError("a full table built the scan engine")
 
     with monkeypatch.context() as patch:
-        patch.setattr(freeset, "_is_full", refuse)
-        patch.setattr(freeset, "_TABLE_BYTES", 2 ** 8 - 1)
+        patch.setattr(freeset, "_GapEvaluator", refuse)
+        patch.setattr(freeset, "_TABLE_BYTES", 4 * 16 - 1)
+        viewed = search(win, FreeSearchBudget.interval(0, 3, 4))
+    assert viewed.stats["evaluator"] == "full" and viewed.stats["windows"] is None
+    assert engine_profile(viewed) == engine_profile(sampled)
+    with monkeypatch.context() as patch:
+        line_tables(patch, scan=True)
         scanned = search(win, FreeSearchBudget.interval(0, 7, 4))
     assert scanned.stats["evaluator"] == "scan"
     assert engine_profile(scanned) == engine_profile(fits)
@@ -334,21 +403,23 @@ class _NoPower(int):
 
 
 def test_lattice_index_is_bounded_on_a_base_1_table():
-    """Fullness is never decided with m**W past the samples' bit length, so
-    a tall table, such as a 1000-point pool's or an alphabet-1 one, goes to
-    the scan engine without that power; a short alphabet-1 table without
-    the non-symbol is full.  Deciding a 16-row table of 2**16 samples
-    allocates little more than its 2**16 marks and one block of column
-    codes."""
-    for table in (np.zeros((1000, 1000), dtype=np.uint8), np.zeros((27, 3), dtype=np.uint8)):
-        assert isinstance(freeset._evaluator(table, _NoPower(2)), freeset._GapEvaluator)
-    ones = freeset._evaluator(np.zeros((3, 40), dtype=np.uint8), 1)
-    assert isinstance(ones, freeset._FullEvaluator)
+    """Fullness is never decided with m**W past the kept windows' bit
+    length, so a tall table, such as a 1000-point pool's or an alphabet-1
+    one, goes to the scan engine without that power; a short alphabet-1
+    line without the non-symbol is full.  Deciding a 16-row table of 2**16
+    samples from its line allocates little more than its 2**16 cells and
+    one block of codes."""
+    noise = np.random.default_rng(1000).integers(0, 2, 1999).astype(np.uint8)
+    for line, width, shifts in ((np.zeros(1999, dtype=np.uint8), 1000, 1000), (noise, 1000, 1000),
+                                (np.zeros(29, dtype=np.uint8), 27, 3)):
+        assert not freeset._line_table(line, _NoPower(2), shifts, None, width)[2]
+    assert freeset._line_table(np.zeros(42, dtype=np.uint8), 1, 40, None, 3)[2]
+    ones = freeset._FullEvaluator(1)
     assert ones.count(np.array([[0, 1], [0, 2], [1, 2]])).tolist() == [1, 1, 1]
-    words = every_word(2, 16)
+    words = de_bruijn_line(2, 16)
     tracemalloc.start()
     try:
-        assert isinstance(freeset._evaluator(words, 2), freeset._FullEvaluator)
+        assert freeset._line_table(words, 2, 1 << 16, None, 16)[2]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -502,11 +573,10 @@ def test_bit_epochs_settle_non_free_pairs_as_the_scan_does(monkeypatch):
         assert patterns_on(win, CoordSet.of([0, g])).count == counts[g - 1], g
 
 
-def brute_table_columns(line, m, shifts, period, width):
-    """The table's columns by brute force: the first occurrence of each
-    distinct width-window of the line padded with m, less each padded one
+def brute_first_occurrences(line, m, width, t):
+    """The line's first t + width - 1 cells padded with m, and the first
+    positions j < t of their distinct width-windows, less each padded one
     whose live part also starts at an earlier position of the line."""
-    t = min(shifts, period) if period else shifts
     live = min(len(line), t + width - 1)
     padded = [int(v) for v in line[:live]] + [m] * (t + width - 1 - live)
     seen, kept = set(), []
@@ -518,8 +588,16 @@ def brute_table_columns(line, m, shifts, period, width):
         tail = padded[j:live]
         if j + width > live and any(padded[f: f + len(tail)] == tail for f in range(j)):
             continue
-        kept.append(window)
-    return sorted(kept)
+        kept.append(j)
+    return padded, kept
+
+
+def brute_table_columns(line, m, shifts, period, width):
+    """The table's columns by brute force: the kept first occurrences of the
+    padded width-windows over the shifts, cut to the period, in order."""
+    t = min(shifts, period) if period else shifts
+    padded, kept = brute_first_occurrences(line, m, width, t)
+    return sorted(tuple(padded[j: j + width]) for j in kept)
 
 
 _GOLDEN_WORD = [0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0]
@@ -548,17 +626,21 @@ LINE_TABLES = [
                          ids=[c[0] for c in LINE_TABLES])
 def test_line_table_drops_padded_windows_whose_tail_repeats(name, line, m, shifts, period,
                                                             width, padded):
-    table, n = freeset._line_table(line, m, shifts, period, width)
+    table, n, full = freeset._line_table(line, m, shifts, period, width)
     expected = brute_table_columns(line, m, shifts, period, width)
     assert n == len(expected) == table.shape[1]
     assert sorted(map(tuple, table.T.tolist())) == expected
     assert sum(m in column for column in expected) == padded
+    brute_full((line, m, shifts, period, width), table, n, full)
 
 
 def test_line_table_matches_brute_force_on_random_lines():
-    """Seeded short lines, widths, horizons and periods: the first-occurrence
-    table holds the brute-force columns, and the view is taken only when
-    they would not halve the shifts."""
+    """Seeded short lines, widths, horizons and periods: the first
+    occurrences less the padded ones whose tail repeats are the table
+    exactly when they at least halve the shifts, and else the table is the
+    view of the padded line at every shift; either is full exactly when
+    brute force finds every word and no non-symbol among the kept
+    windows."""
     rng = np.random.default_rng(15)
     for i in range(150):
         m = int(rng.integers(1, 4))
@@ -568,12 +650,81 @@ def test_line_table_matches_brute_force_on_random_lines():
         width = int(rng.integers(1, 12))
         shifts = int(rng.integers(1, line.size + 1))
         period = int(rng.integers(1, line.size + 1)) if i % 4 == 0 else None
-        table, n = freeset._line_table(line, m, shifts, period, width)
-        expected = brute_table_columns(line, m, shifts, period, width)
-        if n is None:
-            assert 2 * len(expected) > min(shifts, period or shifts), i
+        args = (line, m, shifts, period, width)
+        table, n, full = freeset._line_table(*args)
+        t = min(shifts, period or shifts)
+        padded, kept = brute_first_occurrences(line, m, width, t)
+        if 2 * len(kept) > t:
+            assert n is None, i
+            assert table.tolist() == [padded[g: g + t] for g in range(width)], i
         else:
-            assert sorted(map(tuple, table.T.tolist())) == expected, i
+            assert n == len(kept), i
+            assert sorted(map(tuple, table.T.tolist())) == brute_table_columns(*args), i
+        brute_full(args, table, n, full)
+
+
+def full_rule_lines():
+    """Seeded lines on 2 or 3 letters: noise, a short block repeated, and
+    de Bruijn words, whole or cut short, whose windows past the end repeat
+    earlier ones or not; each with a pool width up to its order + 1, half
+    the de Bruijn words at their order."""
+    rng = np.random.default_rng(25)
+    for i in range(90):
+        m, kind = int(rng.integers(2, 4)), i % 3
+        order = int(rng.integers(2, 6 if m == 2 else 4))
+        size = int(rng.integers(8, 120))
+        if kind == 0:
+            line = rng.integers(0, m, size)
+        elif kind == 1:
+            line = np.resize(rng.integers(0, m, int(rng.integers(1, 9))), size)
+        else:  # whole, or short of its last word or two
+            line = de_bruijn_line(m, order)[: size // 40 - 2 or None]
+        width = min(int(rng.integers(1, order + 2)), len(line))
+        if kind == 2 and i % 2:
+            width = order
+        yield m, line.astype(np.uint8), width, int(rng.integers(1, len(line) + 1))
+
+
+def test_full_rule_matches_brute_force_on_searches(monkeypatch):
+    """``max_free_set`` answers with the full-table evaluator exactly when
+    brute force finds every word and no non-symbol among its table's kept
+    windows, with and without a horizon, in views that hold padded windows
+    too; a full search's profile is the scan engine's."""
+    fulls, padded_views = 0, 0
+    for i, (m, line, width, horizon) in enumerate(full_rule_lines()):
+        win = materialize(SeqSource.explicit(SeqWindow((0,), line, m, f"f{i}")), (0, line.size))
+        for h in (None, horizon):
+            budget = FreeSearchBudget.interval(0, width - 1, min(width, 4), h)
+            with monkeypatch.context() as patch:
+                calls = line_tables(patch)
+                result = search(win, budget)
+            _, table, windows, _ = calls[0]
+            full = brute_full(*calls[0])
+            assert result.stats["evaluator"] == ("full" if full else "scan"), (i, h)
+            if full:
+                fulls += 1
+                padded_views += windows is None and m in table
+                with monkeypatch.context() as patch:
+                    line_tables(patch, scan=True)
+                    assert engine_profile(search(win, budget)) == engine_profile(result), (i, h)
+    assert 10 < fulls < 170 and padded_views > 0
+
+
+def test_padded_view_of_every_word_is_full():
+    """One de Bruijn period of order 8 and its 7 wrapped symbols, read back
+    as an explicit source, has no period: its 263 shifts run 7 windows past
+    the end, each of whose live part occurs earlier, so the kept windows are
+    the 256 words and the view of every shift is full, with the de Bruijn
+    source's profile."""
+    win = materialize(SeqSource.de_bruijn(8), (0, 263))
+    back = materialize(SeqSource.explicit(SeqWindow((0,), win.line().copy(), 2, "db8")),
+                       (0, 263))
+    budget = FreeSearchBudget.interval(0, 7, 8)
+    expected, result = search(win, budget), search(back, budget)
+    assert expected.stats["evaluator"] == result.stats["evaluator"] == "full"
+    assert result.stats["windows"] is None and result.stats["table_rows"] == 263
+    assert engine_profile(result) == engine_profile(expected)
+    assert result.max_free_size == 8
 
 
 def test_search_stats_account_for_every_candidate():
@@ -623,11 +774,6 @@ def test_window_classes_name_equal_windows_equally():
                 assert (ids[j] == ids[k]) == (rows[j] == rows[k])
     with pytest.raises(ArgumentError):
         window_classes(np.zeros(4, dtype=np.uint8), 5)
-    # a limit stops the naming once more distinct windows than it are certain
-    noise = rng.integers(0, 2, 400).astype(np.uint8)
-    assert window_classes(noise, 40, limit=100) is None
-    periodic = np.resize(np.array([0, 1, 1], dtype=np.uint8), 400)
-    assert np.unique(window_classes(periodic, 40, limit=3)).size == 3
 
 
 def test_horizon_on_rank_two_window_is_rejected():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tamelab import language
+from tamelab import freeset, language
 from tamelab.errors import ArgumentError, CapacityError, DimensionError, ShiftRangeError
 from tamelab.language import (
     CoordSet,
@@ -421,20 +421,20 @@ def test_first_positions_match_unique(size, space):
 
 def ranking_spy(monkeypatch):
     """Record, per ``window_classes`` call, the row length, the width and
-    the number of distinct ids; a call to ``first_occurrences`` fails."""
+    the number of distinct ids; a call to the free-set table fails."""
     calls = []
     classes = language.window_classes
 
-    def spy(symbols, width, limit=None):
-        ids = classes(symbols, width, limit)
-        calls.append((symbols.size, width, None if ids is None else np.unique(ids).size))
+    def spy(symbols, width):
+        ids = classes(symbols, width)
+        calls.append((symbols.size, width, np.unique(ids).size))
         return ids
 
     def no_sample(*args):
         raise AssertionError("rank-1 counts take no sample")
 
     monkeypatch.setattr(language, "window_classes", spy)
-    monkeypatch.setattr(language, "first_occurrences", no_sample)
+    monkeypatch.setattr(freeset, "_line_table", no_sample)
     return calls
 
 
@@ -481,11 +481,11 @@ def test_line_counts_rank_the_padded_windows_once(monkeypatch):
     assert [size for size, _, _ in calls] == [100_199, 100_019, (1 << 13) + 11]
 
 
-def sample_rows(line, width):
-    """The first occurrences of a line's padded width-windows under the
-    free-set table's limit L // 2 + width - 1, or None."""
-    size = line.size
-    return language.first_occurrences(line, 2, width, size, size // 2 + width - 1)[1]
+def sample_table(line, width):
+    """The free-set table of a binary line's width-windows over every shift
+    when it is the sample of first occurrences, else None."""
+    table, windows, _ = freeset._line_table(line, 2, line.size, None, width)
+    return None if windows is None else table
 
 
 def test_sampler_ranks_low_complexity_lines_without_sorting(monkeypatch):
@@ -509,15 +509,15 @@ def test_sampler_ranks_low_complexity_lines_without_sorting(monkeypatch):
             (SeqSource.random(7, 2), 20, False)):
         line = materialize(source, (0, 1 << 17)).line()
         steps.clear()
-        rows = sample_rows(line, width)
+        rows = sample_table(line, width)
         assert (rows is not None) == sampled, source.kind
         assert steps and all(sort_free for _, sort_free in steps) == sampled, source.kind
         if source.kind == "de_bruijn":
-            assert rows.size == 1 << 16
+            assert rows.shape[1] == 1 << 16
             assert language._box_counts(line, 2, width) == [2 ** n for n in range(1, 17)]
     # one period shows every window once: S is every unpadded position
     one_period = materialize(SeqSource.de_bruijn(16), (0, (1 << 16) + 15)).line()
-    assert sample_rows(one_period, 16) is None
+    assert sample_table(one_period, 16) is None
 
 
 def brute_first_occurrences(line, m, width, t):
@@ -539,52 +539,40 @@ def brute_first_occurrences(line, m, width, t):
     return padded, kept
 
 
-_GOLDEN_WORD = [0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0]
-# (line, alphabet, t, width): every padded tail repeats, none does, some do,
-# nothing is padded, a de Bruijn period, and a period past the end
-SAMPLER_LINES = [
-    (materialize(SeqSource.fibonacci(), (0, 20000)).line(), 2, 20000, 100),
-    (np.array([0] * 400 + [1], dtype=np.uint8), 2, 401, 6),
-    (np.array(_GOLDEN_WORD * 10 + [1, 1], dtype=np.uint8), 2, 212, 9),
-    (np.array(_GOLDEN_WORD * 10 + [1, 1], dtype=np.uint8), 2, 100, 9),
-    (materialize(SeqSource.de_bruijn(8), (0, 257)).line(), 2, 256, 3),
-    (np.resize(np.array([0, 1, 2, 2, 1], dtype=np.uint8), 300), 3, 300, 40),
-]
-
-
 def test_first_occurrences_match_brute_force(monkeypatch):
-    """The positions are the brute-force first occurrences less the padded
-    ones whose tail repeats, None exactly when they would not halve t; the
-    ranking stops early only past the limit t // 2 + width - 1 of distinct
-    windows, and some lines reach it."""
-    stops = []
+    """The free-set table's samples are the windows at the brute-force first
+    occurrences less the padded ones whose tail repeats, and the table is
+    the padded line at every shift exactly when those would not halve t;
+    each table ranks the line's windows once."""
+    calls = []
     classes = language.window_classes
 
-    def spy(symbols, width, limit=None):
-        ids = classes(symbols, width, limit)
-        if ids is None:
-            stops.append((len({symbols[j: j + width].tobytes()
-                               for j in range(symbols.size - width + 1)}), limit))
-        return ids
+    def spy(symbols, width):
+        calls.append(width)
+        return classes(symbols, width)
 
-    monkeypatch.setattr(language, "window_classes", spy)
+    monkeypatch.setattr(freeset, "window_classes", spy)
     rng = np.random.default_rng(21)
-    cases = list(SAMPLER_LINES)
     for i in range(150):
         m = int(rng.integers(1, 4))
         line = rng.integers(0, m, int(rng.integers(1, 60))).astype(np.uint8)
         if i % 3 == 0:  # low complexity: a repeated short block
             line = np.resize(line[: int(rng.integers(1, 5))], line.size)
-        cases.append((line, m, int(rng.integers(1, line.size + 1)), int(rng.integers(1, 12))))
-    for i, (line, m, t, width) in enumerate(cases):
-        expected_padded, expected = brute_first_occurrences(line, m, width, t)
-        padded, positions = language.first_occurrences(line, m, width, t, t // 2 + width - 1)
-        assert padded.tolist() == expected_padded, i
-        if 2 * len(expected) > t:
-            assert positions is None, i
+        t, width = int(rng.integers(1, line.size + 1)), int(rng.integers(1, 12))
+        padded, kept = brute_first_occurrences(line, m, width, t)
+        calls.clear()
+        table, n, _ = freeset._line_table(line, m, t, None, width)
+        assert calls == [width], i
+        if 2 * len(kept) > t:
+            assert n is None, i
+            assert table.tolist() == [padded[g: g + t] for g in range(width)], i
         else:
-            assert positions.tolist() == expected, i
-    assert stops and all(count > limit for count, limit in stops)
+            assert n == len(kept), i
+            assert (sorted(map(tuple, table.T.tolist()))
+                    == sorted(tuple(padded[j: j + width]) for j in kept)), i
+
+
+_GOLDEN_WORD =[0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0]
 
 
 @pytest.mark.parametrize("symbols, top", [([0] * 400 + [1], 16),
@@ -602,7 +590,7 @@ def test_sampled_counts_keep_padded_tails(symbols, top, monkeypatch):
         assert list(complexity(kernel_window(line, 2), n_max).counts) == brute[:n_max], n_max
     assert [width for _, width, _ in calls] == list(range(1, top + 1))
     monkeypatch.undo()
-    assert sample_rows(line, top)[-1] > line.size - top
+    assert 2 in sample_table(line, top)  # a kept window past the end holds the non-symbol
 
 
 def test_ranked_windows_of_preset_lines(monkeypatch):
