@@ -16,7 +16,9 @@ embeds the scale parameters it was computed at.
 ``classify`` reads a materialized rank-1 window, as the other analyses
 do; the window is the caller's choice (the CLI passes the run's
 ``[window] box``), and the report's ``scale.window`` is that window.
-Free-set brackets are interval pools starting at the window's origin.
+Every bracket is read from one free-set search, on the interval pool of
+the widest bracket below the window length from the window's origin:
+bracket b's size is the largest whose least free diameter is below b.
 """
 
 from __future__ import annotations
@@ -88,6 +90,7 @@ class EvidenceReport:
     entropy_series: EntropySeries
     max_free_by_bracket: tuple[tuple[int, int], ...]
     density_rows: tuple[tuple[int, int, float], ...]
+    beam_limited: bool
     projections: tuple[ProjectionProbe, ...]
     positive_entropy_evidence: bool
     nonnull_evidence: bool
@@ -102,6 +105,8 @@ class EvidenceReport:
         return self.entropy.headline
 
     def to_text(self) -> str:
+        """``entropy_headline`` is the tail slope at n_max; the line
+        ``free_search beam_limited = True`` says a beam cut the search."""
         lines = ["TAMELAB-REPORT v1", f"source = {self.source_digest}"]
         for key in sorted(self.scale):
             lines.append(f"scale.{key} = {self.scale[key]}")
@@ -110,6 +115,8 @@ class EvidenceReport:
             lines.append(f"entropy {n} = {count} {rate:.6f}")
         for bracket, size in self.max_free_by_bracket:
             lines.append(f"max_free bracket={bracket} size={size}")
+        if self.beam_limited:
+            lines.append("free_search beam_limited = True")
         for size, diam, ratio in self.density_rows:
             lines.append(f"density size={size} diameter={diam} ratio={ratio:.6f}")
         for probe in self.projections:
@@ -206,39 +213,33 @@ def probe_projection_growth(win: SeqWindow, L, max_prefix: int,
 
 def classify(win: SeqWindow, params: ClassifyParams = ClassifyParams()) -> EvidenceReport:
     """Run the full probe battery on a materialized rank-1 window and
-    assemble the report; bracket pools start at the window's origin."""
+    assemble the report; one free-set search serves every bracket."""
     origin, length = win.origin[0], win.line().size
     series = entropy_estimate(win, min(params.entropy_n_max, length - 1))
     entropy = _entropy_probe(series, win.alphabet_size)
 
-    max_free_by_bracket: list[tuple[int, int]] = []
-    density: dict[int, tuple[int, float]] = {}
-    m = win.alphabet_size
-    info_cap = max(1, int(np.log(length) / np.log(m)))
-    for bracket in params.free_brackets:
-        if bracket >= length:
-            break
-        budget = FreeSearchBudget.interval(
-            origin, origin + bracket - 1, min(params.free_max_size, bracket, info_cap),
-            beam=params.beam)
-        result = max_free_set(win, budget)
-        max_free_by_bracket.append((bracket, result.max_free_size))
-        for size, diam, rate in result.density_rows():
-            if size not in density or diam < density[size][0]:
-                density[size] = (diam, rate)
-    density_rows = tuple((s, d, r) for s, (d, r) in sorted(density.items()))
+    brackets = [b for b in params.free_brackets if b < length]
+    max_free_by_bracket, density_rows, beam_limited = (), (), False
+    if brackets:
+        info_cap = max(1, int(np.log(length) / np.log(win.alphabet_size)))
+        result = max_free_set(win, FreeSearchBudget.interval(
+            origin, origin + brackets[-1] - 1,
+            min(params.free_max_size, brackets[-1], info_cap), beam=params.beam))
+        density_rows, beam_limited = tuple(result.density_rows()), result.beam_limited
+        # a free set of diameter below b, translated to the origin, lies in b's
+        # pool, and coverage over every shift depends only on gaps
+        max_free_by_bracket = tuple(
+            (b, max((s for s, d, _ in density_rows if d < b), default=0)) for b in brackets)
 
     projections = tuple(
         probe_projection_growth(win, coords, params.projection_prefix, name)
         for name, coords in sorted(default_projection_families(
             win, params.projection_prefix).items()))
 
-    sizes = [s for _, s in max_free_by_bracket]
-    growing = (len(sizes) >= 2 and all(a <= b for a, b in zip(sizes, sizes[1:]))
-               and sizes[-1] > sizes[0])
+    sizes = [s for _, s in max_free_by_bracket]  # nondecreasing, read from one profile
+    nonnull = len(sizes) >= 2 and sizes[-1] > sizes[0]
     best_density = max((r for _, _, r in density_rows), default=0.0)
     headline = entropy.headline
-    nonnull = growing
     positive = (nonnull and best_density >= params.density_threshold
                 and headline >= params.entropy_threshold)
     beaten = any(s > np.log2(d + 1) + params.free_slack for s, d, _ in density_rows)
@@ -250,8 +251,9 @@ def classify(win: SeqWindow, params: ClassifyParams = ClassifyParams()) -> Evide
         scale={**asdict(params), "window": (origin, origin + length)},
         entropy=entropy,
         entropy_series=series,
-        max_free_by_bracket=tuple(max_free_by_bracket),
+        max_free_by_bracket=max_free_by_bracket,
         density_rows=density_rows,
+        beam_limited=beam_limited,
         projections=projections,
         positive_entropy_evidence=positive,
         nonnull_evidence=nonnull,

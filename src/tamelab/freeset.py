@@ -37,7 +37,7 @@ computed over, and absence of a free set means absence at that horizon.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -214,20 +214,17 @@ class FreeSearchResult:
 
 
 def is_free(win: SeqWindow, A: CoordSet, horizon: int | None = None) -> FreeSetCertificate:
-    """Exact coverage of A over (up to ``horizon``) valid shifts, with witnesses."""
-    ps = patterns_on(win, A, shifts=_shift_sample(win, A, horizon), want_witness=True)
+    """Exact coverage of A over (up to ``horizon``) valid shifts, with witnesses;
+    a horizon reads the window's first horizon + diameter cells in place."""
+    if horizon is not None:
+        if win.rank != 1:
+            raise ArgumentError("a shift horizon applies to rank-1 windows only")
+        valid_shift_bounds(win, A)  # its errors, before the prefix is cut
+        win = replace(win, symbols=win.symbols[: horizon + A.diameter])
+    ps = patterns_on(win, A, want_witness=True)
     coverage = ps.coverage
     witnesses = ps.witness if coverage == 1 else None
     return FreeSetCertificate(A, win.alphabet_size, ps.shift_count, coverage, witnesses)
-
-
-def _shift_sample(win: SeqWindow, A: CoordSet, horizon: int | None):
-    if horizon is None:
-        return "all"
-    if win.rank != 1:
-        raise ArgumentError("a shift horizon applies to rank-1 windows only")
-    (lo, hi), = valid_shift_bounds(win, A)
-    return range(lo, min(hi, lo + horizon - 1) + 1)
 
 
 # ---------------------------------------------------------------------------

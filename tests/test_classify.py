@@ -1,5 +1,6 @@
 """Evidence reports: flags, projection probes, determinism."""
 
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -12,6 +13,7 @@ from tamelab.classify import (
     probe_projection_growth,
 )
 from tamelab.errors import ArgumentError
+from tamelab.freeset import FreeSearchBudget, max_free_set
 from tamelab.sources import SeqSource, SeqWindow, concat_block_bounds, materialize
 
 
@@ -184,3 +186,92 @@ def test_params_reject_values_that_void_a_flag(field, value):
     naming its field."""
     with pytest.raises(ArgumentError, match=field):
         ClassifyParams(**{field: value})
+
+
+def test_classify_runs_one_free_set_search(monkeypatch):
+    """Every bracket is read from one search, on the widest bracket below
+    the window length; a window no bracket fits runs none."""
+    budgets = []
+
+    def spy(win, budget):
+        budgets.append(budget)
+        return max_free_set(win, budget)
+
+    # the package's ``classify`` names the function, so take the module
+    monkeypatch.setattr(sys.modules["tamelab.classify"], "max_free_set", spy)
+    params = ClassifyParams(entropy_n_max=4, free_brackets=(4, 8, 12, 16, 20), free_max_size=6)
+    report = classify(materialize(SeqSource.morse(), (-500, 500)), params)
+    assert [b for b, _ in report.max_free_by_bracket] == [4, 8, 12, 16, 20]
+    assert budgets == [FreeSearchBudget.interval(-500, -481, 6, beam=params.beam)]
+    budgets.clear()
+    report = classify(materialize(SeqSource.morse(), (3, 17)), params)
+    assert [b for b, _ in report.max_free_by_bracket] == [4, 8, 12]
+    assert budgets == [FreeSearchBudget.interval(3, 14, 3, beam=params.beam)]
+    budgets.clear()
+    report = classify(materialize(SeqSource.morse(), (0, 4)), params)
+    assert budgets == []
+    assert report.max_free_by_bracket == () and report.density_rows == ()
+    assert not report.beam_limited and not report.nonnull_evidence
+
+
+def _per_bracket_searches(win, params):
+    """Bracket sizes and density rows from one unbeamed search per bracket
+    below the window length, each size's least diameter kept over all."""
+    origin, length = win.origin[0], win.extents[0]
+    cap = max(1, int(np.log(length) / np.log(win.alphabet_size)))
+    sizes, density = [], {}
+    for b in params.free_brackets:
+        if b >= length:
+            break
+        result = max_free_set(win, FreeSearchBudget.interval(
+            origin, origin + b - 1, min(params.free_max_size, b, cap)))
+        sizes.append((b, result.max_free_size))
+        for size, diam, rate in result.density_rows():
+            if size not in density or diam < density[size][0]:
+                density[size] = (diam, rate)
+    return tuple(sizes), tuple((s, d, r) for s, (d, r) in sorted(density.items()))
+
+
+@pytest.mark.parametrize("name, make", [
+    ("noise2", lambda seed: SeqSource.random(seed, 2)),
+    ("noise3", lambda seed: SeqSource.random(seed, 3)),
+    ("morse", lambda seed: SeqSource.morse()),
+    ("fibonacci", lambda seed: SeqSource.fibonacci()),
+    ("concat", lambda seed: SeqSource.concat_nonnull()),
+    ("halfline", lambda seed: SeqSource.char_halfline()),
+])
+def test_bracket_sizes_match_direct_searches(name, make):
+    """With no beam, the one search's profile gives each bracket the size
+    and the least diameters that a search of that bracket alone finds."""
+    rng = np.random.default_rng(26)
+    params = ClassifyParams(entropy_n_max=6, free_brackets=(4, 8, 12, 16), free_max_size=16,
+                            beam=None)
+    for seed in range(4):
+        lo, length = int(rng.integers(0, 3000)), int(rng.integers(10, 2000))
+        if name != "concat":
+            lo -= 1500
+        win = materialize(make(seed), (lo, lo + length))
+        report = classify(win, params)
+        assert not report.beam_limited
+        assert (report.max_free_by_bracket, report.density_rows) == _per_bracket_searches(
+            win, params), (seed, lo, length)
+
+
+def test_a_beam_cut_is_reported():
+    """A beam that cuts the one search leaves exactly counted sizes that
+    never fall as the brackets widen and never pass the unbeamed ones, and
+    report.txt says the search was cut; report.csv is unchanged in shape."""
+    win = materialize(SeqSource.morse(), (0, 20_000))
+    cut, whole = classify(win, ClassifyParams(beam=8)), classify(win)
+    assert cut.beam_limited and not whole.beam_limited
+    sizes = [s for _, s in cut.max_free_by_bracket]
+    assert sizes == sorted(sizes)
+    assert all(s <= w for s, (_, w) in zip(sizes, whole.max_free_by_bracket))
+    assert [s for _, s in whole.max_free_by_bracket] == [4, 4, 4, 5, 5]
+    lines = cut.to_text().splitlines()
+    at = lines.index("free_search beam_limited = True")
+    assert lines[at - 1] == "max_free bracket=24 size=3"
+    assert lines[at + 1].startswith("density size=1 ")
+    assert not any(line.startswith("free_search") for line in whole.to_text().splitlines())
+    assert cut.csv_row_header() == whole.csv_row_header()
+    assert cut.to_csv_row().count(",") == whole.to_csv_row().count(",")

@@ -16,7 +16,7 @@ from tamelab.freeset import (
     is_free,
     max_free_set,
 )
-from tamelab.language import CoordSet
+from tamelab.language import CoordSet, patterns_on, valid_shift_bounds
 from tamelab.sources import SeqSource, SeqWindow, materialize
 
 
@@ -203,6 +203,42 @@ def test_ip_certificate_memory():
     assert cert.is_free and cert.verify(win)
     assert cert.witnesses == {0: -1_000_010, 1: 90, 2: -90, 3: 1000, 4: -990, 5: 100, 6: 10, 7: 0}
     assert peak < 12 * 2 ** 20, peak
+
+
+def test_horizon_certificate_memory():
+    """A horizon reads the window's first horizon + diameter cells in
+    place: 3.6 MiB on a million-cell Fibonacci window, where gathering the
+    listed shifts peaked at 41 MiB."""
+    win = materialize(SeqSource.fibonacci(), (0, 10 ** 6))
+    tracemalloc.start()
+    try:
+        cert = is_free(win, CoordSet.of([0, 3, 7]), horizon=900_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cert.coverage, cert.horizon, cert.witnesses) == (Fraction(3, 4), 900_000, None)
+    assert peak < 8 * 2 ** 20, peak
+
+
+def test_horizon_certificate_matches_listed_shifts():
+    """A certificate at a horizon equals the one built from its listed
+    shifts, the first ``horizon`` valid ones, on windows on both sides of
+    0 and horizons below, at and past the valid shift count."""
+    rng = np.random.default_rng(9)
+    for src, box in ((SeqSource.fibonacci(), (-300, 700)), (SeqSource.morse(), (5, 900)),
+                     (SeqSource.random(3, 3), (-900, -100)), (SeqSource.de_bruijn(5), (0, 80))):
+        win = materialize(src, box)
+        for _ in range(40):
+            lo = box[0] + int(rng.integers(0, 30))
+            A = CoordSet.of((lo + rng.choice(20, rng.integers(1, 5), replace=False)).tolist())
+            horizon = int(rng.choice([1, 2, 7, 64, 500, 10 ** 9]))
+            (first, last), = valid_shift_bounds(win, A)
+            ps = patterns_on(win, A, range(first, min(last, first + horizon - 1) + 1),
+                             want_witness=True)
+            cert = is_free(win, A, horizon)
+            assert cert == FreeSetCertificate(A, ps.alphabet_size, ps.shift_count, ps.coverage,
+                                              ps.witness if ps.coverage == 1 else None)
+            assert cert.verify(win)
 
 
 def test_a_pool_tuple_is_explicit_coordinates():

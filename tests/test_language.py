@@ -18,6 +18,7 @@ from tamelab.language import (
     project,
 )
 from tamelab.sources import SeqSource, SeqWindow, concat_block_bounds, materialize
+from tamelab.torus import GOLDEN, SQRT2_FRAC, CutPartition, RotationSpec, TorusPoint
 
 
 def explicit(symbols, origin=0):
@@ -88,6 +89,34 @@ def test_de_bruijn_complexity_doubles():
     win = materialize(SeqSource.de_bruijn(12), (0, (1 << 12) + 12))
     lang = complexity(win, 12)
     assert lang.counts == tuple(2 ** n for n in range(1, 13))
+
+
+def thue_morse_complexity(n: int) -> int:
+    """p(n) of the Thue-Morse word (Brlek 1989; de Luca and Varricchio
+    1989): 2n for n <= 2, and for n = 2**r + q + 1 with 0 < q <= 2**r,
+    3 * 2**r + 4q when 2q <= 2**r, else 4 * 2**r + 2q."""
+    if n <= 2:
+        return 2 * n
+    r = (n - 2).bit_length() - 1
+    q = n - 1 - (1 << r)
+    return 3 * (1 << r) + 4 * q if 2 * q <= 1 << r else 4 * (1 << r) + 2 * q
+
+
+@pytest.mark.parametrize("box, n_max", [((0, 65536), 200), ((-5000, 5000), 40)])
+def test_thue_morse_complexity_closed_form(box, n_max):
+    assert [thue_morse_complexity(n) for n in range(1, 13)] == [
+        2, 4, 6, 10, 12, 16, 20, 22, 24, 28, 32, 36]
+    lang = complexity(materialize(SeqSource.morse(), box), n_max)
+    assert lang.counts == tuple(thue_morse_complexity(n) for n in range(1, n_max + 1))
+
+
+def test_rote_coding_complexity_2n():
+    """One arc of length sqrt(2) - 1, not in Z golden + Z, under the golden
+    rotation: p(n) = 2n (Rote 1994)."""
+    rote = SeqSource.sturmian(RotationSpec.circle(GOLDEN), CutPartition((0, SQRT2_FRAC)),
+                              TorusPoint.zero())
+    lang = complexity(materialize(rote, (0, 200_000)), 60)
+    assert lang.counts == tuple(2 * n for n in range(1, 61))
 
 
 def test_count_contiguous_row_path_matches_wide_path():
