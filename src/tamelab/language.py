@@ -12,9 +12,12 @@ coordinate, with no shift array.  A coordinate set whose rank differs from
 the window's raises DimensionError.  Counting needs no codes: every count
 names patterns by int32 class ids, the dense ranks of the pairs (id of a
 smaller pattern, id of the part it adds) -- Karp-Miller-Rosenberg naming.
-``complexity`` grows n-boxes of rank >= 2 by one layer along each axis in
-turn, ``extend_classes`` grows a pattern along a coordinate sequence, and
-``window_classes`` doubles window lengths.
+A pair space at most twice the pairs is ranked by a table over it, the
+keys widened to intp one block at a time and ranked in place, and a larger
+one by one sort of packed int64 words.  ``complexity`` grows n-boxes of
+rank >= 2 by one layer along each axis in turn, ``extend_classes`` grows a
+pattern along a coordinate sequence, and ``window_classes`` doubles window
+lengths, ranking only where the key space would outgrow the table.
 
 A line of length L is counted from one ranking (``_line_counts``), the
 suffix-array argument of Manber-Myers prefix doubling and Kasai's common
@@ -49,6 +52,9 @@ _LCP_ROWS = 1 << 15  # rank neighbours compared per block in _line_counts
 # stays below glibc's 128 KiB mmap threshold, which freeing a larger block
 # raises, leaving later arrays of that size on the heap.
 _FIRST_BLOCK = 1 << 14
+# Keys widened to intp per block in _pair_classes' rank table: 64 KiB, below
+# that threshold too.
+_RANK_BLOCK = 1 << 13
 _LOW_HALF = 0 if sys.byteorder == "little" else 1  # uint32 index of an int64's low bits
 
 
@@ -297,26 +303,29 @@ def _pair_classes(left: np.ndarray, n_left: int, right: np.ndarray,
 
     ``left`` and ``right`` share a shape and hold ids below ``n_left`` and
     ``n_right``; the empty pattern is one class, ``np.zeros``, of count 1.
-    A small pair space is ranked by a table over it.  Otherwise the keys
-    left * n_right + right are sorted with their positions in their low
-    bits, or, where key and position do not fit one int64 word, in two
-    stable passes: by right, then by left.
+    The keys are left * n_right + right.  A pair space at most twice the
+    pairs is ranked by a table over it: the keys, int32 below 2**31, are
+    widened to intp ``_RANK_BLOCK`` at a time to mark the table and then
+    replaced by their ranks in place, so no intp array or second output as
+    long as the keys is built.  Otherwise the keys are sorted with their
+    positions in their low bits, or, where key and position do not fit one
+    int64 word, in two stable passes: by right, then by left.
     """
     space = n_left * n_right
     if space <= 2 * left.size:  # small pair space: rank without sorting
-        keys = left.astype(np.int32 if space <= np.iinfo(np.int32).max else np.int64)
-        keys *= n_right
-        keys += right
+        keys = _pair_keys(left, n_right, right,
+                          np.int32 if space <= np.iinfo(np.int32).max else np.int64)
+        flat = keys.reshape(-1)
         seen = np.zeros(space, dtype=bool)
-        seen[keys] = True
-        rank = np.cumsum(seen, dtype=np.int32)
+        for _, wide in _wide_blocks(flat):
+            seen[wide] = True
+        rank = np.cumsum(seen, dtype=keys.dtype)
         rank -= 1
-        return rank[keys], int(rank[-1]) + 1
+        for block, wide in _wide_blocks(flat):  # each key becomes its rank
+            rank.take(wide, out=block)
+        return flat.reshape(left.shape).astype(np.int32, copy=False), int(rank[-1]) + 1
     if (space - 1).bit_length() + _position_bits(left.size) <= 63:
-        keys = left.astype(np.int64)
-        keys *= n_right
-        keys += right
-        keys, order = _sort_positions(keys.reshape(-1))
+        keys, order = _sort_positions(_pair_keys(left, n_right, right, np.int64).reshape(-1))
         step = keys[1:] != keys[:-1]
         del keys  # the words go before the ranks are built
     else:
@@ -331,6 +340,25 @@ def _pair_classes(left: np.ndarray, n_left: int, right: np.ndarray,
     rank = np.empty(sorted_rank.size, dtype=np.int32)
     rank[order] = sorted_rank
     return rank.reshape(left.shape), int(sorted_rank[-1]) + 1
+
+
+def _wide_blocks(flat: np.ndarray):
+    """Each ``_RANK_BLOCK`` of a flat key array with its copy as intp, the
+    copies sharing one buffer, so that indexing by them converts nothing."""
+    index = np.empty(min(flat.size, _RANK_BLOCK), dtype=np.intp)
+    for lo in range(0, flat.size, _RANK_BLOCK):
+        block = flat[lo: lo + _RANK_BLOCK]
+        wide = index[: block.size]
+        wide[...] = block
+        yield block, wide
+
+
+def _pair_keys(left: np.ndarray, n_right: int, right: np.ndarray, dtype) -> np.ndarray:
+    """left * n_right + right in a new array of that dtype."""
+    keys = left.astype(dtype)
+    keys *= n_right
+    keys += right
+    return keys
 
 
 def _position_bits(size: int) -> int:
@@ -355,10 +383,15 @@ def window_classes(symbols: np.ndarray, width: int) -> np.ndarray:
     """Class ids of the length-``width`` windows of a symbol row.
 
     Entry j names ``symbols[j:j + width]``: two entries are equal exactly
-    when their windows are.  Karp-Miller-Rosenberg doubling names the
-    windows of length k + d as pairs of length-k names d apart (d <= k),
-    ranked densely in pair order at each step; once every window is
-    distinct, longer windows are too and the names stop being refined.
+    when their windows are, and name order is lexicographic window order.
+    Karp-Miller-Rosenberg doubling names the windows of length k + d as
+    pairs of length-k names d apart (d <= k).  While n names square to a
+    key space whose own pairs still fit the rank table (n**4 <= twice the
+    windows), a doubling keeps the unranked key name * n + name, below
+    sqrt(2 * windows), so int32; the last pair of each such run, and every
+    other step, is ranked densely in pair order (``_pair_classes``).  Once
+    every window is distinct, longer windows are too and the names stop
+    being refined.
     """
     if not 1 <= width <= symbols.size:
         raise ArgumentError("window width must lie in 1..len(symbols)")
@@ -368,6 +401,8 @@ def window_classes(symbols: np.ndarray, width: int) -> np.ndarray:
     while k < width:
         if n_cls == ids.size:
             return ids[: symbols.size - width + 1]
+        while 2 * k < width and n_cls ** 4 <= 2 * ids.size:  # unranked doubling
+            ids, n_cls, k = _pair_keys(ids[:-k], n_cls, ids[k:], np.int32), n_cls * n_cls, 2 * k
         d = min(k, width - k)
         ids, n_cls = _pair_classes(ids[:-d], n_cls, ids[d:], n_cls)
         k += d

@@ -119,6 +119,27 @@ def test_rote_coding_complexity_2n():
     assert lang.counts == tuple(2 * n for n in range(1, 61))
 
 
+def test_concat_complexity_2n_through_the_sort_path(monkeypatch):
+    """Block n of the concat source lists every binary word of length n, so
+    p(n) = 2**n up to the longest whole block in the window; its padded
+    24-windows are too many for the rank table."""
+    passes = rank_passes(monkeypatch)
+    end = concat_block_bounds(10)[-1][1]
+    lang = complexity(materialize(SeqSource.concat_nonnull(), (0, end + 1)), 24)
+    assert lang.counts[:10] == tuple(2 ** n for n in range(1, 11))
+    assert not all(table for _, table in passes)
+
+
+def test_halfline_complexity_n_plus_one_through_unranked_doublings(monkeypatch):
+    """A window whose two runs are each at least n long shows the n + 1
+    words 0^a 1^(n - a); so few names double unranked, and 60-windows take
+    fewer rank passes than the seven doubling steps."""
+    passes = rank_passes(monkeypatch)
+    lang = complexity(materialize(SeqSource.char_halfline(), (-5000, 5000)), 60)
+    assert lang.counts == tuple(n + 1 for n in range(1, 61))
+    assert len(passes) < 7 and all(table for _, table in passes)
+
+
 def test_count_contiguous_row_path_matches_wide_path():
     win = materialize(SeqSource.fibonacci(), (0, 3000))
     line = win.line()
@@ -270,23 +291,30 @@ def test_kernel_matches_brute_force_window_sets(case, data):
         assert count_contiguous(win, n) == brute[n - 1]
 
 
-def test_kernel_examples_take_every_branch(monkeypatch):
-    taken = []
+def rank_passes(monkeypatch):
+    """Record, per ``_pair_classes`` call, the pairs ranked and whether
+    their space fits the rank table (no sort)."""
+    passes = []
     pair_classes = language._pair_classes
 
     def spy(left, n_left, right, n_right):
-        taken.append("sort-free" if n_left * n_right <= 2 * left.size else "sort")
+        passes.append((left.size, n_left * n_right <= 2 * left.size))
         return pair_classes(left, n_left, right, n_right)
 
     monkeypatch.setattr(language, "_pair_classes", spy)
+    return passes
+
+
+def test_kernel_examples_take_every_branch(monkeypatch):
+    passes = rank_passes(monkeypatch)
     for symbols, alphabet in (NOISE, NOISE_2D, NOISE_3D):
-        taken.clear()
+        passes.clear()
         n_max = min(symbols.shape) - 1
         counts = complexity(kernel_window(symbols, alphabet), n_max).counts
-        assert set(taken) == {"sort-free", "sort"}
+        assert {table for _, table in passes} == {True, False}
         if symbols.ndim == 1:
             # once every window is distinct, longer ones cost no ranking
-            assert counts[-1] == 2 and len(taken) < n_max
+            assert counts[-1] == 2 and len(passes) < n_max
 
 
 def brute_first_shifts(win, A, shifts):
@@ -521,14 +549,7 @@ def test_sampler_ranks_low_complexity_lines_without_sorting(monkeypatch):
     """Every doubling step of a low-complexity line ranks without a sort,
     and a noise line takes no sample.  The halving test counts the padded
     positions it keeps."""
-    steps = []
-    pair_classes = language._pair_classes
-
-    def spy(left, n_left, right, n_right):
-        steps.append((left.size, n_left * n_right <= 2 * left.size))
-        return pair_classes(left, n_left, right, n_right)
-
-    monkeypatch.setattr(language, "_pair_classes", spy)
+    steps = rank_passes(monkeypatch)
     for source, width, sampled in (
             (SeqSource.fibonacci(), 200, True),
             (SeqSource.morse(), 32, True),
@@ -712,3 +733,73 @@ def test_line_counts_memory_on_concat12():
         tracemalloc.stop()
     assert counts[:12] == [2 ** n for n in range(1, 13)]
     assert peak < 8 * 2 ** 20, peak
+
+
+def brute_window_ranks(symbols, width):
+    """Each width-window's rank among the distinct ones, in lexicographic
+    order, from a set of window bytes."""
+    data = symbols.tobytes()
+    windows = [data[j:j + width] for j in range(len(data) - width + 1)]
+    rank = {window: r for r, window in enumerate(sorted(set(windows)))}
+    return [rank[window] for window in windows]
+
+
+def naming_lines():
+    """Lines on 1..6 letters: random, periodic, Sturmian-like (a rotation
+    coding on m arcs) and sparse, each with 0..8 copies of the non-symbol
+    m appended."""
+    rng = np.random.default_rng(2027)
+    for i in range(48):
+        m, size = int(rng.integers(1, 7)), int(rng.integers(2, 121))
+        if i % 4 == 0:
+            line = rng.integers(0, m, size)
+        elif i % 4 == 1:
+            line = np.resize(rng.integers(0, m, int(rng.integers(1, 5))), size)
+        elif i % 4 == 2:
+            line = (np.arange(size) * rng.random() + rng.random()) % 1 * m
+        else:
+            line = np.where(rng.random(size) < 0.05, rng.integers(0, m, size), 0)
+        line = line.astype(np.uint8)
+        yield line, m, np.r_[line, np.full(int(rng.integers(0, 9)), m, np.uint8)]
+
+
+def test_window_names_match_brute_force_ranks():
+    """At every width, ``window_classes`` partitions and orders a padded
+    line's windows as the sorted set of their bytes, and ``_line_counts``
+    gives the brute-force p(k).  At each doubling length k <= 8 some lines
+    have few enough names to double unranked (n**4 <= twice the windows)
+    and some too many."""
+    sides = set()
+    for i, (line, m, padded) in enumerate(naming_lines()):
+        for width in range(1, padded.size + 1):
+            ids = language.window_classes(padded, width)
+            brute = brute_window_ranks(padded, width)
+            assert ids.dtype == np.int32
+            assert np.unique(ids, return_inverse=True)[1].tolist() == brute, (i, width)
+            if width & (width - 1) == 0:
+                sides.add((width, (max(brute) + 1) ** 4 <= 2 * len(brute)))
+        data = line.tobytes()
+        brute_counts = [len({data[j:j + k] for j in range(line.size - k + 1)})
+                        for k in range(1, line.size)]
+        assert language._line_counts(line, m, line.size - 1) == brute_counts, i
+    assert {(k, few) for k in (1, 2, 4, 8) for few in (True, False)} <= sides
+
+
+def test_golden_line_counts_rank_four_times_in_bounded_memory(monkeypatch):
+    """The 10**6-cell golden line at n_max 60 ranks 4 times, where ranking
+    every doubling step takes 7, and peaks below 11 MiB: one int32 id
+    array and one of keys, with intp indices a block at a time (a third
+    line-sized array, a separate rank output or a key array kept past its
+    step, reaches 12.5 MiB)."""
+    line = materialize(SeqSource.fibonacci(), (0, 10 ** 6)).line()
+    passes = rank_passes(monkeypatch)
+    assert language._line_counts(line, 2, 60) == list(range(2, 62))
+    assert len(passes) <= 4
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        language._line_counts(line, 2, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * 2 ** 20, peak
