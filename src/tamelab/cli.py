@@ -200,13 +200,13 @@ def _span(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _range_spec(text: str) -> range | list[int]:
+def _range_spec(text: str) -> range | tuple[int, ...]:
     """``lo:hi`` (inclusive, as a range, so that its size is known before
-    anything is allocated) or a comma-separated list."""
+    anything is allocated) or a comma-separated list, as a tuple."""
     if ":" in text:
         lo, hi = _span(text)
         return range(lo, hi + 1)
-    return _int_list(text)
+    return tuple(_int_list(text))
 
 
 def _opt_int(value: str) -> int | None:
@@ -302,15 +302,9 @@ class _Runner:
                 raise ArgumentError("certificate failed re-verification")
             self.write("certificate.txt", cert.dump())
             return
-        pool = self.config.typed("freeset", "pool", _range_spec, "0:15")
-        if pool:
-            # a range's least and greatest points are its ends: it is not built
-            lo, hi = (pool[0], pool[-1]) if isinstance(pool, range) else (min(pool), max(pool))
-            if lo < win.origin[0] or hi >= win.origin[0] + win.extents[0]:
-                raise ArgumentError("pool extends outside the window")
         budget = FreeSearchBudget(
             max_size=self.config.typed("freeset", "max_size", int, "12"),
-            pool=tuple(pool),
+            pool=self.config.typed("freeset", "pool", _range_spec, "0:15"),
             horizon=horizon,
             beam=self.config.typed("freeset", "beam", _opt_int, "none"),
         )

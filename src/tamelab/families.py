@@ -65,21 +65,17 @@ class FunctionSample:
         return self.values.shape[1]
 
     def csv_rows(self) -> list[str]:
-        # a block of rows at a time, each distinct value formatted once, keyed
-        # by its bit pattern: 0.0 and -0.0 are equal but format differently
+        # a block of rows at a time, each of its distinct values formatted
+        # once, keyed by its bit pattern: 0.0 and -0.0 are equal but format
+        # differently
         header = ",".join(map(str, self.labels or range(self.n_points)))
         bits = np.ascontiguousarray(self.values).view(np.uint64)
         step = max(1, _CSV_CELLS // self.n_points)
-        text: dict[int, str] = {}  # kept across blocks, up to _CSV_CELLS texts
         rows = [header]
         for lo in range(0, self.n_members, step):
             keys, inverse = np.unique(bits[lo:lo + step], return_inverse=True)
-            if len(text) > _CSV_CELLS:
-                text.clear()
-            for key, value in zip(keys.tolist(), keys.view(float).tolist()):
-                if key not in text:
-                    text[key] = format(value, ".12g")
-            cells = np.array([text[key] for key in keys.tolist()], dtype=object)
+            cells = np.array([format(value, ".12g") for value in keys.view(float).tolist()],
+                             dtype=object)
             rows += map(",".join, cells[inverse.reshape(-1, self.n_points)])
         return rows
 

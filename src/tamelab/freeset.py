@@ -21,7 +21,7 @@ keeps every placement.  A level's distinct gap tuples are counted by one
 call of ``count``, the only counting method of the engine
 ``_GapEvaluator``, which also serves the independence search of
 ``families``.  The free-set table (``_line_table``) comes from one
-ranking of the line's pool-span windows by ``language.window_classes``:
+ranking of the line's pool-span windows by ``language.ranked_windows``:
 their first occurrences, less the padded ones whose live part repeats, are
 the table when they at least halve the shifts and fit the table budget,
 and else it is the zero-copy view of every shift.  The same ranking tells
@@ -55,11 +55,10 @@ from .errors import (
 from .language import (
     CoordSet,
     _check_capacity,
-    _first_positions,
     pattern_codes,
     patterns_on,
+    ranked_windows,
     valid_shift_bounds,
-    window_classes,
 )
 from .sources import SeqWindow
 
@@ -138,10 +137,11 @@ class FreeSetCertificate:
 class FreeSearchBudget:
     """Search limits: size cap, candidate pool, shift horizon, optional beam.
 
-    ``pool`` is a tuple of explicit coordinates: ``(0, 7)`` is the
-    two-point pool {0, 7}, and ``FreeSearchBudget.interval(0, 7, ...)``
-    the pool 0..7.  A pool whose points are contiguous is searched as an
-    interval pool, each set translated to start at its first point.
+    ``pool`` is a tuple of explicit coordinates or a range: ``(0, 7)`` is
+    the two-point pool {0, 7}, and ``FreeSearchBudget.interval(0, 7, ...)``
+    the pool ``range(0, 8)``, 0..7.  A pool whose points are contiguous is
+    searched as an interval pool, each set translated to start at its
+    first point.
     ``horizon`` caps the number of shifts sampled per candidate (default:
     all shifts valid in the window).  ``beam`` caps the free sets kept per
     level for joining; leaving it unset makes the search exhaustive over
@@ -149,7 +149,7 @@ class FreeSearchBudget:
     """
 
     max_size: int
-    pool: tuple
+    pool: tuple | range
     horizon: int | None = None
     beam: int | None = None
 
@@ -166,7 +166,7 @@ class FreeSearchBudget:
     @classmethod
     def interval(cls, lo: int, hi: int, max_size: int, horizon: int | None = None,
                  beam: int | None = None) -> "FreeSearchBudget":
-        return cls(max_size, tuple(range(lo, hi + 1)), horizon, beam)
+        return cls(max_size, range(lo, hi + 1), horizon, beam)
 
 
 @dataclass(frozen=True)
@@ -465,10 +465,11 @@ def max_free_set(win: SeqWindow, budget: FreeSearchBudget) -> FreeSearchResult:
     m = win.alphabet_size
     _check_capacity(m, budget.max_size)
     horizon = budget.horizon
-    pool = tuple(sorted(set(int(p) for p in budget.pool)))
     origin, length = win.origin[0], win.extents[0]
-    if pool[0] < origin or pool[-1] >= origin + length:
+    ends = (budget.pool[0], budget.pool[-1]) if isinstance(budget.pool, range) else budget.pool
+    if min(ends) < origin or max(ends) >= origin + length:  # before the pool is built
         raise ArgumentError("pool extends outside the window")
+    pool = tuple(sorted(set(int(p) for p in budget.pool)))
     width = pool[-1] - pool[0] + 1
     shifts = min(length, horizon) if horizon else length
     table, windows, full = _line_table(win.line(), m, shifts, win.meta.get("period"), width)
@@ -494,7 +495,7 @@ def _line_table(line: np.ndarray, m: int, shifts: int, period: int | None,
                 width: int) -> tuple[np.ndarray, int | None, bool]:
     """The (width x samples) table of a line's windows of that width, its
     sample count, None when the table is every shift, and whether it is
-    full, all from one ranking of the windows by ``window_classes``.
+    full, all from one ranking of the windows by ``ranked_windows``.
 
     A gap tuple (0, g2, ..., gs) with gs < width stands for any placement
     of the set.  It scans the shifts j < T(gs) = min(L - gs, horizon,
@@ -513,16 +514,12 @@ def _line_table(line: np.ndarray, m: int, shifts: int, period: int | None,
     gap shows m, so every gap scans every sample, with no per-gap masking.
 
     Both forms show the same patterns, so either is full when the kept
-    windows are all m**W words and none is padded.  The class ids need not
-    be dense (``window_classes`` may stop refining), so the first-position
-    table spans ``ids.max() + 1``.
+    windows are all m**W words and none is padded.
     """
     t = min(shifts, period) if period else shifts
-    padded = np.full(t + width - 1, m, dtype=np.uint8)
+    padded, first = ranked_windows(line, m, width, t)
+    first.sort()
     live = min(line.size, padded.size)
-    padded[:live] = line[:live]
-    ids = window_classes(padded, width)
-    first = np.sort(_first_positions(ids, int(ids.max()) + 1)[1])
     first = first[: np.searchsorted(first, _repeat_cut(padded[:live], live - width + 1, t))]
     n = first.size
     # past n's bit length m**W > n for m >= 2: the power is never built

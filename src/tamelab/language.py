@@ -19,19 +19,19 @@ rank >= 2 by one layer along each axis in turn, ``extend_classes`` grows a
 pattern along a coordinate sequence, and ``window_classes`` doubles window
 lengths, ranking only where the key space would outgrow the table.
 
-A line of length L is counted from one ranking (``_line_counts``), the
+``ranked_windows`` pads a line with the non-symbol m and keeps the first
+position of each distinct window, in lexicographic order.  A line of
+length L is counted from that one ranking (``_line_counts``), the
 suffix-array argument of Manber-Myers prefix doubling and Kasai's common
-prefixes: pad the line with n_max - 1 copies of the non-symbol m, name its
-length-n_max windows at j < L by ``window_classes``, whose ids are
-lexicographic ranks, and compare each distinct window with its neighbour
-in that order.  The distinct length-k windows are the distinct length-k
-prefixes, which change exactly where neighbours share fewer than k
-symbols, less the k - 1 prefixes at j > L - k that hold m, so one
+prefixes: compare each distinct length-n_max window at j < L with its
+neighbour in that order.  The distinct length-k windows are the distinct
+length-k prefixes, which change exactly where neighbours share fewer than
+k symbols, less the k - 1 prefixes at j > L - k that hold m, so one
 histogram of the common prefix lengths gives every p(k).  The free-set
-table (``freeset._line_table``) takes its sample from the same ranking.
+table (``freeset._line_table``) takes its sample from the same routine.
 
 Distinct codes and their first positions, for ``patterns_on``, ``project``
-and the free-set table, come from ``_first_positions``.
+and ``ranked_windows``, come from ``_first_positions``.
 """
 
 from __future__ import annotations
@@ -304,26 +304,26 @@ def _pair_classes(left: np.ndarray, n_left: int, right: np.ndarray,
     ``left`` and ``right`` share a shape and hold ids below ``n_left`` and
     ``n_right``; the empty pattern is one class, ``np.zeros``, of count 1.
     The keys are left * n_right + right.  A pair space at most twice the
-    pairs is ranked by a table over it: the keys, int32 below 2**31, are
-    widened to intp ``_RANK_BLOCK`` at a time to mark the table and then
-    replaced by their ranks in place, so no intp array or second output as
-    long as the keys is built.  Otherwise the keys are sorted with their
-    positions in their low bits, or, where key and position do not fit one
-    int64 word, in two stable passes: by right, then by left.
+    pairs is ranked by a table over it: the int32 keys are widened to intp
+    ``_RANK_BLOCK`` at a time to mark the table and then replaced by their
+    ranks in place, so no intp array or second output as long as the keys
+    is built.  Otherwise the keys are sorted with their positions in their
+    low bits, or, where key and position do not fit one int64 word, in two
+    stable passes: by right, then by left.
     """
     space = n_left * n_right
     if space <= 2 * left.size:  # small pair space: rank without sorting
-        keys = _pair_keys(left, n_right, right,
-                          np.int32 if space <= np.iinfo(np.int32).max else np.int64)
-        flat = keys.reshape(-1)
+        # Under CELL_CAP there are at most 2**28 + width pairs, a line and
+        # its padding, so the space stays below 2**31 and the keys in int32.
+        flat = _pair_keys(left, n_right, right, np.int32).reshape(-1)
         seen = np.zeros(space, dtype=bool)
         for _, wide in _wide_blocks(flat):
             seen[wide] = True
-        rank = np.cumsum(seen, dtype=keys.dtype)
+        rank = np.cumsum(seen, dtype=np.int32)
         rank -= 1
         for block, wide in _wide_blocks(flat):  # each key becomes its rank
             rank.take(wide, out=block)
-        return flat.reshape(left.shape).astype(np.int32, copy=False), int(rank[-1]) + 1
+        return flat.reshape(left.shape), int(rank[-1]) + 1
     if (space - 1).bit_length() + _position_bits(left.size) <= 63:
         keys, order = _sort_positions(_pair_keys(left, n_right, right, np.int64).reshape(-1))
         step = keys[1:] != keys[:-1]
@@ -429,27 +429,28 @@ def extend_classes(win: SeqWindow, offset: int,
     return _pair_classes(ids[:size], count, line[offset:], win.alphabet_size)
 
 
-def _line_counts(line: np.ndarray, alphabet: int, n_max: int) -> list[int]:
-    """p(1..n_max) of a line from one ranking of its padded windows (see
-    the module docstring).
-
-    ``window_classes`` names the length-n_max windows of the line padded
-    with n_max - 1 copies of the non-symbol m at every position j < L; its
-    ids are lexicographic ranks, dense unless every window was distinct
-    before n_max, so one position per id is taken in id order from a table
-    of ``ids.max() + 1`` slots.  The distinct length-k prefixes of windows
-    in lexicographic order change exactly where neighbours share fewer
-    than k symbols, so 1 + #{LCP < k} counts them, and the k - 1 windows at
-    j > L - k, each holding m at its own offset, are dropped from that
-    count.  Neighbours are compared in blocks of ``_LCP_ROWS`` rows.
+def ranked_windows(line: np.ndarray, m: int, width: int, count: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The line's first count + width - 1 cells, padded to that length with
+    the non-symbol m, and the first position j < count of each distinct
+    width-window, in lexicographic window order.  ``window_classes``'
+    ranks are not dense when every window was distinct before ``width``
+    and it stopped refining, so the positions span ``ids.max() + 1`` codes.
     """
-    size = line.size
-    padded = np.full(size + n_max - 1, alphabet, dtype=np.uint8)
-    padded[:size] = line
-    ids = window_classes(padded, n_max)
-    slots = np.full(int(ids.max()) + 1, -1, dtype=np.int32)
-    slots[ids] = np.arange(size, dtype=np.int32)
-    ranked = slots[slots >= 0]
+    padded = np.full(count + width - 1, m, dtype=np.uint8)
+    live = min(line.size, padded.size)
+    padded[:live] = line[:live]
+    ids = window_classes(padded, width)
+    return padded, _first_positions(ids, int(ids.max()) + 1)[1]
+
+
+def _line_counts(line: np.ndarray, alphabet: int, n_max: int) -> list[int]:
+    """p(1..n_max) of a line from its ``ranked_windows`` at j < L (see the
+    module docstring): p(k) is 1 + #{neighbours with LCP < k}, less the
+    k - 1 windows at j > L - k, each holding m at its own offset.
+    Neighbours are compared in blocks of ``_LCP_ROWS`` rows.
+    """
+    padded, ranked = ranked_windows(line, alphabet, n_max, line.size)
     windows = np.lib.stride_tricks.sliding_window_view(padded, n_max)
     lcps = np.zeros(n_max, dtype=np.int64)  # neighbours per common prefix length
     for lo in range(0, ranked.size - 1, _LCP_ROWS):

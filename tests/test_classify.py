@@ -6,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from tamelab.cli import ExperimentConfig, run
 from tamelab.classify import (
     ClassifyParams,
     classify,
@@ -14,6 +15,7 @@ from tamelab.classify import (
 )
 from tamelab.errors import ArgumentError
 from tamelab.freeset import FreeSearchBudget, max_free_set
+from tamelab.presets import PRESETS
 from tamelab.sources import SeqSource, SeqWindow, concat_block_bounds, materialize
 
 
@@ -68,6 +70,28 @@ def test_flag_invariants_across_bundled_sources():
         beaten = any(s > np.log2(d + 1) + 1.0 for s, d, _ in report.density_rows)
         if report.tame_consistent:
             assert not beaten
+
+
+_ROTE = ("[source]\nkind = sturmian\nalphas = golden\ncuts = 0,sqrt2_frac\n\n"
+         "[window]\nbox = 0:20000\n")
+
+
+@pytest.mark.parametrize("config, sizes, nonnull", [
+    ("[source]\nkind = morse\n\n[window]\nbox = 0:20000\n", (4, 4, 4, 5, 5), True),
+    (_ROTE, (2,) * 5, False),
+    (PRESETS["sphere2d"], (2,) * 5, False),
+], ids=["thue-morse", "rote", "sphere2d"])
+def test_theorem_verdicts(config, sizes, nonnull, tmp_path):
+    """``tamelab classify`` agrees with theory: Thue-Morse is not null, and
+    the Rote coding (one arc of length sqrt2_frac under the golden
+    rotation) and the sphere2d ball coding are null and tame, free sets of
+    2 at every bracket."""
+    assert run("classify", ExperimentConfig.from_text(config), tmp_path) == 0
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    assert [line for line in lines if line.startswith("max_free ")] == [
+        f"max_free bracket={b} size={s}" for b, s in zip((8, 12, 16, 20, 24), sizes)]
+    assert f"flag nonnull_evidence = {nonnull}" in lines
+    assert f"flag tame_consistent = {not nonnull}" in lines
 
 
 def test_reports_are_deterministic():

@@ -266,6 +266,20 @@ def test_budget_validation():
         search(materialize(src, ((0, 8), (0, 8))), FreeSearchBudget(2, (0, 1)))
 
 
+def test_a_pool_past_the_window_is_refused_before_it_is_built():
+    """The pool's ends are checked first, so a range of 2 * 10**6 points
+    reaching past a 40-cell window is never listed."""
+    win = materialize(SeqSource.random(1, 3), (0, 40))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArgumentError, match="pool extends outside the window"):
+            max_free_set(win, FreeSearchBudget(2, range(0, 2_000_000)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+
+
 def test_oracle_caps():
     win = explicit([0, 1] * 40)
     with pytest.raises(ArgumentError):

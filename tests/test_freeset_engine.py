@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from tamelab import freeset
+from tamelab import freeset, language
 from tamelab.errors import ArgumentError
 from tamelab.freeset import FreeSearchBudget, brute_force_free_oracle, is_free, max_free_set
 from tamelab.language import CoordSet, patterns_on, window_classes
@@ -634,24 +634,46 @@ def test_line_table_drops_padded_windows_whose_tail_repeats(name, line, m, shift
     brute_full((line, m, shifts, period, width), table, n, full)
 
 
-def test_line_table_matches_brute_force_on_random_lines():
-    """Seeded short lines, widths, horizons and periods: the first
-    occurrences less the padded ones whose tail repeats are the table
-    exactly when they at least halve the shifts, and else the table is the
-    view of the padded line at every shift; either is full exactly when
-    brute force finds every word and no non-symbol among the kept
-    windows."""
-    rng = np.random.default_rng(15)
-    for i in range(150):
-        m = int(rng.integers(1, 4))
-        line = rng.integers(0, m, int(rng.integers(1, 60))).astype(np.uint8)
-        if i % 3 == 0:  # low complexity: a repeated short block
-            line = np.resize(line[: int(rng.integers(1, 5))], line.size)
-        width = int(rng.integers(1, 12))
-        shifts = int(rng.integers(1, line.size + 1))
-        period = int(rng.integers(1, line.size + 1)) if i % 4 == 0 else None
-        args = (line, m, shifts, period, width)
+def random_line_table_args():
+    """Seeded short lines on 1..3 letters, a third a repeated short block,
+    with widths, horizons and, on seed 15, periods: ``_line_table``'s
+    arguments, 150 per seed."""
+    for seed in (15, 21):
+        rng = np.random.default_rng(seed)
+        for i in range(150):
+            m = int(rng.integers(1, 4))
+            line = rng.integers(0, m, int(rng.integers(1, 60))).astype(np.uint8)
+            if i % 3 == 0:  # low complexity: a repeated short block
+                line = np.resize(line[: int(rng.integers(1, 5))], line.size)
+            if seed == 15:
+                width = int(rng.integers(1, 12))
+                shifts = int(rng.integers(1, line.size + 1))
+                period = int(rng.integers(1, line.size + 1)) if i % 4 == 0 else None
+            else:
+                shifts, width = int(rng.integers(1, line.size + 1)), int(rng.integers(1, 12))
+                period = None
+            yield line, m, shifts, period, width
+
+
+def test_line_table_matches_brute_force_on_random_lines(monkeypatch):
+    """The first occurrences less the padded ones whose tail repeats are the
+    table exactly when they at least halve the shifts, and else the table
+    is the view of the padded line at every shift; either is full exactly
+    when brute force finds every word and no non-symbol among the kept
+    windows, and each table ranks the line's windows once."""
+    calls = []
+    classes = language.window_classes
+
+    def spy(symbols, width):
+        calls.append(width)
+        return classes(symbols, width)
+
+    monkeypatch.setattr(language, "window_classes", spy)
+    for i, args in enumerate(random_line_table_args()):
+        line, m, shifts, period, width = args
+        calls.clear()
         table, n, full = freeset._line_table(*args)
+        assert calls == [width], i
         t = min(shifts, period or shifts)
         padded, kept = brute_first_occurrences(line, m, width, t)
         if 2 * len(kept) > t:

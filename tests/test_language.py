@@ -570,58 +570,6 @@ def test_sampler_ranks_low_complexity_lines_without_sorting(monkeypatch):
     assert sample_table(one_period, 16) is None
 
 
-def brute_first_occurrences(line, m, width, t):
-    """First positions j < t of the distinct width-windows of the line's
-    first t + width - 1 cells padded with m, less each padded one whose
-    live part also starts at an earlier position of the line."""
-    live = min(len(line), t + width - 1)
-    padded = [int(v) for v in line[:live]] + [m] * (t + width - 1 - live)
-    seen, kept = set(), []
-    for j in range(t):
-        window = tuple(padded[j: j + width])
-        if window in seen:
-            continue
-        seen.add(window)
-        tail = padded[j:live]
-        if j + width > live and any(padded[f: f + len(tail)] == tail for f in range(j)):
-            continue
-        kept.append(j)
-    return padded, kept
-
-
-def test_first_occurrences_match_brute_force(monkeypatch):
-    """The free-set table's samples are the windows at the brute-force first
-    occurrences less the padded ones whose tail repeats, and the table is
-    the padded line at every shift exactly when those would not halve t;
-    each table ranks the line's windows once."""
-    calls = []
-    classes = language.window_classes
-
-    def spy(symbols, width):
-        calls.append(width)
-        return classes(symbols, width)
-
-    monkeypatch.setattr(freeset, "window_classes", spy)
-    rng = np.random.default_rng(21)
-    for i in range(150):
-        m = int(rng.integers(1, 4))
-        line = rng.integers(0, m, int(rng.integers(1, 60))).astype(np.uint8)
-        if i % 3 == 0:  # low complexity: a repeated short block
-            line = np.resize(line[: int(rng.integers(1, 5))], line.size)
-        t, width = int(rng.integers(1, line.size + 1)), int(rng.integers(1, 12))
-        padded, kept = brute_first_occurrences(line, m, width, t)
-        calls.clear()
-        table, n, _ = freeset._line_table(line, m, t, None, width)
-        assert calls == [width], i
-        if 2 * len(kept) > t:
-            assert n is None, i
-            assert table.tolist() == [padded[g: g + t] for g in range(width)], i
-        else:
-            assert n == len(kept), i
-            assert (sorted(map(tuple, table.T.tolist()))
-                    == sorted(tuple(padded[j: j + width]) for j in kept)), i
-
-
 _GOLDEN_WORD =[0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0]
 
 
