@@ -570,6 +570,30 @@ def test_sampler_ranks_low_complexity_lines_without_sorting(monkeypatch):
     assert sample_table(one_period, 16) is None
 
 
+def test_first_occurrences_match_brute_force(monkeypatch):
+    """``ranked_windows`` pads the line's first count + width - 1 cells with
+    m and returns the brute-force first position of each distinct window,
+    in lexicographic window order, from one ranking of the padded line."""
+    calls = ranking_spy(monkeypatch)
+    rng = np.random.default_rng(21)
+    for i in range(150):
+        m = int(rng.integers(1, 4))
+        line = rng.integers(0, m, int(rng.integers(1, 60))).astype(np.uint8)
+        if i % 3 == 0:  # low complexity: a repeated short block
+            line = np.resize(line[: int(rng.integers(1, 5))], line.size)
+        count, width = int(rng.integers(1, line.size + 1)), int(rng.integers(1, 12))
+        live = min(line.size, count + width - 1)
+        padded = [int(v) for v in line[:live]] + [m] * (count + width - 1 - live)
+        first = {}
+        for j in range(count):
+            first.setdefault(tuple(padded[j: j + width]), j)
+        calls.clear()
+        got_padded, positions = language.ranked_windows(line, m, width, count)
+        assert [width for _, width, _ in calls] == [width], i
+        assert got_padded.tolist() == padded, i
+        assert positions.tolist() == [first[w] for w in sorted(first)], i
+
+
 _GOLDEN_WORD =[0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0]
 
 
