@@ -276,8 +276,14 @@ def materialize(source: SeqSource, window) -> SeqWindow:
 def _build_sturmian(source: SeqSource, box: Box) -> SeqWindow:
     """Rotation coding over a box: symbol at n is the cell of z + n.alpha.
 
+    ``orbit_words`` builds one table, j * alpha for the offsets j of a
+    block, and each block's start (a column of row starts for rank k); a
+    block's words are its start plus the table, one low-word add and one
+    carry.
     ``meta['near_cut_hits']`` counts orbit points within 2**-88 of a cut,
     where the truncated coding may disagree with the true irrational one.
+    Such a point has a high word within 1 of the cut's, so the exact check
+    reads cut words for those candidates only.
     """
     spec, part, z = source.rotation, source.partition, source.base_point
     extents = tuple(hi - lo for lo, hi in box)
@@ -294,25 +300,34 @@ def _build_sturmian(source: SeqSource, box: Box) -> SeqWindow:
     # cut, SCALE, wraps to the pair of cut 0
     lower = np.array([words(c) for c in part.cuts], dtype=np.uint64).T
     upper = np.roll(lower, -1, axis=1)
+    # a point within 2**40 of a cut has a high word within 1 of the cut's,
+    # counting the wrap at 0: hi - (c_hi - 1) <= 2 in uint64
+    below = lower[0] - np.uint64(1)
     width = min(extents[-1], BLOCK_CELLS)
     height = max(1, BLOCK_CELLS // width)
-    offsets = np.arange(width, dtype=np.uint64)
+    offset_hi, offset_lo = orbit_words(0, [(np.arange(width, dtype=np.uint64), step)])
     near = 0
     for r in range(0, len(rows), height):
         rows_at = np.arange(r, min(r + height, len(rows)))
         outer = np.unravel_index(rows_at, extents[:-1]) if len(extents) > 1 else ()
         row_terms = [(n.astype(np.uint64)[:, None], a) for n, a in zip(outer, alphas)]
         for col in range(0, extents[-1], width):
-            j = offsets[None, :min(width, extents[-1] - col)]
-            hi, lo = orbit_words((t0 + col * step) & MASK, row_terms + [(j, step)])
+            w = min(width, extents[-1] - col)
+            s_hi, s_lo = orbit_words((t0 + col * step) & MASK, row_terms)
+            lo = s_lo + offset_lo[:w]
+            hi = s_hi + offset_hi[:w] + (lo < s_lo)
             cell = np.zeros(hi.shape, dtype=np.uint8)
             for c_hi, c_lo in lower.T[1:]:
                 cell += (hi > c_hi) | ((hi == c_hi) & (lo >= c_lo))
+            rows[r:r + len(rows_at), col:col + w] = cell
+            candidate = np.zeros(hi.shape, dtype=bool)
+            for b in below:
+                candidate |= hi - b <= 2
+            hi, lo, cell = hi[candidate], lo[candidate], cell[candidate]
             d_hi, d_lo = sub_words(hi, lo, *lower[:, cell])
             u_hi, u_lo = sub_words(*upper[:, cell], hi, lo)
             near += int(np.count_nonzero(((d_hi == 0) & (d_lo < NEAR_CUT_EPS))
                                          | ((u_hi == 0) & (u_lo < NEAR_CUT_EPS))))
-            rows[r:r + len(rows_at), col:col + j.shape[1]] = cell
     return SeqWindow(origin, out, source.alphabet_size, source.digest,
                      {"near_cut_hits": near})
 

@@ -19,7 +19,11 @@ n * alpha_k with n < 2**28 (a window's cell cap) stays below 2**60, and a
 sum of up to three such terms plus a start limb stays below 2**63.  One
 carry pass from the low limb up then gives the orbit modulo 2**128 as a
 (hi, lo) pair of 64-bit words; cuts, differences and squared distances are
-compared as word pairs, and no float is used.
+compared as word pairs, and no float is used.  A rotation coding calls it
+once for the offsets j * alpha of one block and adds each block's start to
+that table as a word pair: one low-word add and one carry.  Only a point
+whose high word lies within 1 of a cut's can lie within 2**-88 of that
+cut, so cut words are read for the near-cut count on those points alone.
 """
 
 from __future__ import annotations

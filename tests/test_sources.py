@@ -118,6 +118,26 @@ def test_morse_window_is_built_in_place():
     assert peak < 12 * 10 ** 6
 
 
+@pytest.mark.parametrize("alphas, box, bound", [
+    ((GOLDEN,), ((0, 10 ** 6),), 7),
+    ((GOLDEN, SQRT2_FRAC), ((0, 700), (0, 700)), 5),
+])
+def test_rotation_window_memory(alphas, box, bound):
+    """A rotation window holds its bytes, one block's offset table and a
+    block's words, and gathers cut words for high-word candidates only."""
+    source = SeqSource.sturmian(RotationSpec.circle(*alphas), CutPartition((0, SCALE - GOLDEN)),
+                                TorusPoint.zero())
+    materialize(source, tuple((0, 8) for _ in box))
+    tracemalloc.start()
+    try:
+        win = materialize(source, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert win.symbols.shape == tuple(hi - lo for lo, hi in box)
+    assert peak < bound * 2 ** 20, peak
+
+
 def test_morse_substitution_invariance():
     # length-2**j prefix equals the j-fold substitution 0->01, 1->10 on "0"
     word = np.array([0], dtype=np.uint8)
@@ -461,10 +481,21 @@ def test_rotation_builder_counts_near_cut_hits_exactly(shape):
     _assert_matches_reference(source, box, _reference_sturmian, near=4)
 
 
+# A cut on a 64-bit word boundary.  z = WORD_CUT - 5 lies 5 below it, in the
+# high word below the cut's, so n = 0 and n = 1 are hits; z = WORD_CUT - 2**64
+# puts every cell of (0, 1000) in that high word, each a candidate and no hit;
+# z = WORD_CUT + 2**64 - 3 * 2**40 keeps high words within 1 above the cut's,
+# at least 2**64 - 3 * 2**40 from it.
+WORD_CUT = 0x123456789ABCDEF << 64
+
+
 @pytest.mark.parametrize("cuts, z, near", [
     ((0, SCALE // 2, SCALE - 1), SCALE - 1, 2),
     ((0, SCALE // 2), SCALE - NEAR_CUT_EPS + 1, 2),
     ((0, SCALE // 2), SCALE - NEAR_CUT_EPS, 1),
+    ((0, WORD_CUT), WORD_CUT - 5, 2),
+    ((0, WORD_CUT), WORD_CUT - (1 << 64), 0),
+    ((0, WORD_CUT), WORD_CUT + (1 << 64) - 3 * NEAR_CUT_EPS, 0),
 ])
 def test_rotation_builder_near_the_top_cut_and_across_zero(cuts, z, near):
     # t = z + n 2**40 steps through 0 once.  z = SCALE - 1 sits on a cut and
