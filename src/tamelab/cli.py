@@ -363,8 +363,9 @@ class _Runner:
         max_len = typed("family", "max_len", int, "6")
         variation = typed("family", "variation", _flag, "false")
         mode = sec.get("mode", "orbit")
-        if mode == "cube" and variation:
-            raise ConfigError("[family] variation needs ordered sample points; "
+        if mode == "cube" and (variation or "cell_width" in sec):
+            key = "variation" if variation else "cell_width"
+            raise ConfigError(f"[family] {key} needs ordered sample points; "
                               "mode = cube columns are cube vertices")
         if mode == "cube":
             dim = typed("family", "dim", int, "3")
@@ -397,7 +398,7 @@ class _Runner:
             lines.append(f"witness_members = {','.join(map(str, witness.indices))}")
             lines.append(f"l1_certified = {certified}")
             lines.append(f"l1_empirical = {empirical}")
-        if "cell_width" in sec and mode == "orbit":
+        if "cell_width" in sec:
             cover = GridCover.from_labels(fs.labels, typed("family", "cell_width", float))
             eps = typed("family", "epsilon", float, "0.5")
             hit, cell = epsilon_ns(fs, cover, eps)

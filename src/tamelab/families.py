@@ -184,11 +184,11 @@ def find_independent_subfamily(fs: FunctionSample, a: float, b: float,
     ``freeset._GapEvaluator``: 0 below a, 1 above b, and the non-symbol 2
     between.  A subsequence qualifies when it shows all its low/high splits.
     Depth-first over increasing row indices, each node counts in one call,
-    before it recurses, the extensions of the children the bound prune
-    keeps: by the later rows that qualified with it, as independence is
-    hereditary.  Returns the lexicographically first witness of maximal
-    length, with the first column of each split, or None when no
-    subsequence of length >= 2 qualifies over this sample.
+    before it recurses, the (child, extension) pairs of the children the
+    bound prune keeps: by the later rows that qualified with it, as
+    independence is hereditary.  Returns the lexicographically first
+    witness of maximal length, with the first column of each split, or
+    None when no subsequence of length >= 2 qualifies over this sample.
     """
     if not a < b:
         raise ArgumentError("thresholds require a < b")
@@ -215,11 +215,9 @@ def find_independent_subfamily(fs: FunctionSample, a: float, b: float,
         pairs = kept * (2 * n - kept - 1) // 2
         if pairs > 0:
             child, ext = np.triu_indices(n, 1)
-            tuples = np.empty((pairs, size), dtype=np.int64)
-            tuples[:, :-2] = indices
-            tuples[:, -2] = rows[child[:pairs]]
-            tuples[:, -1] = rows[ext[:pairs]]
-            independent = ev.count(tuples) == 1 << size
+            parents = np.empty((kept, size - 1), dtype=np.int64)
+            parents[:, :-1], parents[:, -1] = indices, rows[:kept]
+            independent = ev.count(parents, child[:pairs], rows[ext[:pairs]]) == 1 << size
         end = 0
         for i, row in enumerate(rows.tolist()):
             cand = indices + (row,)

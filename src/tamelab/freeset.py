@@ -18,9 +18,9 @@ int64 (parent index, last point) keys.  An interval pool holds every
 translate of a set that fits in it, so it keeps only the sets containing
 its first point and reports that leftmost placement; an explicit pool
 keeps every placement.  A level's distinct gap tuples are counted by one
-call of ``count``, the only counting method of the engine
-``_GapEvaluator``, which also serves the independence search of
-``families``.  The free-set table (``_line_table``) comes from one
+call of ``count`` on their (parent, extension) pairs, the only counting
+method of the engine ``_GapEvaluator``, which also serves the independence
+search of ``families``.  The free-set table (``_line_table``) comes from one
 ranking of the line's pool-span windows by ``language.ranked_windows``:
 their first occurrences, less the padded ones whose live part repeats, are
 the table when they at least halve the shifts and fit the table budget,
@@ -239,7 +239,7 @@ class _GapEvaluator:
     sum_i table[g_i, j] * m**i, or no pattern when a digit is the
     non-symbol m.  ``count`` settles a whole level of tuples together, as
     (parent, extension) pairs: the parent is all but the last row, and
-    pairs in lexicographic order share their parent's codes.  Each block of
+    pairs of one parent, adjacent, share their parent's codes.  Each block of
     pairs runs one loop of epochs over the samples in table order into a
     code-major (codes, digits, pairs) hit table, which a pair leaves once
     it has shown every pattern.  For pattern spaces up to _BITSET_SPACE_MAX
@@ -278,18 +278,17 @@ class _GapEvaluator:
                     len(rows), words, 8).swapaxes(0, 1)
         return bits.view(np.uint64)[..., 0]
 
-    def count(self, tuples: np.ndarray) -> np.ndarray:
-        """Exact pattern counts of an (N, s) array of distinct row tuples,
-        s >= 2, aligned with its rows."""
-        new = _run_starts(tuples[:, :-1])
-        parents, parent_of = tuples[new, :-1], np.cumsum(new, dtype=np.int32) - 1
-        size = tuples.shape[1]
-        level = _level_stats(self.levels, size, len(tuples))
+    def count(self, parents: np.ndarray, parent_of: np.ndarray, exts: np.ndarray) -> np.ndarray:
+        """Exact pattern counts of the row tuples parents[parent_of[i]] +
+        (exts[i],) of s >= 2 rows, aligned with ``exts``: ``parent_of`` is
+        nondecreasing, and a parent may be in no pair."""
+        size = parents.shape[1] + 1
+        level = _level_stats(self.levels, size, exts.size)
         space = self.m ** size
         block = max(1, _BATCH_CELLS // (2 * space + 1))
-        out = np.full(len(tuples), space, dtype=np.int64)
-        for lo in range(0, len(tuples), block):
-            self._settle(parents, parent_of[lo: lo + block], tuples[lo: lo + block, -1], space,
+        out = np.full(exts.size, space, dtype=np.int64)
+        for lo in range(0, exts.size, block):
+            self._settle(parents, parent_of[lo: lo + block], exts[lo: lo + block], space,
                          level, out[lo: lo + block])
         return out
 
@@ -413,11 +412,11 @@ class _FullEvaluator:
         self.m = int(alphabet)
         self.levels: dict[int, dict[str, int]] = {}
 
-    def count(self, tuples: np.ndarray) -> np.ndarray:
-        """m**s for each row of an (N, s) array of row tuples."""
-        size = tuples.shape[1]
-        _level_stats(self.levels, size, len(tuples))["by_full"] += len(tuples)
-        return np.full(len(tuples), self.m ** size, dtype=np.int64)
+    def count(self, parents: np.ndarray, parent_of: np.ndarray, exts: np.ndarray) -> np.ndarray:
+        """m**s for each pair of ``_GapEvaluator.count``'s form."""
+        size = parents.shape[1] + 1
+        _level_stats(self.levels, size, exts.size)["by_full"] += exts.size
+        return np.full(exts.size, self.m ** size, dtype=np.int64)
 
 
 def _owners(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -598,7 +597,7 @@ def _search(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget, singles: i
         level = np.empty((i.size, size + 1), dtype=np.int32)
         level[:, :-1], level[:, -1] = rows[i], sibs[j, -1]
         drops = [i, i] if interval and size == 1 else found + [j, i]
-        counts = _count(ev, level, interval)
+        counts = ev.count(rows, i, level[:, -1]) if interval else _count(ev, level)
     return best, tuple(profile), beam_limited
 
 
@@ -635,18 +634,18 @@ def _prune(i: np.ndarray, j: np.ndarray, rows: np.ndarray, drops: list, span: in
     return i, j, found
 
 
-def _count(ev: _GapEvaluator, level: np.ndarray, interval: bool) -> np.ndarray:
-    """Pattern counts of the candidates, from one evaluator call on their
-    distinct gap tuples in sorted order.  An interval pool's candidates all
-    hold pool[0], so their offsets are those tuples, distinct and sorted."""
-    if interval:
-        return ev.count(level)
+def _count(ev: _GapEvaluator, level: np.ndarray) -> np.ndarray:
+    """Pattern counts of an explicit pool's candidates, from one evaluator
+    call on their distinct gap tuples in sorted order, each paired with its
+    run of equal parents."""
     gaps = level - level[:, :1]
     order = np.lexsort(gaps.T[:0:-1])
     new = _run_starts(gaps[order])
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
-    return ev.count(gaps[order[new]])[inverse]
+    tuples = gaps[order[new]]
+    runs = _run_starts(tuples[:, :-1])
+    return ev.count(tuples[runs, :-1], np.cumsum(runs) - 1, tuples[:, -1])[inverse]
 
 
 def brute_force_free_oracle(win: SeqWindow, pool, max_size: int = 4,

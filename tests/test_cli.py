@@ -379,6 +379,16 @@ def test_cube_family_variation_is_a_config_error(tmp_path, capsys):
     assert run("family", ExperimentConfig.from_text(plain), tmp_path / "plain") == 0
 
 
+def test_cube_family_cell_width_is_a_config_error(tmp_path, capsys):
+    """A grid cover of width cell_width needs ordered sample points too, so
+    on cube vertices it is a config error that names the key, not a run
+    that writes no epsilon_ns line."""
+    text = "[source]\nkind = morse\n\n[family]\nmode = cube\ndim = 3\ncell_width = 0.5\n"
+    assert run("family", ExperimentConfig.from_text(text), tmp_path / "out") == 2
+    assert "[family] cell_width" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "independence.txt").exists()
+
+
 @pytest.mark.parametrize("family, key", [
     ("mode = cube\ndim = 30\n", "[family] dim"),
     ("shifts = 0:99999\npoints = 0:99999\n", "[family] shifts x points"),

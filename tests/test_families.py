@@ -134,14 +134,15 @@ def test_independence_search_matches_brute_force_oracle(monkeypatch):
 
 
 def spy_counts(monkeypatch, calls):
-    """Append each engine ``count`` call's tuples to ``calls``; the returned
-    set gathers the tuples found qualifying, all their splits shown."""
+    """Append each engine ``count`` call's row tuples, parent and extension,
+    to ``calls``; the returned set gathers the tuples found qualifying, all
+    their splits shown."""
     qualifying = set()
     count = freeset._GapEvaluator.count
 
-    def spy(self, tuples):
-        calls.append(tuples.tolist())
-        got = count(self, tuples)
+    def spy(self, parents, parent_of, exts):
+        calls.append(np.column_stack((parents[parent_of], exts)).tolist())
+        got = count(self, parents, parent_of, exts)
         qualifying.update(t for t, c in zip(map(tuple, calls[-1]), got.tolist())
                           if c == 1 << len(t))
         return got

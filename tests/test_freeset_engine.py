@@ -15,7 +15,7 @@ import hashlib
 import tracemalloc
 import warnings
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -278,6 +278,34 @@ def extension_tuples(parent, rows):
     return np.array([parent + (e,) for e in range(parent[-1] + 1, rows)])
 
 
+def count_tuples(ev, tuples):
+    """An evaluator's counts of an (N, s) array of row tuples, each run of
+    equal parents (all but the last row) passed as one parent."""
+    new = np.ones(len(tuples), dtype=bool)
+    new[1:] = (tuples[1:, :-1] != tuples[:-1, :-1]).any(axis=1)
+    return ev.count(tuples[new, :-1], np.cumsum(new) - 1, tuples[:, -1])
+
+
+def random_pairs(rng, rows, size):
+    """Seeded ``count`` arguments over a table's rows: each (size - 1)-subset
+    of all rows but the last is a parent, in shuffled order; the pairs'
+    parent ids are a sorted choice of about half of them, so that from two
+    parents on some are in no pair and the ids may skip; each id's
+    extensions are a nonempty random set of the rows after its parent's
+    last."""
+    parents = np.array(list(combinations(range(rows - 1), size - 1)))
+    parents = parents[rng.permutation(len(parents))]
+    used = np.sort(rng.choice(len(parents), (len(parents) + 1) // 2, replace=False))
+    exts = []
+    for p in used.tolist():
+        later = np.arange(parents[p, -1] + 1, rows)
+        pick = rng.random(later.size) < 0.6
+        pick[rng.integers(later.size)] = True
+        exts.append(later[pick])
+    parent_of = np.repeat(used, [e.size for e in exts])
+    return parents, parent_of, np.concatenate(exts)
+
+
 def assert_full_counts_agree(table, m):
     """On a table that shows every word and no non-symbol, the full-table
     evaluator counts every tuple that holds row 0 as the scan engine does,
@@ -288,7 +316,7 @@ def assert_full_counts_agree(table, m):
     for size in range(rows - 1):
         for rest in combinations(range(1, rows - 1), size):
             tuples = extension_tuples((0,) + rest, rows)
-            assert np.array_equal(full.count(tuples), scan.count(tuples)), rest
+            assert np.array_equal(count_tuples(full, tuples), count_tuples(scan, tuples)), rest
 
 
 def line_rule(line, m, shifts, width):
@@ -415,7 +443,7 @@ def test_lattice_index_is_bounded_on_a_base_1_table():
         assert not freeset._line_table(line, _NoPower(2), shifts, None, width)[2]
     assert freeset._line_table(np.zeros(42, dtype=np.uint8), 1, 40, None, 3)[2]
     ones = freeset._FullEvaluator(1)
-    assert ones.count(np.array([[0, 1], [0, 2], [1, 2]])).tolist() == [1, 1, 1]
+    assert count_tuples(ones, np.array([[0, 1], [0, 2], [1, 2]])).tolist() == [1, 1, 1]
     words = de_bruijn_line(2, 16)
     tracemalloc.start()
     try:
@@ -480,19 +508,31 @@ def recount_columns(table, m, tup):
     return len({col for col in zip(*table[list(tup)].tolist()) if m not in col})
 
 
-# the non-symbol tables, and an alphabet-1 table without the non-symbol
-@pytest.mark.parametrize("m, base_one", [(2, False), (3, False), (1, False), (1, True)],
-                         ids=["2", "3", "1", "1-base1"])
+def every_word_table(m, rows=7, n=40):
+    """Each word of the rows over m symbols as a column, in seeded order,
+    repeated to at least n columns."""
+    words = np.array(list(product(range(m), repeat=rows)), dtype=np.uint8).T
+    words = words[:, np.random.default_rng(m).permutation(words.shape[1])]
+    return np.ascontiguousarray(np.tile(words, -(-n // words.shape[1])))
+
+
+# the non-symbol tables, and full tables without the non-symbol: on the
+# alphabet 1, 40 zero columns; on 3 symbols, 5 rows
+@pytest.mark.parametrize("m, full", [(2, False), (3, False), (1, False), (1, True), (2, True),
+                                     (3, True)],
+                         ids=["2", "3", "1", "1-base1", "2-full", "3-full"])
 @pytest.mark.parametrize("path", sorted(ENGINE_PATHS))
-def test_non_symbol_at_any_digit_is_no_pattern(monkeypatch, path, m, base_one):
+def test_non_symbol_at_any_digit_is_no_pattern(monkeypatch, path, m, full):
     """A sample where any row of a tuple shows the non-symbol m counts for
     no pattern of that tuple, whichever digit the row is: through one
-    ``count`` call per parent's extensions, and per level of the tuples
-    holding row 0, in lexicographic order or shuffled, in one block or
-    split by a small cell cap."""
+    ``count`` call per parent's extensions, per level of the tuples
+    holding row 0, in lexicographic order or shuffled, and per level of
+    random pairs whose parent ids skip parents in no pair, in one block or
+    split by a small cell cap.  On a full table the full-table evaluator
+    counts those pairs as the recount does."""
     for name, value in ENGINE_PATHS.get(path, {}).items():
         monkeypatch.setattr(freeset, name, value)
-    table = np.zeros((7, 40), dtype=np.uint8) if base_one else non_symbol_table(m)
+    table = every_word_table(m, 5 if m == 3 else 7) if full else non_symbol_table(m)
     rows = table.shape[0]
     rng = np.random.default_rng(rows)
     for cells in (freeset._BATCH_CELLS, 64):
@@ -502,14 +542,22 @@ def test_non_symbol_at_any_digit_is_no_pattern(monkeypatch, path, m, base_one):
             for parent in combinations(range(rows - 1), size - 1):
                 tuples = extension_tuples(parent, rows)
                 expected = [recount_columns(table, m, tup) for tup in tuples.tolist()]
-                assert ev.count(tuples).tolist() == expected, parent
+                assert count_tuples(ev, tuples).tolist() == expected, parent
         for shuffled in (False, True):
             for size in range(2, rows + 1):
                 tuples = np.array([(0,) + rest for rest in combinations(range(1, rows), size - 1)])
                 if shuffled:
                     tuples = tuples[rng.permutation(len(tuples))]
                 expected = [recount_columns(table, m, tup) for tup in tuples.tolist()]
-                assert ev.count(tuples).tolist() == expected, (cells, size, shuffled)
+                assert count_tuples(ev, tuples).tolist() == expected, (cells, size, shuffled)
+        for size in range(2, rows + 1):
+            parents, parent_of, exts = random_pairs(rng, rows, size)
+            tuples = np.column_stack((parents[parent_of], exts))
+            expected = [recount_columns(table, m, tup) for tup in tuples.tolist()]
+            assert ev.count(parents, parent_of, exts).tolist() == expected, (cells, size)
+            if full:
+                assert freeset._FullEvaluator(m).count(parents, parent_of, exts).tolist() == (
+                    expected), size
         # the bits path's bit table takes pattern spaces up to 81, the
         # unscanned path's up to 32, and no byte is scanned for them
         for size, level in ev.levels.items():
@@ -560,14 +608,14 @@ def test_bit_epochs_settle_non_free_pairs_as_the_scan_does(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(freeset._GapEvaluator, "_settle_bits", spy)
         ev = freeset._GapEvaluator(table, 3)
-        counts = ev.count(tuples)
+        counts = count_tuples(ev, tuples)
     assert epochs == [(0, 1024, 1999), (1024, 4096, 1999), (4096, n, 1999)]
     assert ev.levels[2] == {"candidates": 1999, "rows": 0, "by_scan": 0, "by_bits": 1999,
                             "by_full": 0}
     assert counts.tolist() == [6] * 1999
     monkeypatch.setattr(freeset, "_BITSET_SPACE_MAX", 0)
     scan = freeset._GapEvaluator(table, 3)
-    assert np.array_equal(scan.count(tuples), counts)
+    assert np.array_equal(count_tuples(scan, tuples), counts)
     assert scan.levels[2]["by_scan"] == 1999
     for g in range(1, 2000, 37):
         assert patterns_on(win, CoordSet.of([0, g])).count == counts[g - 1], g
@@ -825,12 +873,15 @@ class _HashedEvaluator:
 
     def __init__(self, seed, percent):
         self.m, self.seed, self.percent = 2, seed, percent
+        self.counted = []  # the row tuples of each ``count`` call
 
     def free(self, gaps):
         digest = hashlib.blake2b(repr((self.seed, gaps)).encode(), digest_size=2).digest()
         return int.from_bytes(digest, "little") % 100 < self.percent
 
-    def count(self, tuples):
+    def count(self, parents, parent_of, exts):
+        tuples = np.column_stack((parents[parent_of], exts))
+        self.counted.append(tuples)
         space = 2 ** tuples.shape[1]
         return np.array([space if self.free(tuple(t)) else 0 for t in tuples.tolist()])
 
@@ -873,7 +924,8 @@ def test_join_and_prune_match_set_based_apriori_gen(monkeypatch):
     """On random levels, from hashed freeness, every level's candidates are
     exactly apriori-gen's, for interval pools (whose size-3 prune reads the
     pair without the first point translated back to it) and explicit ones,
-    each reaching size 6 on some seed."""
+    each reaching size 6 on some seed.  An interval pool's levels are read
+    from the evaluator's ``count``, an explicit pool's from ``_count``."""
     depths = {"interval": 0, "explicit": 0}
     for seed in range(12):
         rng = np.random.default_rng(seed)
@@ -887,13 +939,17 @@ def test_join_and_prune_match_set_based_apriori_gen(monkeypatch):
             seen = {}
             count = freeset._count
 
-            def spy(ev, level, interval):
+            def spy(ev, level):
                 seen[level.shape[1]] = {tuple(pool[0] + int(a) for a in row) for row in level}
-                return count(ev, level, interval)
+                return count(ev, level)
 
             with monkeypatch.context() as patch:
                 patch.setattr(freeset, "_count", spy)
                 _, profile, limited = freeset._search(ev, pool, FreeSearchBudget(6, pool), 2)
+            if kind == "interval":
+                assert not seen
+                seen = {level.shape[1]: {tuple(pool[0] + int(a) for a in row) for row in level}
+                        for level in ev.counted}
             expected = apriori_levels(pool, 6, ev.free)
             assert seen == expected, (seed, kind)
             assert not limited and [p.size for p in profile] == [1] + sorted(expected)
@@ -967,7 +1023,7 @@ def test_pairs_settling_at_different_epochs_leave_the_hit_table(monkeypatch, pat
 
     monkeypatch.setattr(freeset._GapEvaluator, "_settle_bits", spy)
     ev = freeset._GapEvaluator(table, 2)
-    counts = ev.count(tuples)
+    counts = count_tuples(ev, tuples)
     win = materialize(SeqSource.explicit(SeqWindow((0,), line, 2, "events")), (0, line.size))
     assert counts.tolist() == [patterns_on(win, CoordSet.of(t), shifts=range(n)).count
                                for t in tuples.tolist()]
@@ -998,3 +1054,25 @@ def test_fib100k_search_memory():
     assert [(p.size, p.free_count) for p in result.profile] == [(1, 1), (2, 762), (3, 0)]
     assert result.stats["levels"][3]["candidates"] == 227_610
     assert peak < 17 * 2 ** 20, peak
+
+
+def test_explicit_pool_counts_each_gap_tuple_once(monkeypatch):
+    """An explicit pool's placed candidates that share a gap tuple are
+    counted once: on the golden coding over 0:20000 with the pool
+    0, 2, ..., 24, level 2 joins 78 candidates of 12 gap tuples, and
+    level 3 joins 108 of 26."""
+    joined = {}
+    count = freeset._count
+
+    def spy(ev, level):
+        joined[level.shape[1]] = len(level)
+        return count(ev, level)
+
+    monkeypatch.setattr(freeset, "_count", spy)
+    result = search(materialize(SeqSource.fibonacci(), (0, 20000)),
+                    FreeSearchBudget(4, tuple(range(0, 25, 2))))
+    assert joined == {2: 78, 3: 108}
+    assert result.stats["levels"][2]["candidates"] == 12
+    assert result.stats["levels"][3]["candidates"] == 26
+    assert [(p.size, p.free_count, p.best_set.coords) for p in result.profile] == [
+        (1, 13, (0,)), (2, 58, (0, 2)), (3, 0, (0, 2, 8))]
