@@ -105,8 +105,8 @@ class EvidenceReport:
         return self.entropy.headline
 
     def to_text(self) -> str:
-        """``entropy_headline`` is the tail slope at n_max; the line
-        ``free_search beam_limited = True`` says a beam cut the search."""
+        """``entropy_headline`` is the tail slope at n_max; ``free_search beam_limited = True``
+        says a level of the search below its max_size held more free sets than the beam."""
         lines = ["TAMELAB-REPORT v1", f"source = {self.source_digest}"]
         for key in sorted(self.scale):
             lines.append(f"scale.{key} = {self.scale[key]}")

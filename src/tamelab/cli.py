@@ -367,6 +367,8 @@ class _Runner:
             key = "variation" if variation else "cell_width"
             raise ConfigError(f"[family] {key} needs ordered sample points; "
                               "mode = cube columns are cube vertices")
+        if "epsilon" in sec and "cell_width" not in sec:
+            raise ConfigError("[family] epsilon needs [family] cell_width, its grid cover")
         if mode == "cube":
             dim = typed("family", "dim", int, "3")
             if dim < 1:

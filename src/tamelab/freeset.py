@@ -11,24 +11,26 @@ re-verify against the window.
 Coverage over the full valid shift range of a window depends only on the
 gap vector of A, not its placement: translating A by c translates its
 valid shift range by -c and reproduces the same pattern multiset.  One
-level-wise loop serves both kinds of pool.  Each set of a level carries
-the index, in the level below, of each of its subsets one point smaller,
-so the join pairs rows by parent index and the prune looks subsets up by
-int64 (parent index, last point) keys.  An interval pool holds every
-translate of a set that fits in it, so it keeps only the sets containing
-its first point and reports that leftmost placement; an explicit pool
-keeps every placement.  A level's distinct gap tuples are counted by one
-call of ``count`` on their (parent, extension) pairs, the only counting
-method of the engine ``_GapEvaluator``, which also serves the independence
-search of ``families``.  The free-set table (``_line_table``) comes from one
+generator, ``_levels``, yields the levels of both kinds of pool with
+their counts, and ``max_free_set`` builds the profile and the best set
+from them.  Each set of a level carries the index, in the level below, of
+each of its subsets one point smaller, so the join pairs rows by parent
+index and the prune looks subsets up by int64 (parent index, last point)
+keys.  An interval pool holds every translate of a set that fits in it,
+so it keeps only the sets containing its first point and reports that
+leftmost placement; an explicit pool keeps every placement.  A level's
+distinct gap tuples are counted by one call of ``count`` on their
+(parent, extension) pairs, the only counting method of the engine
+``_GapEvaluator``, which also serves the independence search of
+``families``.  The free-set table (``_line_table``) comes from one
 ranking of the line's pool-span windows by ``language.ranked_windows``:
-their first occurrences, less the padded ones whose live part repeats, are
-the table when they at least halve the shifts and fit the table budget,
-and else it is the zero-copy view of every shift.  The same ranking tells
-whether the table is full: its kept windows are all m**W words and none
-is padded, as de Bruijn windows and concatenation slots over a short pool
-are.  A full table is answered by ``_FullEvaluator`` without counting;
-the choice changes no result.
+their first occurrences, less the padded ones whose live part repeats,
+are the table when they at least halve the shifts and fit the table
+budget, and else it is the zero-copy view of every shift.  The same
+ranking tells whether the table is full: its kept windows are all m**W
+words and none is padded, as de Bruijn windows and concatenation slots
+over a short pool are.  A full table is answered by ``_FullEvaluator``
+without counting; the choice changes no result.
 
 All claims are finite-scale: a certificate states the shift count it was
 computed over, and absence of a free set means absence at that horizon.
@@ -450,27 +452,25 @@ def _level_stats(levels: dict, size: int, candidates: int) -> dict[str, int]:
 
 
 def max_free_set(win: SeqWindow, budget: FreeSearchBudget) -> FreeSearchResult:
-    """Largest fully-covered coordinate set in the pool, plus a size profile.
-
-    Level s+1 candidates are unions of level-s free sets sharing their
-    first s-1 coordinates; every subset of a candidate must already be
-    free (downward closure).  Without a beam the search is exhaustive
-    over that closure and the result is exactly the maximum free subset
-    of the pool at this horizon.  With a beam, returned certificates are
-    still valid; the beam can only miss sets, never fabricate them.
+    """Largest fully-covered coordinate set in the pool, plus a size profile
+    of one entry per level of ``_levels``.  A level's best set, its first of
+    highest count, is its first free set when it has one; the last such is
+    certified.  Without a beam the search is exhaustive over the downward
+    closure: the result is the maximum free subset of the pool at this
+    horizon.  A beam can only miss sets, never fabricate them; it cut a
+    level iff one below ``max_size`` held more free sets than it.
     """
     if win.rank != 1:
         raise DimensionError("free-set search operates on rank-1 windows")
     m = win.alphabet_size
     _check_capacity(m, budget.max_size)
-    horizon = budget.horizon
     origin, length = win.origin[0], win.extents[0]
     ends = (budget.pool[0], budget.pool[-1]) if isinstance(budget.pool, range) else budget.pool
     if min(ends) < origin or max(ends) >= origin + length:  # before the pool is built
         raise ArgumentError("pool extends outside the window")
     pool = tuple(sorted(set(int(p) for p in budget.pool)))
     width = pool[-1] - pool[0] + 1
-    shifts = min(length, horizon) if horizon else length
+    shifts = min(length, budget.horizon) if budget.horizon else length
     table, windows, full = _line_table(win.line(), m, shifts, win.meta.get("period"), width)
     ev = _FullEvaluator(m) if full else _GapEvaluator(table, m)
     if m ** budget.max_size > shifts:
@@ -478,16 +478,22 @@ def max_free_set(win: SeqWindow, budget: FreeSearchBudget) -> FreeSearchResult:
                       "coverage 1", stacklevel=2)
 
     singles = int(np.count_nonzero(np.bincount(table[0], minlength=m + 1)[:m]))
-    best_coords, profile, beam_limited = _search(ev, pool, budget, singles)
-    best = None
-    if best_coords is not None:
-        best = is_free(win, CoordSet.of(best_coords), horizon)
-        if not best.is_free or not best.verify(win):
-            raise WitnessIntegrityError(
-                "search result failed re-verification against the window")
+    profile = []
+    for level, counts in _levels(ev, pool, budget, singles):
+        size, space = level.shape[1], m ** level.shape[1]
+        rows = level[counts == space]
+        top = CoordSet.of([pool[0] + p for p in level[counts.argmax()].tolist()])
+        diam = int((rows[:, -1] - rows[:, 0]).min()) if len(rows) else None
+        profile.append(SizeProfile(size, Fraction(int(counts.max()), space), top, len(rows), diam))
+    beam_limited = budget.beam is not None and any(
+        e.free_count > budget.beam for e in profile if e.size < budget.max_size)
+    best = next((is_free(win, e.best_set, budget.horizon) for e in reversed(profile)
+                 if e.free_count), None)
+    if best is not None and not (best.is_free and best.verify(win)):
+        raise WitnessIntegrityError("search result failed re-verification against the window")
     stats = {"evaluator": ev.name, "windows": windows, "table_rows": int(table.shape[1]),
              "levels": dict(sorted(ev.levels.items()))}
-    return FreeSearchResult(best, profile, shifts, beam_limited, stats)
+    return FreeSearchResult(best, tuple(profile), shifts, beam_limited, stats)
 
 
 def _line_table(line: np.ndarray, m: int, shifts: int, period: int | None,
@@ -553,52 +559,44 @@ def _repeat_cut(line: np.ndarray, lo: int, hi: int) -> int:
     return lo
 
 
-def _search(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget, singles: int
-            ) -> tuple[tuple | None, tuple[SizeProfile, ...], bool]:
-    """Level-wise search over positioned sets: (best set, profile, beam-limited).
-
-    A level is an (N, s) int32 array of sets in lexicographic order, as
-    offsets from pool[0], with an int32 array of drop ids per column k: the
-    index among the kept rows below of the row less column k, translated
-    back to pool[0] on an interval pool.  The last is the parent; once a
-    beam cuts a level no other is read.  A level's best set is its first of
-    highest count.  Every level-1 set shows the ``singles`` symbols of
-    table row 0, and an interval pool's (pool[0],) joins every pool point.
+def _levels(ev: _GapEvaluator, pool: tuple, budget: FreeSearchBudget, singles: int):
+    """Level-wise search over positioned sets, yielding each level, an (N, s)
+    int32 array of sets in lexicographic order as offsets from pool[0], with
+    its counts.  A level carries an int32 array of drop ids per column k:
+    the index among the kept rows below of the row less column k, translated
+    back to pool[0] on an interval pool.  The kept rows, the free ones, are
+    cut to the first ``budget.beam``; the last drop id is the parent, and
+    once a beam cuts a level no other is read.  Every level-1 set shows the
+    ``singles`` symbols of table row 0; an interval pool's (pool[0],) joins
+    every pool point.
     """
-    base, span = pool[0], pool[-1] - pool[0] + 1
+    span = pool[-1] - pool[0] + 1
     interval = span == len(pool)
-    points = np.array([p - base for p in pool], dtype=np.int32)[:, None]
+    points = np.array([p - pool[0] for p in pool], dtype=np.int32)[:, None]
     level = points[:1] if interval else points
-    counts, drops = np.full(len(level), singles), []
-    profile, best, beam_limited = [], None, False
+    counts, drops, cut = np.full(len(level), singles), [], False
     while True:
-        size, space = level.shape[1], ev.m ** level.shape[1]
-        free = counts == space
+        yield level, counts
+        size = level.shape[1]
+        free = counts == ev.m ** size
         rows = level[free]
-        diam = int((rows[:, -1] - rows[:, 0]).min()) if len(rows) else None
-        top = CoordSet.of([base + p for p in level[counts.argmax()].tolist()])
-        profile.append(SizeProfile(size, Fraction(int(counts.max()), space), top, len(rows), diam))
-        if len(rows):
-            best = tuple(base + p for p in rows[0].tolist())
         if size == budget.max_size or not len(rows):
-            break
+            return
         drops = [d[free] for d in drops]
         if budget.beam is not None and len(rows) > budget.beam:
-            rows, drops = rows[: budget.beam], [d[: budget.beam] for d in drops]
-            beam_limited = True
+            rows, drops, cut = rows[: budget.beam], [d[: budget.beam] for d in drops], True
         sibs = points if interval and size == 1 else rows
         parent = drops[-1] if drops else np.zeros(len(sibs), dtype=np.int32)
         i, j = _join(parent, len(rows), size + 1)
         # the subset prune is sound only on a complete level
         i, j, found = (_prune(i, j, rows, drops, span, interval)
-                       if size > 1 and not beam_limited else (i, j, []))
+                       if size > 1 and not cut else (i, j, []))
         if not i.size:
-            break
+            return
         level = np.empty((i.size, size + 1), dtype=np.int32)
         level[:, :-1], level[:, -1] = rows[i], sibs[j, -1]
         drops = [i, i] if interval and size == 1 else found + [j, i]
         counts = ev.count(rows, i, level[:, -1]) if interval else _count(ev, level)
-    return best, tuple(profile), beam_limited
 
 
 def _join(parent: np.ndarray, n: int, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -389,6 +389,20 @@ def test_cube_family_cell_width_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "independence.txt").exists()
 
 
+def test_family_epsilon_without_cell_width_is_a_config_error(tmp_path, capsys):
+    """epsilon is read on the grid cover of width cell_width, so without it
+    the run is a config error that names the key, raised before the sample
+    is built, not a run that writes no epsilon_ns line."""
+    text = ("[source]\nkind = morse\n\n[family]\nshifts = 0:7\npoints = 0:99\n"
+            "epsilon = 0.1\n")
+    assert run("family", ExperimentConfig.from_text(text), tmp_path / "out") == 2
+    assert "[family] epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "family.csv").exists()
+    with_cover = text + "cell_width = 0.5\n"
+    assert run("family", ExperimentConfig.from_text(with_cover), tmp_path / "cover") == 0
+    assert "epsilon_ns eps=0.1" in (tmp_path / "cover" / "independence.txt").read_text()
+
+
 @pytest.mark.parametrize("family, key", [
     ("mode = cube\ndim = 30\n", "[family] dim"),
     ("shifts = 0:99999\npoints = 0:99999\n", "[family] shifts x points"),

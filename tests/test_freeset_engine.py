@@ -462,6 +462,10 @@ BEAM_CASES = [
      (0, 2, 3, 7, 11, 12, 20), 4, None, 4),
     ("noise-explicit-pool-level-1-beam", lambda: materialize(SeqSource.random(5), (0, 1500)),
      (0, 3, 4, 9, 10, 15), 4, None, 2),
+    # the beam leaves level 2 one row, which joins nothing: the search
+    # ends there, and the flag comes from the level's 6 free sets
+    ("golden-interval-beam-1", lambda: materialize(SeqSource.fibonacci(), (0, 20000)),
+     tuple(range(0, 10)), 4, None, 1),
 ]
 
 
@@ -924,8 +928,14 @@ def test_join_and_prune_match_set_based_apriori_gen(monkeypatch):
     """On random levels, from hashed freeness, every level's candidates are
     exactly apriori-gen's, for interval pools (whose size-3 prune reads the
     pair without the first point translated back to it) and explicit ones,
-    each reaching size 6 on some seed.  An interval pool's levels are read
-    from the evaluator's ``count``, an explicit pool's from ``_count``."""
+    each reaching size 6 on some seed.  ``max_free_set`` reads the levels
+    from ``_levels``, here run on the hashed evaluator, and each level is
+    checked as yielded and as counted: an interval pool's by the
+    evaluator's ``count``, an explicit pool's by ``_count``.  The profile
+    that ``max_free_set`` builds from them has their sizes and free
+    counts, and no beam flag."""
+    win = materialize(SeqSource.random(2), (-100, 200))
+    levels, count = freeset._levels, freeset._count
     depths = {"interval": 0, "explicit": 0}
     for seed in range(12):
         rng = np.random.default_rng(seed)
@@ -936,23 +946,36 @@ def test_join_and_prune_match_set_based_apriori_gen(monkeypatch):
                  "explicit": tuple(sorted(explicit.tolist()))}
         for kind, pool in pools.items():
             ev = _HashedEvaluator(seed, 90)
-            seen = {}
-            count = freeset._count
+            seen, yielded = {}, {}
+
+            def placed(level):
+                return {tuple(pool[0] + int(a) for a in row) for row in level}
 
             def spy(ev, level):
-                seen[level.shape[1]] = {tuple(pool[0] + int(a) for a in row) for row in level}
+                seen[level.shape[1]] = placed(level)
                 return count(ev, level)
+
+            def hashed_levels(_, pool, budget, singles):
+                for level, counts in levels(ev, pool, budget, 2):
+                    yielded[level.shape[1]] = placed(level)
+                    yield level, counts
+
+            def unchecked(win, A, horizon):  # hashed freeness has no witnesses
+                return freeset.FreeSetCertificate(A, 2, 1, Fraction(1))
 
             with monkeypatch.context() as patch:
                 patch.setattr(freeset, "_count", spy)
-                _, profile, limited = freeset._search(ev, pool, FreeSearchBudget(6, pool), 2)
+                patch.setattr(freeset, "_levels", hashed_levels)
+                patch.setattr(freeset, "is_free", unchecked)
+                result = max_free_set(win, FreeSearchBudget(6, pool))
             if kind == "interval":
                 assert not seen
-                seen = {level.shape[1]: {tuple(pool[0] + int(a) for a in row) for row in level}
-                        for level in ev.counted}
+                seen = {level.shape[1]: placed(level) for level in ev.counted}
             expected = apriori_levels(pool, 6, ev.free)
             assert seen == expected, (seed, kind)
-            assert not limited and [p.size for p in profile] == [1] + sorted(expected)
+            assert {s: c for s, c in yielded.items() if s > 1} == expected, (seed, kind)
+            profile = result.profile
+            assert not result.beam_limited and [p.size for p in profile] == [1] + sorted(expected)
             for entry in profile[1:]:
                 assert entry.free_count == sum(ev.free(tuple(a - c[0] for a in c))
                                                for c in expected[entry.size])
