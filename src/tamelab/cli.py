@@ -5,9 +5,11 @@ is the one window of a run: every command that reads symbols, ``classify``
 included, materializes the source over it once.  Every run writes
 its artifacts plus a manifest listing the config digest, versions, wall
 time, and a content digest per output file.  Outputs are byte-identical
-for identical configs; wall time lives only in the manifest.  Every run
-is single-threaded: ``run(threads=)`` and ``--threads`` are accepted for
-compatibility and ignored.
+for identical configs; wall time lives only in the manifest.  A run is
+one process, except that a noise window of two or more parts is hashed in
+forked children, one per available core, with identical bytes.
+``run(threads=)`` and ``--threads`` are accepted for compatibility and
+ignored.
 
 Exit codes: 0 success, 2 configuration error, 3 capacity error,
 4 I/O error, 5 invalid argument or range, 6 unexpected failure.
@@ -442,7 +444,7 @@ def run(command: str, config: ExperimentConfig, out_dir, threads: int = 1,
         fmt: str = "text") -> int:
     """Execute one analysis command; returns the process exit code.
 
-    ``threads`` is accepted and ignored: every run is single-threaded.
+    ``threads`` is accepted and ignored (see the module docstring).
     """
     started = time.monotonic()
     out = Path(out_dir)
@@ -491,7 +493,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", metavar="DIR",
                         help=f"output directory (default ${OUT_ENV} or ./tamelab-out)")
     parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="accepted and ignored: every run is single-threaded")
+                        help="accepted and ignored")
     parser.add_argument("--format", choices=("csv", "text"), default="text",
                         help="format for summary reports")
     args = parser.parse_args(argv)

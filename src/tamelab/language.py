@@ -243,17 +243,22 @@ def patterns_on(win: SeqWindow, A: CoordSet, shifts="all",
     return PatternSet(A, win.alphabet_size, uniq, int(codes.size), desc, witness)
 
 
-def _first_positions(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+def _first_positions(codes: np.ndarray, space: int, tail: int = 0
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct codes in [0, space), ascending as int64, and the first
     position of each: a table of the space when it is at most twice the
     codes, lowered ``_FIRST_BLOCK`` positions at a time (no further once a
     table within one block is full), else one sort of the words
-    code << b | j, in which each code's run starts at its first position."""
+    code << b | j, in which each code's run starts at its first position.
+    The last ``tail`` codes must each occur nowhere else: the table takes
+    them by their codes first, so that a full table can stop the lowering
+    before it reaches them."""
     size = codes.size
     if space <= 2 * size:
         first = np.full(space, size, dtype=np.int32)  # positions below 2**31, as ids
-        for lo in range(0, size, _FIRST_BLOCK):
-            hi = min(lo + _FIRST_BLOCK, size)
+        first[codes[size - tail:]] = np.arange(size - tail, size, dtype=np.int32)
+        for lo in range(0, size - tail, _FIRST_BLOCK):
+            hi = min(lo + _FIRST_BLOCK, size - tail)
             np.minimum.at(first, codes[lo:hi], np.arange(lo, hi, dtype=np.int32))
             if space <= _FIRST_BLOCK and first.max() < size:
                 break  # every code is seen, and later positions come after
@@ -385,27 +390,27 @@ def window_classes(symbols: np.ndarray, width: int) -> np.ndarray:
     Entry j names ``symbols[j:j + width]``: two entries are equal exactly
     when their windows are, and name order is lexicographic window order.
     Karp-Miller-Rosenberg doubling names the windows of length k + d as
-    pairs of length-k names d apart (d <= k).  While n names square to a
-    key space whose own pairs still fit the rank table (n**4 <= twice the
-    windows), a doubling keeps the unranked key name * n + name, below
-    sqrt(2 * windows), so int32; the last pair of each such run, and every
-    other step, is ranked densely in pair order (``_pair_classes``).  Once
-    every window is distinct, longer windows are too and the names stop
-    being refined.
+    pairs of length-k names d apart (d <= k).  The length-1 names are the
+    symbols themselves, in a key space of ``symbols.max() + 1``.  While n
+    names square to a key space whose own pairs still fit the rank table
+    (n**4 <= twice the windows), a doubling keeps the unranked key
+    name * n + name, below sqrt(2 * windows), so int32; the last pair of
+    each such run, and every other step, is ranked densely in pair order
+    (``_pair_classes``).  Once a ranked step finds every window distinct,
+    longer windows are too and the names stop being refined.
     """
     if not 1 <= width <= symbols.size:
         raise ArgumentError("window width must lie in 1..len(symbols)")
-    ids, n_cls = _pair_classes(np.zeros(symbols.size, np.int32), 1, symbols,
-                               int(symbols.max()) + 1)
+    ids, n_cls = symbols.astype(np.int32), int(symbols.max()) + 1
     k = 1
     while k < width:
-        if n_cls == ids.size:
-            return ids[: symbols.size - width + 1]
         while 2 * k < width and n_cls ** 4 <= 2 * ids.size:  # unranked doubling
             ids, n_cls, k = _pair_keys(ids[:-k], n_cls, ids[k:], np.int32), n_cls * n_cls, 2 * k
         d = min(k, width - k)
         ids, n_cls = _pair_classes(ids[:-d], n_cls, ids[d:], n_cls)
         k += d
+        if n_cls == ids.size:  # n_cls is an exact count only after a ranked step
+            return ids[: symbols.size - width + 1]
     return ids
 
 
@@ -434,14 +439,17 @@ def ranked_windows(line: np.ndarray, m: int, width: int, count: int
     """The line's first count + width - 1 cells, padded to that length with
     the non-symbol m, and the first position j < count of each distinct
     width-window, in lexicographic window order.  ``window_classes``'
-    ranks are not dense when every window was distinct before ``width``
-    and it stopped refining, so the positions span ``ids.max() + 1`` codes.
+    names are not dense at width 1, or when every window was distinct
+    before ``width`` and it stopped refining, so the positions span
+    ``ids.max() + 1`` codes.  The windows that hold m each hold it first
+    at their own offset, so each is distinct and occurs once, at the end:
+    they are ``_first_positions``' tail.
     """
     padded = np.full(count + width - 1, m, dtype=np.uint8)
     live = min(line.size, padded.size)
     padded[:live] = line[:live]
     ids = window_classes(padded, width)
-    return padded, _first_positions(ids, int(ids.max()) + 1)[1]
+    return padded, _first_positions(ids, int(ids.max()) + 1, count - max(0, live - width + 1))[1]
 
 
 def _line_counts(line: np.ndarray, alphabet: int, n_max: int) -> list[int]:

@@ -22,6 +22,8 @@ explicit        symbols loaded from a TAMELAB-SEQ v1 file
 from __future__ import annotations
 
 import hashlib
+import mmap
+import os
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -59,10 +61,15 @@ COORD_LIMIT = 1 << 63
 # Orbit builders work in blocks of at most this many cells, so that their
 # uint64 temporaries stay a few MB.
 BLOCK_CELLS = 1 << 16
-# The noise builder hashes this many cells at a time.  A block's message and
-# digest bytes objects live until the block is written, and the interpreter
-# keeps the small-object pages they touched, so blocks stay small.
+# The noise builder hashes this many cells at a time, in each part of its
+# window.  A block's message and digest bytes objects live until the block
+# is written, and the interpreter keeps the small-object pages they touched,
+# so blocks stay small.
 _HASH_BLOCK_CELLS = 1 << 10
+# The noise builder splits a window into one part per available core, each
+# of at least this many cells: a fork and its wait cost about as much as
+# hashing a few thousand cells.
+_HASH_PART_CELLS = 1 << 15
 MAX_ALPHABET = 16
 MAX_RANK = 3
 MAX_DE_BRUIJN_ORDER = 24
@@ -499,18 +506,47 @@ def _build_random(source: SeqSource, box: Box) -> SeqWindow:
     blake2b(n as 16 signed little-endian bytes, key = seed as 16 signed
     little-endian bytes, digest_size = 8), mod m.
 
-    The keyed state is made once and copied per cell.  Cells are hashed in
-    blocks of ``_HASH_BLOCK_CELLS``; a block's messages are n's int64 word
-    followed by its sign word n >> 63, which is n's 16-byte encoding for
-    every coordinate ``normalize_box`` admits.
+    The window is cut into contiguous parts, one per available core
+    (``_core_count``), each of at least ``_HASH_PART_CELLS`` cells.  The
+    process hashes the first part itself; each other part is hashed by a
+    forked child into a shared anonymous map, and every child is waited for
+    before the builder returns.  A part whose fork fails, or whose child
+    does not exit 0, is hashed again here.  Every part runs ``_hash_cells``,
+    so the symbols do not depend on the split.
     """
     (lo, hi), = box
     m = source.alphabet_size
     keyed = hashlib.blake2b(key=source.seed.to_bytes(16, "little", signed=True),
                             digest_size=8)
     out = np.empty(hi - lo, dtype=np.uint8)
-    for s in range(0, hi - lo, _HASH_BLOCK_CELLS):
-        n = np.arange(lo + s, min(lo + s + _HASH_BLOCK_CELLS, hi), dtype=np.int64)
+    parts = max(1, min(_core_count(), out.size // _HASH_PART_CELLS))
+    cuts = [out.size * i // parts for i in range(parts + 1)]
+    children = []  # (start, stop, pid or None), in the parts' order
+    with mmap.mmap(-1, out.size) as shared:
+        try:
+            for a, b in zip(cuts[1:-1], cuts[2:]):
+                children.append((a, b, _fork_part(keyed, lo, m, shared, a, b)))
+            _hash_cells(keyed, lo, m, out[:cuts[1]])
+        finally:
+            exited = [_reap(pid) for _, _, pid in children]
+        for (a, b, _), ok in zip(children, exited):
+            if ok:
+                out[a:b] = np.frombuffer(shared[a:b], dtype=np.uint8)
+            else:
+                _hash_cells(keyed, lo + a, m, out[a:b])
+    return SeqWindow((lo,), out, m, source.digest, {})
+
+
+def _hash_cells(keyed, start: int, m: int, out: np.ndarray) -> None:
+    """Write the noise symbols of cells start, start + 1, ... into ``out``.
+
+    The keyed state is made once and copied per cell.  Cells are hashed in
+    blocks of ``_HASH_BLOCK_CELLS``; a block's messages are n's int64 word
+    followed by its sign word n >> 63, which is n's 16-byte encoding for
+    every coordinate ``normalize_box`` admits.
+    """
+    for s in range(0, out.size, _HASH_BLOCK_CELLS):
+        n = np.arange(start + s, start + min(s + _HASH_BLOCK_CELLS, out.size), dtype=np.int64)
         digests = []
         words = np.stack([n, n >> 63], axis=1, dtype="<i8")
         for message in words.view("V16").ravel().tolist():
@@ -518,7 +554,43 @@ def _build_random(source: SeqSource, box: Box) -> SeqWindow:
             h.update(message)
             digests.append(h.digest())
         out[s:s + len(n)] = np.frombuffer(b"".join(digests), dtype="<u8") % m
-    return SeqWindow((lo,), out, m, source.digest, {})
+
+
+def _core_count() -> int:
+    """The cores this process may run on, or 1 where it cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_part(keyed, lo: int, m: int, shared: mmap.mmap, a: int, b: int) -> int | None:
+    """Fork a child that hashes cells lo + a .. lo + b - 1 into bytes a..b
+    of ``shared`` and exits 0; its pid, or None when the fork fails.  The
+    child leaves through ``os._exit`` whatever happens, so it runs none of
+    the parent's exit handlers and never returns into the caller."""
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            _hash_cells(keyed, lo + a, m, np.frombuffer(shared, dtype=np.uint8)[a:b])
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+
+def _reap(pid: int | None) -> bool:
+    """Wait for a part's child; whether it exited 0."""
+    if pid is None:
+        return False
+    try:
+        _, status = os.waitpid(pid, 0)
+    except ChildProcessError:  # reaped elsewhere: its part is hashed again
+        return False
+    return os.waitstatus_to_exitcode(status) == 0
 
 
 def _build_explicit(source: SeqSource, box: Box) -> SeqWindow:

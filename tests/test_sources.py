@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import os
 import random
 import tracemalloc
 from bisect import bisect_right
@@ -10,9 +11,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from tamelab import sources
 from tamelab.errors import ArgumentError, CapacityError, ConfigError, DataIOError
 from tamelab.sources import (
     _HASH_BLOCK_CELLS,
+    _HASH_PART_CELLS,
     NEAR_SPHERE_MARGIN,
     SeqSource,
     SeqWindow,
@@ -653,6 +656,70 @@ def test_random_builder_matches_reference_loop(seed):
 def test_random_seed_outside_128_bits_is_an_argument_error(seed):
     with pytest.raises(ArgumentError, match="seed"):
         SeqSource.random(seed)
+
+
+_P = _HASH_PART_CELLS
+# windows that a 3-core split cuts in three: one crossing 0 of odd length,
+# and one at either end of the coordinate range
+SPLIT_WINDOWS = [(-50_001, 50_000), (_EDGE - 3 * _P - 7, _EDGE), (-_EDGE, -_EDGE + 3 * _P + 11)]
+
+
+@pytest.fixture
+def three_cores(monkeypatch):
+    """Split noise windows three ways on any machine, count the forks, and
+    check after the test that no child process is left."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(sources, "_core_count", lambda: 3)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("box", SPLIT_WINDOWS)
+def test_random_builder_split_into_parts_matches_reference_loop(box, three_cores):
+    _assert_matches_reference(SeqSource.random(-987654321, 7), box, _reference_random)
+    assert len(three_cores) == 2  # the process hashes the first part itself
+
+
+def test_random_parts_whose_fork_fails_are_hashed_in_the_process(three_cores, monkeypatch):
+    def no_fork():
+        three_cores.append(os.getpid())
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _assert_matches_reference(SeqSource.random(5, 3), SPLIT_WINDOWS[0], _reference_random)
+    assert len(three_cores) == 2
+
+
+def test_random_parts_whose_child_fails_are_hashed_in_the_process(three_cores, monkeypatch):
+    parent, calls = os.getpid(), []
+    hash_cells = sources._hash_cells
+
+    def parent_only(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("hashing failed in a child")
+        calls.append(args[1])
+        hash_cells(*args)
+
+    monkeypatch.setattr(sources, "_hash_cells", parent_only)
+    lo = SPLIT_WINDOWS[0][0]
+    _assert_matches_reference(SeqSource.random(5, 3), SPLIT_WINDOWS[0], _reference_random)
+    assert len(three_cores) == 2
+    assert calls == [lo, lo + 33_333, lo + 66_667]  # its own part, then each failed one
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_random_builder_uses_one_part_without_fork_or_affinity(missing, monkeypatch):
+    monkeypatch.delattr(os, missing)
+    assert sources._core_count() == 1
+    _assert_matches_reference(SeqSource.random(5, 3), (0, 2 * _P + 1), _reference_random)
 
 
 @pytest.mark.parametrize("base, cap", [(2, 63), (3, 40), (10, 19)])
