@@ -105,8 +105,9 @@ class EvidenceReport:
         return self.entropy.headline
 
     def to_text(self) -> str:
-        """``entropy_headline`` is the tail slope at n_max; ``free_search beam_limited = True``
-        says a level of the search below its max_size held more free sets than the beam."""
+        """``entropy_headline`` is the tail slope over the printed points (``_entropy_probe``),
+        not ``entropy.csv``'s headline row, which fits every n; ``free_search beam_limited =
+        True`` says a level of the search below its max_size held more free sets than the beam."""
         lines = ["TAMELAB-REPORT v1", f"source = {self.source_digest}"]
         for key in sorted(self.scale):
             lines.append(f"scale.{key} = {self.scale[key]}")

@@ -22,15 +22,12 @@ leftmost placement; an explicit pool keeps every placement.  A level's
 distinct gap tuples are counted by one call of ``count`` on their
 (parent, extension) pairs, the only counting method of the engine
 ``_GapEvaluator``, which also serves the independence search of
-``families``.  The free-set table (``_line_table``) comes from one
-ranking of the line's pool-span windows by ``language.ranked_windows``:
-their first occurrences, less the padded ones whose live part repeats,
-are the table when they at least halve the shifts and fit the table
-budget, and else it is the zero-copy view of every shift.  The same
-ranking tells whether the table is full: its kept windows are all m**W
-words and none is padded, as de Bruijn windows and concatenation slots
-over a short pool are.  A full table is answered by ``_FullEvaluator``
-without counting; the choice changes no result.
+``families``.  The free-set table (``_line_table``), from the symbols
+alone, is the first occurrences of the line's pool-span windows or every
+shift, and it is full when its windows are all m**W words, none padded,
+as de Bruijn windows and concatenation slots over a short pool are.  A
+full table is answered by ``_FullEvaluator`` without counting; the
+choice changes no result.
 
 All claims are finite-scale: a certificate states the shift count it was
 computed over, and absence of a free set means absence at that horizon.
@@ -90,8 +87,8 @@ _LEVEL_CELLS = 1 << 24
 class FreeSetCertificate:
     """Coverage of a coordinate set at a stated horizon.
 
-    ``coverage`` is exact; when it equals 1 the certificate carries one
-    witness shift per pattern code, each re-verifiable with ``verify``.
+    ``coverage`` is exact; at 1 the certificate holds one witness shift per
+    pattern code, each re-verifiable with ``verify``, and below 1 none.
     """
 
     coordset: CoordSet
@@ -109,16 +106,18 @@ class FreeSetCertificate:
         return self.coordset.size
 
     def verify(self, win: SeqWindow) -> bool:
-        """Re-evaluate every stored witness against the window: False when
-        a witness shift leaves the window or shows another pattern."""
-        if not self.witnesses:
-            return True
+        """Whether the window re-shows a complete certificate: below coverage
+        1 no witness; at 1 a witness for each code 0..m**s - 1, whose shift
+        stays in the window and shows that code."""
+        if self.coverage != 1 or len(self.witnesses or ()) != self.alphabet_size ** self.size:
+            return self.coverage < 1 and not self.witnesses
         codes = np.fromiter(self.witnesses, dtype=np.int64, count=len(self.witnesses))
         shifts = np.array(list(self.witnesses.values()), dtype=np.int64)
         try:
             found = pattern_codes(win, self.coordset, shifts.reshape(codes.size, -1))
         except ShiftRangeError:
             return False
+        # m**s distinct codes, each re-shown and so below m**s, are every code
         return bool(np.array_equal(found, codes))
 
     def dump(self) -> str:
@@ -224,9 +223,8 @@ def is_free(win: SeqWindow, A: CoordSet, horizon: int | None = None) -> FreeSetC
         valid_shift_bounds(win, A)  # its errors, before the prefix is cut
         win = replace(win, symbols=win.symbols[: horizon + A.diameter])
     ps = patterns_on(win, A, want_witness=True)
-    coverage = ps.coverage
-    witnesses = ps.witness if coverage == 1 else None
-    return FreeSetCertificate(A, win.alphabet_size, ps.shift_count, coverage, witnesses)
+    return FreeSetCertificate(A, win.alphabet_size, ps.shift_count, ps.coverage,
+                              ps.witness if ps.coverage == 1 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +469,7 @@ def max_free_set(win: SeqWindow, budget: FreeSearchBudget) -> FreeSearchResult:
     pool = tuple(sorted(set(int(p) for p in budget.pool)))
     width = pool[-1] - pool[0] + 1
     shifts = min(length, budget.horizon) if budget.horizon else length
-    table, windows, full = _line_table(win.line(), m, shifts, win.meta.get("period"), width)
+    table, windows, full = _line_table(win.line(), m, shifts, width)
     ev = _FullEvaluator(m) if full else _GapEvaluator(table, m)
     if m ** budget.max_size > shifts:
         warnings.warn("shift horizon below m**max_size: top sizes cannot reach "
@@ -496,16 +494,16 @@ def max_free_set(win: SeqWindow, budget: FreeSearchBudget) -> FreeSearchResult:
     return FreeSearchResult(best, tuple(profile), shifts, beam_limited, stats)
 
 
-def _line_table(line: np.ndarray, m: int, shifts: int, period: int | None,
+def _line_table(line: np.ndarray, m: int, shifts: int,
                 width: int) -> tuple[np.ndarray, int | None, bool]:
     """The (width x samples) table of a line's windows of that width, its
     sample count, None when the table is every shift, and whether it is
     full, all from one ranking of the windows by ``ranked_windows``.
 
     A gap tuple (0, g2, ..., gs) with gs < width stands for any placement
-    of the set.  It scans the shifts j < T(gs) = min(L - gs, horizon,
-    period), and its code at j depends only on the window at j, which it
-    shares with that window's first occurrence f <= j.  Windows running
+    of the set.  It scans the shifts j < T(gs) = min(L - gs, horizon), and
+    its code at j depends only on the window at j, which it shares with
+    that window's first occurrence f <= j.  Windows running
     past the line's end are padded with the non-symbol m.  A padded first
     occurrence j whose live part, the line from j on, also occurs at some
     f < j adds no pattern: a pattern fitting in that live part shows at f
@@ -517,21 +515,22 @@ def _line_table(line: np.ndarray, m: int, shifts: int, period: int | None,
     j < T(0), in line order.  At a sample beyond a gap's last shift
     (f >= L - g, the only samples below T(0) that are not below T(g)) the
     gap shows m, so every gap scans every sample, with no per-gap masking.
+    No period is read: the later windows of a periodic line, and the live
+    parts of its padded ones, repeat its first period's, which ranking keeps.
 
     Both forms show the same patterns, so either is full when the kept
     windows are all m**W words and none is padded.
     """
-    t = min(shifts, period) if period else shifts
-    padded, first = ranked_windows(line, m, width, t)
+    padded, first = ranked_windows(line, m, width, shifts)
     first.sort()
     live = min(line.size, padded.size)
-    first = first[: np.searchsorted(first, _repeat_cut(padded[:live], live - width + 1, t))]
+    first = first[: np.searchsorted(first, _repeat_cut(padded[:live], live - width + 1, shifts))]
     n = first.size
     # past n's bit length m**W > n for m >= 2: the power is never built
     full = (bool(first[-1] <= live - width) and (m == 1 or width < n.bit_length())
             and n == m ** width)
-    if 2 * n > t or width * n > _TABLE_BYTES:
-        return np.lib.stride_tricks.sliding_window_view(padded, t), None, full
+    if 2 * n > shifts or width * n > _TABLE_BYTES:
+        return np.lib.stride_tricks.sliding_window_view(padded, shifts), None, full
     # A golden-ratio stride spreads the samples over the line, so a scan
     # that stops once every pattern is seen stops early.
     stride = round(n * 0.6180339887) or 1

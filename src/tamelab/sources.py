@@ -109,8 +109,8 @@ class SeqWindow:
     """A materialized block of symbols over a box in Z^k.
 
     ``symbols[idx]`` is the source value at ``origin + idx`` (row-major,
-    last axis fastest).  ``meta`` carries generation statistics such as
-    near-boundary hit counts; it is excluded from equality and digests.
+    last axis fastest).  ``meta`` holds generation statistics that ``generate``
+    reports and no analysis reads; equality and digests exclude it.
     """
 
     origin: tuple[int, ...]

@@ -428,6 +428,17 @@ def test_classify_writes_the_full_entropy_series(tmp_path):
     assert sum(line.startswith("entropy ") for line in report.splitlines()) == 69
 
 
+def test_report_headline_fits_the_printed_points_only(tmp_path):
+    """report.txt's entropy_headline is the tail slope over the report's
+    printed points; entropy.csv's headline row fits every n, so on fib100k
+    the two differ."""
+    rc, out = run_preset(tmp_path, "classify", "fib100k")
+    assert rc == 0
+    report = (out / "report.txt").read_text().splitlines()
+    assert "entropy_headline = 0.007882" in report
+    assert (out / "entropy.csv").read_text().splitlines()[-1] == "headline,,0.008231828"
+
+
 def test_rank_one_box_for_a_rank_two_source_is_a_dimension_error(tmp_path):
     text = ("[source]\nkind = sturmian\nalphas = golden,sqrt2_frac\n"
             "cuts = 0,one_minus_golden\n\n[window]\nbox = 0:100\n")

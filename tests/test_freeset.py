@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -103,6 +104,29 @@ def test_witnesses_reproduce_patterns():
                              cert.coverage, {0: cert.witnesses[0],
                                              **{k: v + 1 for k, v in cert.witnesses.items() if k}})
     assert not bad.verify(win)
+
+
+def de_bruijn_8_triple():
+    win = materialize(SeqSource.de_bruijn(8), (0, 300))
+    cert = is_free(win, CoordSet.of([0, 1, 2]))
+    assert cert.is_free and cert.verify(win)
+    return win, cert
+
+
+def test_verify_demands_a_witness_for_every_code():
+    """A free certificate missing one code's witness does not verify."""
+    win, cert = de_bruijn_8_triple()
+    short = {code: shift for code, shift in cert.witnesses.items() if code != 5}
+    assert not replace(cert, witnesses=short).verify(win)
+
+
+def test_verify_demands_witnesses_exactly_at_coverage_1():
+    """A free certificate holding no witnesses does not verify, nor does a
+    partial one holding some; a partial one holding none does."""
+    win, cert = de_bruijn_8_triple()
+    assert not replace(cert, witnesses=None).verify(win)
+    assert not replace(cert, coverage=Fraction(7, 8)).verify(win)
+    assert replace(cert, coverage=Fraction(7, 8), witnesses=None).verify(win)
 
 
 def test_rank_two_certificate_verifies_and_catches_tampering():

@@ -3,8 +3,9 @@
 Every level of a search profile is recomputed here candidate by candidate
 with ``patterns_on`` over the same shift range, and tiny instances are
 checked against the brute-force oracle.  The instances cover both table
-constructions: distinct pool-span windows (Sturmian, concatenation) and
-every shift (seeded noise, de Bruijn), and both evaluators: the scan
+constructions: distinct pool-span windows (Sturmian, concatenation, de
+Bruijn over several periods) and every shift (seeded noise, de Bruijn
+under a short horizon), and both evaluators: the scan
 engine on every instance, and the evaluator ``max_free_set`` chooses, which
 counts nothing on a full table.  On a full table every subset of the rows
 is free, so its free sets are the whole subset lattice: the tests named for
@@ -14,6 +15,7 @@ the lattice check that rule.
 import hashlib
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -139,19 +141,20 @@ CASES = [
      (0, 1, 4, 9, 16), 4, 900, "shifts"),
     ("noise-past-end", lambda: materialize(SeqSource.random(7), (0, 120)),
      tuple(range(0, 61)), 3, None, "shifts"),
+    # 256 first occurrences, all in the first period, at most half the shifts
     ("de-bruijn-periodic", lambda: materialize(SeqSource.de_bruijn(8), (0, 1000)),
-     tuple(range(0, 10)), 10, None, "shifts"),
+     tuple(range(0, 10)), 10, None, "windows"),
     ("de-bruijn-horizon", lambda: materialize(SeqSource.de_bruijn(8), (37, 1037)),
      tuple(range(40, 50)), 5, 100, "shifts"),
     ("de-bruijn-explicit-pool", lambda: materialize(SeqSource.de_bruijn(8), (0, 1000)),
-     (1, 2, 4, 8, 9, 12), 5, 600, "shifts"),
+     (1, 2, 4, 8, 9, 12), 5, 600, "windows"),
     ("sturmian-explicit-pool-negative-origin",
      lambda: materialize(SeqSource.fibonacci(), (-300, 4700)),
      (-290, -287, -281, -270, -256, -240), 4, None, "windows"),
     # a horizon shorter than the line: no window runs past its end
     ("sturmian-short-horizon", lambda: materialize(SeqSource.fibonacci(), (0, 5000)),
      tuple(range(0, 31)), 4, 1000, "windows"),
-    # the period cuts the shifts to 256, and the one padded window repeats
+    # one cell past a period: the two padded windows' live parts repeat
     ("de-bruijn-period-padded", lambda: materialize(SeqSource.de_bruijn(8), (0, 257)),
      tuple(range(0, 3)), 3, None, "windows"),
     # placed parents such as (0, 1), (1, 2) and (10, 11) share one gap tuple
@@ -174,12 +177,6 @@ def shows_every_word(table, m):
     """Whether the table holds no non-symbol m and its columns show every
     word of its rows over the alphabet, by brute force."""
     return m not in table and len(set(map(tuple, table.T.tolist()))) == m ** table.shape[0]
-
-
-def scanned_shifts(win, result):
-    """The shifts a search's table covers: its horizon, cut to the period."""
-    period = win.meta.get("period")
-    return min(result.horizon, period) if period else result.horizon
 
 
 def line_tables(monkeypatch, scan=False):
@@ -213,11 +210,10 @@ def check_profile(monkeypatch, evaluator, make, pool, max_size, horizon, table):
     if result.best is not None:
         assert result.best.is_free and result.best.verify(win)
     stats = result.stats
-    scanned = scanned_shifts(win, result)
     if table == "windows":
-        assert stats["table_rows"] == stats["windows"] and 2 * stats["windows"] <= scanned
+        assert stats["table_rows"] == stats["windows"] and 2 * stats["windows"] <= result.horizon
     elif table == "shifts":
-        assert stats["table_rows"] == scanned and stats["windows"] is None
+        assert stats["table_rows"] == result.horizon and stats["windows"] is None
 
 
 @pytest.mark.parametrize("name,make,pool,max_size,horizon,table", CASES,
@@ -256,8 +252,7 @@ def brute_full(args, table, windows, full):
     search's own table agrees whenever it holds no non-symbol, and always
     in the sample form; only a view may hold padded windows whose live
     part repeats, which show nothing new."""
-    line, m, shifts, period, width = args
-    kept = brute_table_columns(line, m, shifts, period, width)
+    kept, m = brute_table_columns(*args), args[1]
     expected = shows_every_word(np.array(kept, dtype=np.uint8).T, m)
     assert full == expected
     if windows is not None or m not in table:
@@ -322,7 +317,7 @@ def assert_full_counts_agree(table, m):
 def line_rule(line, m, shifts, width):
     """``_line_table``'s fullness of a line, checked against brute force,
     with the full-table counts checked on its table when it is full."""
-    args = (line, m, shifts, None, width)
+    args = (line, m, shifts, width)
     table, windows, full = freeset._line_table(*args)
     brute_full(args, table, windows, full)
     if full:
@@ -344,9 +339,9 @@ def test_lattice_counts_equal_scan_counts(monkeypatch, name, make, pool, max_siz
     brute_full(args, whole, windows, full)
     if name in {c[0] for c in SHORT_CASES}:
         assert_full_counts_agree(whole, win.alphabet_size)
-    line, m, shifts, period, width = args
-    first8 = freeset._line_table(line, m, shifts, period, min(8, width))
-    brute_full((line, m, shifts, period, min(8, width)), *first8)
+    line, m, shifts, width = args
+    first8 = freeset._line_table(line, m, shifts, min(8, width))
+    brute_full((line, m, shifts, min(8, width)), *first8)
     assert first8[2] == shows_every_word(whole[:8], m) or m in whole[:8]
     assert_full_counts_agree(whole[:8], m)
 
@@ -378,9 +373,9 @@ def test_lattice_counts_equal_scan_counts_with_non_symbol(m):
     twice = np.concatenate([words[:-3], words])
     for line, shifts in ((words, m ** 4), (words, words.size), (twice, 2 * m ** 4)):
         assert line_rule(line, m, shifts, 4)
-    table, windows, _ = freeset._line_table(words, m, words.size, None, 4)
+    table, windows, _ = freeset._line_table(words, m, words.size, 4)
     assert windows is None and m in table  # the view holds its padded windows
-    assert freeset._line_table(twice, m, 2 * m ** 4, None, 4)[1] == m ** 4
+    assert freeset._line_table(twice, m, 2 * m ** 4, 4)[1] == m ** 4
     missing = words.copy()
     missing[m ** 4 // 2] = (missing[m ** 4 // 2] + 1) % m
     assert not line_rule(missing, m, m ** 4, 4)
@@ -440,14 +435,14 @@ def test_lattice_index_is_bounded_on_a_base_1_table():
     noise = np.random.default_rng(1000).integers(0, 2, 1999).astype(np.uint8)
     for line, width, shifts in ((np.zeros(1999, dtype=np.uint8), 1000, 1000), (noise, 1000, 1000),
                                 (np.zeros(29, dtype=np.uint8), 27, 3)):
-        assert not freeset._line_table(line, _NoPower(2), shifts, None, width)[2]
-    assert freeset._line_table(np.zeros(42, dtype=np.uint8), 1, 40, None, 3)[2]
+        assert not freeset._line_table(line, _NoPower(2), shifts, width)[2]
+    assert freeset._line_table(np.zeros(42, dtype=np.uint8), 1, 40, 3)[2]
     ones = freeset._FullEvaluator(1)
     assert count_tuples(ones, np.array([[0, 1], [0, 2], [1, 2]])).tolist() == [1, 1, 1]
     words = de_bruijn_line(2, 16)
     tracemalloc.start()
     try:
-        assert freeset._line_table(words, 2, 1 << 16, None, 16)[2]
+        assert freeset._line_table(words, 2, 1 << 16, 16)[2]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -495,7 +490,7 @@ def test_zero_copy_view_without_bit_table(monkeypatch, name):
     assert engine_profile(result) == reference_profile(win, pool, max_size, horizon)
     assert all(level["by_bits"] == 0 for level in result.stats["levels"].values())
     assert result.stats["windows"] is None
-    assert result.stats["table_rows"] == scanned_shifts(win, result)
+    assert result.stats["table_rows"] == result.horizon
 
 
 # monkeypatched engine caps: the scan alone; the bit table for pattern
@@ -644,52 +639,48 @@ def brute_first_occurrences(line, m, width, t):
     return padded, kept
 
 
-def brute_table_columns(line, m, shifts, period, width):
+def brute_table_columns(line, m, shifts, width):
     """The table's columns by brute force: the kept first occurrences of the
-    padded width-windows over the shifts, cut to the period, in order."""
-    t = min(shifts, period) if period else shifts
-    padded, kept = brute_first_occurrences(line, m, width, t)
+    padded width-windows over the shifts, in order."""
+    padded, kept = brute_first_occurrences(line, m, width, shifts)
     return sorted(tuple(padded[j: j + width]) for j in kept)
 
 
 _GOLDEN_WORD = [0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0]
 
-# (name, line, alphabet, shifts, period, width, padded samples the table keeps)
+# (name, line, alphabet, shifts, width, padded samples the table keeps)
 LINE_TABLES = [
     # every tail repeats: only the 101 windows that fit are kept
-    ("golden", materialize(SeqSource.fibonacci(), (0, 20000)).line(), 2, 20000, None, 100, 0),
+    ("golden", materialize(SeqSource.fibonacci(), (0, 20000)).line(), 2, 20000, 100, 0),
     # the last symbol occurs nowhere earlier, so no tail repeats
-    ("new-symbol-at-end", np.array([0] * 400 + [1], dtype=np.uint8), 2, 401, None, 6, 5),
+    ("new-symbol-at-end", np.array([0] * 400 + [1], dtype=np.uint8), 2, 401, 6, 5),
     # "1 1" first occurs at the end: the tails holding it stay, "1" repeats
-    ("new-pair-at-end", np.array(_GOLDEN_WORD * 10 + [1, 1], dtype=np.uint8), 2, 212, None,
-     9, 7),
+    ("new-pair-at-end", np.array(_GOLDEN_WORD * 10 + [1, 1], dtype=np.uint8), 2, 212, 9, 7),
     # a horizon shorter than the line: nothing is padded
-    ("short-horizon", np.array(_GOLDEN_WORD * 10 + [1, 1], dtype=np.uint8), 2, 100, None,
-     9, 0),
-    # a period below the line: the table covers one period
-    ("de-bruijn-period", materialize(SeqSource.de_bruijn(8), (0, 257)).line(), 2, 257, 256,
-     3, 0),
+    ("short-horizon", np.array(_GOLDEN_WORD * 10 + [1, 1], dtype=np.uint8), 2, 100, 9, 0),
+    # a period below the line: ranking alone keeps one period's windows
+    ("de-bruijn-period", materialize(SeqSource.de_bruijn(8), (0, 257)).line(), 2, 257, 3, 0),
     ("periodic-past-end", np.resize(np.array([0, 1, 2, 2, 1], dtype=np.uint8), 300), 3, 300,
-     None, 40, 0),
+     40, 0),
 ]
 
 
-@pytest.mark.parametrize("name,line,m,shifts,period,width,padded", LINE_TABLES,
+@pytest.mark.parametrize("name,line,m,shifts,width,padded", LINE_TABLES,
                          ids=[c[0] for c in LINE_TABLES])
-def test_line_table_drops_padded_windows_whose_tail_repeats(name, line, m, shifts, period,
-                                                            width, padded):
-    table, n, full = freeset._line_table(line, m, shifts, period, width)
-    expected = brute_table_columns(line, m, shifts, period, width)
+def test_line_table_drops_padded_windows_whose_tail_repeats(name, line, m, shifts, width,
+                                                            padded):
+    table, n, full = freeset._line_table(line, m, shifts, width)
+    expected = brute_table_columns(line, m, shifts, width)
     assert n == len(expected) == table.shape[1]
     assert sorted(map(tuple, table.T.tolist())) == expected
     assert sum(m in column for column in expected) == padded
-    brute_full((line, m, shifts, period, width), table, n, full)
+    brute_full((line, m, shifts, width), table, n, full)
 
 
 def random_line_table_args():
     """Seeded short lines on 1..3 letters, a third a repeated short block,
-    with widths, horizons and, on seed 15, periods: ``_line_table``'s
-    arguments, 150 per seed."""
+    with widths and horizons, on seed 15 every fourth one capped by a
+    second draw: ``_line_table``'s arguments, 150 per seed."""
     for seed in (15, 21):
         rng = np.random.default_rng(seed)
         for i in range(150):
@@ -700,11 +691,11 @@ def random_line_table_args():
             if seed == 15:
                 width = int(rng.integers(1, 12))
                 shifts = int(rng.integers(1, line.size + 1))
-                period = int(rng.integers(1, line.size + 1)) if i % 4 == 0 else None
+                if i % 4 == 0:
+                    shifts = min(shifts, int(rng.integers(1, line.size + 1)))
             else:
                 shifts, width = int(rng.integers(1, line.size + 1)), int(rng.integers(1, 12))
-                period = None
-            yield line, m, shifts, period, width
+            yield line, m, shifts, width
 
 
 def test_line_table_matches_brute_force_on_random_lines(monkeypatch):
@@ -722,15 +713,14 @@ def test_line_table_matches_brute_force_on_random_lines(monkeypatch):
 
     monkeypatch.setattr(language, "window_classes", spy)
     for i, args in enumerate(random_line_table_args()):
-        line, m, shifts, period, width = args
+        line, m, shifts, width = args
         calls.clear()
         table, n, full = freeset._line_table(*args)
         assert calls == [width], i
-        t = min(shifts, period or shifts)
-        padded, kept = brute_first_occurrences(line, m, width, t)
-        if 2 * len(kept) > t:
+        padded, kept = brute_first_occurrences(line, m, width, shifts)
+        if 2 * len(kept) > shifts:
             assert n is None, i
-            assert table.tolist() == [padded[g: g + t] for g in range(width)], i
+            assert table.tolist() == [padded[g: g + shifts] for g in range(width)], i
         else:
             assert n == len(kept), i
             assert sorted(map(tuple, table.T.tolist())) == brute_table_columns(*args), i
@@ -785,11 +775,11 @@ def test_full_rule_matches_brute_force_on_searches(monkeypatch):
 
 
 def test_padded_view_of_every_word_is_full():
-    """One de Bruijn period of order 8 and its 7 wrapped symbols, read back
-    as an explicit source, has no period: its 263 shifts run 7 windows past
-    the end, each of whose live part occurs earlier, so the kept windows are
-    the 256 words and the view of every shift is full, with the de Bruijn
-    source's profile."""
+    """One de Bruijn period of order 8 and its 7 wrapped symbols: its 263
+    shifts run 7 windows past the end, each of whose live part occurs
+    earlier, so the kept windows are the 256 words and the view of every
+    shift is full, for the de Bruijn source and for its symbols read back
+    as an explicit source alike."""
     win = materialize(SeqSource.de_bruijn(8), (0, 263))
     back = materialize(SeqSource.explicit(SeqWindow((0,), win.line().copy(), 2, "db8")),
                        (0, 263))
@@ -797,6 +787,7 @@ def test_padded_view_of_every_word_is_full():
     expected, result = search(win, budget), search(back, budget)
     assert expected.stats["evaluator"] == result.stats["evaluator"] == "full"
     assert result.stats["windows"] is None and result.stats["table_rows"] == 263
+    assert result.stats == expected.stats
     assert engine_profile(result) == engine_profile(expected)
     assert result.max_free_size == 8
 
@@ -967,6 +958,7 @@ def test_join_and_prune_match_set_based_apriori_gen(monkeypatch):
                 patch.setattr(freeset, "_count", spy)
                 patch.setattr(freeset, "_levels", hashed_levels)
                 patch.setattr(freeset, "is_free", unchecked)
+                patch.setattr(freeset.FreeSetCertificate, "verify", lambda cert, win: True)
                 result = max_free_set(win, FreeSearchBudget(6, pool))
             if kind == "interval":
                 assert not seen
@@ -1099,3 +1091,49 @@ def test_explicit_pool_counts_each_gap_tuple_once(monkeypatch):
     assert result.stats["levels"][3]["candidates"] == 26
     assert [(p.size, p.free_count, p.best_set.coords) for p in result.profile] == [
         (1, 13, (0,)), (2, 58, (0, 2)), (3, 0, (0, 2, 8))]
+
+
+def test_false_period_in_meta_changes_nothing():
+    """The search reads no ``meta``: a noise window claiming a period of 40
+    finds the largest free set of 6 it finds with no claim, over all 2000
+    shifts, where a table cut to 40 shifts would miss sets from size 3 on."""
+    win = materialize(SeqSource.random(3), (0, 2000))
+    budget = FreeSearchBudget.interval(0, 11, 6)
+    claimed = search(replace(win, meta={"period": 40}), budget)
+    assert [e.free_count for e in claimed.profile] == [1, 11, 55, 165, 330, 462]
+    assert claimed.max_free_size == 6 and claimed.horizon == 2000
+    plain = search(win, budget)
+    assert engine_profile(claimed) == engine_profile(plain)
+    assert claimed.best.dump() == plain.best.dump() and claimed.stats == plain.stats
+
+
+def de_bruijn_agreement_cases():
+    """(order, box, pool, max_size, horizon, beam) over orders 3-9: boxes
+    from 0 and from a negative origin spanning 1-3 periods, no horizon and
+    horizons below and above the period, interval pools narrower than, as
+    wide as and wider than the order, an explicit pool wider than it, and
+    one beam."""
+    for order in range(3, 10):
+        period = 1 << order
+        for lo, periods in ((0, 1), (-period // 2 - 3, 2), (-period - 5, 3)):
+            box = (lo, lo + periods * period + order - 1)
+            for horizon in (None, period // 2 + 1, period + order):
+                for width in (order - 1, order, order + 2):
+                    yield order, box, tuple(range(lo + 2, lo + 2 + width)), 4, horizon, None
+                yield order, box, (lo + 1, lo + 2, lo + 4, lo + order + 1), 4, horizon, None
+        yield order, (0, 2 * period), tuple(range(0, order + 2)), 5, None, 2
+
+
+def test_de_bruijn_window_agrees_with_its_symbols_read_back():
+    """A de Bruijn window and its symbols as an explicit source give one
+    search result: profile, best certificate, horizon and beam flag."""
+    for order, box, pool, max_size, horizon, beam in de_bruijn_agreement_cases():
+        win = materialize(SeqSource.de_bruijn(order), box)
+        back = materialize(SeqSource.explicit(SeqWindow(win.origin, win.symbols, 2, "db")), box)
+        budget = FreeSearchBudget(max_size, pool, horizon, beam)
+        expected, result = search(win, budget), search(back, budget)
+        case = (order, box, pool, horizon, beam)
+        assert engine_profile(result) == engine_profile(expected), case
+        assert result.best.dump() == expected.best.dump(), case
+        assert (result.horizon, result.beam_limited) == (expected.horizon,
+                                                          expected.beam_limited), case

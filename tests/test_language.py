@@ -541,7 +541,7 @@ def test_line_counts_rank_the_padded_windows_once(monkeypatch):
 def sample_table(line, width):
     """The free-set table of a binary line's width-windows over every shift
     when it is the sample of first occurrences, else None."""
-    table, windows, _ = freeset._line_table(line, 2, line.size, None, width)
+    table, windows, _ = freeset._line_table(line, 2, line.size, width)
     return None if windows is None else table
 
 
